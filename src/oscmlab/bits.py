@@ -4,8 +4,6 @@ A vertex subset of the free layer is an int whose bit v is set when vertex v
 belongs to the subset. Vertices are the indices 0..n_v-1.
 """
 
-from itertools import combinations
-
 
 def mask_of(vertices) -> int:
     m = 0
@@ -23,13 +21,3 @@ def mask_members(mask: int) -> list:
         mask ^= low
     return out
 
-
-def iter_splits(mask: int, k: int):
-    """Yield all submasks of ``mask`` with exactly k bits.
-
-    Enumeration is lexicographic over the ascending member list, which is
-    what every solver here uses for deterministic tie-breaking.
-    """
-    members = mask_members(mask)
-    for combo in combinations(members, k):
-        yield mask_of(combo)

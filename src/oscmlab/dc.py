@@ -8,9 +8,11 @@ tree has
     nodes(k) = 1 + C(k, ceil(k/2)) * (nodes(floor(k/2)) + nodes(ceil(k/2)))
 
 nodes, nodes(k <= base_size) = 1. Subsets of at most base_size vertices are
-solved by direct enumeration. The winning split is re-derived on the unwind
-(an uncounted second pass) rather than stored, which keeps the space claim
-intact; the ledger therefore equals dc_node_count exactly on every run.
+solved by direct enumeration. split_min is the recursion, shared with the
+quantum divide and conquer in qdc: the caller supplies the minimizer over a
+node's splits (a plain scan here). Each frame keeps only its best split's
+value and ordering, so one pass yields both the optimum and an optimal
+ordering, and the ledger equals dc_node_count exactly on every run.
 
 A SpaceMeter tracks live algorithm state in bytes under a fixed accounting
 model, and an optional node budget lets instrumented runs at sizes too big
@@ -21,14 +23,13 @@ reaches maximum depth).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from dataclasses import dataclass
 from math import comb, ceil
 
 import numpy as np
 
 from .bigraph import BipartiteInstance, Solution
-from .bits import mask_members, iter_splits
 from .errors import SizeLimitError, NodeBudgetExceeded
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix
@@ -51,10 +52,11 @@ class SpaceMeter:
     """Byte accounting for live solver state.
 
     Model: every live recursion frame charges 96 bytes of scalars plus 8
-    bytes per member of its subset (masks, best-so-far, split-enumerator
-    state); retained partial traces charge 32 bytes per recorded split plus
-    one byte per split bit. Deterministic by construction — the point is a
-    reproducible "no exponential structure is ever live" witness, not an
+    bytes per member of its subset (member list, best-so-far value,
+    split-enumerator state). A frame past its first candidate split also
+    holds its kept best ordering, 32 bytes plus one per member, until it
+    returns. Deterministic by construction — the point is a reproducible
+    "no exponential structure is ever live" witness, not an
     allocator-accurate profile.
     """
 
@@ -85,7 +87,7 @@ class SpaceMeter:
         self.depth -= 1
 
     def hold(self, nbytes: int):
-        """Charge retained (non-frame) state, e.g. a kept candidate trace."""
+        """Charge retained (non-frame) state, e.g. a kept best ordering."""
         self.current += nbytes
         if self.current > self.peak:
             self.peak = self.current
@@ -117,47 +119,99 @@ def dc_max_depth(k: int, base_size: int = 2) -> int:
     return depth
 
 
-def base_case_value(c: np.ndarray, members) -> int:
-    """Best crossings of a tiny subset by enumerating its orderings."""
-    if len(members) <= 1:
-        return 0
-    best = None
+def base_case(rows, members) -> tuple:
+    """Best crossings of a tiny subset and its lexicographically least
+    optimal ordering, by enumerating the orderings of ``members`` (sorted).
+
+    ``rows`` is the crossing matrix as nested Python lists.
+    """
+    best_val, best_perm = None, ()
     for perm in permutations(members):
         tot = 0
         for i, v in enumerate(perm):
+            row = rows[v]
             for w in perm[i + 1:]:
-                tot += int(c[v, w])
-        if best is None or tot < best:
-            best = tot
-    return best
-
-
-def base_case_order(c: np.ndarray, members) -> tuple:
-    """Lexicographically least optimal ordering of a tiny subset."""
-    best_val, best_perm = None, None
-    for perm in permutations(members):
-        tot = 0
-        for i, v in enumerate(perm):
-            for w in perm[i + 1:]:
-                tot += int(c[v, w])
+                tot += row[w]
         if best_val is None or tot < best_val:
             best_val, best_perm = tot, perm
-    return tuple(best_perm) if best_perm is not None else ()
+    return best_val, best_perm
 
 
-def gamma_masks(c: np.ndarray, m1: int, m2: int) -> int:
-    """Cross-term between two disjoint masks, straight off the matrix."""
-    rows = mask_members(m1)
-    cols = mask_members(m2)
-    if not rows or not cols:
-        return 0
-    return int(c[np.ix_(rows, cols)].sum())
+def split_min(c: np.ndarray, base_size: int, search, ledger: CostLedger,
+              meter: SpaceMeter, node_budget: int | None = None):
+    """Minimum over balanced splits of all vertices of the matrix ``c``.
+
+    A frame over the sorted member tuple S counts one node, then either
+    solves S by enumeration (|S| <= base_size) or hands
+    ``search(n_values, value_fn)`` the C(|S|, ceil(|S|/2)) splits W of S,
+    which stream from itertools.combinations in lexicographic order.
+    ``search`` must call value_fn once per index in ascending order and
+    return (searched minimum, oracle calls). value_fn(i) solves W and then
+    S minus W and returns their searched values plus gamma(W, S minus W).
+
+    Every frame returns (searched value, exact value, oracle charge,
+    ordering). The frame keeps only its first strictly best candidate by
+    exact value, so the ordering (W's ordering, then the rest's) comes out
+    of the same pass. The charge is calls * (charge of each child + 1),
+    with the children's charges taken from the last candidate searched.
+    """
+    rows = c.tolist()
+
+    def frame(members):
+        s = len(members)
+        nbytes = SpaceMeter.frame_bytes(s)
+        meter.enter(nbytes)
+        held = 0
+        try:
+            ledger.nodes += 1
+            if node_budget is not None and ledger.nodes > node_budget:
+                raise NodeBudgetExceeded(ledger, meter.peak, meter.max_depth)
+            if s <= base_size:
+                value, order = base_case(rows, members)
+                return value, value, 0, order
+            k = ceil(s / 2)
+            splits = combinations(members, k)
+            best = None                 # (exact value, W ordering, rest ordering)
+            charges = {}                # child size -> charge, last candidate
+
+            def value_fn(_):
+                nonlocal best, held
+                w = next(splits)
+                rest = tuple([v for v in members if v not in w])
+                w_searched, w_exact, w_charge, w_order = frame(w)
+                r_searched, r_exact, r_charge, r_order = frame(rest)
+                g = 0
+                for v in w:
+                    row = rows[v]
+                    for x in rest:
+                        g += row[x]
+                exact = w_exact + r_exact + g
+                if best is None or exact < best[0]:
+                    if not held:
+                        held = SpaceMeter.trace_bytes(s)
+                        meter.hold(held)
+                    best = (exact, w_order, r_order)
+                # At even sizes both children share one key, so the rest's
+                # charge stands for both (sampled counts depend on this).
+                charges[k] = w_charge
+                charges[s - k] = r_charge
+                return w_searched + r_searched + g
+
+            searched, calls = search(comb(s, k), value_fn)
+            charge = calls * (charges[s - k] + charges[k] + 1)
+            return searched, best[0], charge, best[1] + best[2]
+        finally:
+            if held:
+                meter.release(held)
+            meter.exit(nbytes)
+
+    return frame(tuple(range(len(rows))))
 
 
 def solve_dc(inst: BipartiteInstance, cfg: DcConfig = None):
     """Solve one instance in polynomial space; returns (Solution, CostLedger).
 
-    Raises NodeBudgetExceeded when cfg.node_budget is set and the value pass
+    Raises NodeBudgetExceeded when cfg.node_budget is set and the recursion
     outgrows it.
     """
     cfg = cfg or DcConfig()
@@ -166,53 +220,19 @@ def solve_dc(inst: BipartiteInstance, cfg: DcConfig = None):
         raise SizeLimitError(f"subset solvers support n_v <= 64, got {n}")
     ledger = CostLedger(algo="dc", meta={"n_v": n, "base_size": cfg.base_size})
     meter = SpaceMeter()
-    c = build_crossing_matrix(inst).counts
-    full = (1 << n) - 1
 
-    def value(mask, counted):
-        s = mask.bit_count()
-        frame = SpaceMeter.frame_bytes(s)
-        meter.enter(frame)
-        try:
-            if counted:
-                ledger.nodes += 1
-                if cfg.node_budget is not None and ledger.nodes > cfg.node_budget:
-                    raise NodeBudgetExceeded(ledger, meter.peak, meter.max_depth)
-            if s <= cfg.base_size:
-                return base_case_value(c, mask_members(mask))
-            best = None
-            for wmask in iter_splits(mask, ceil(s / 2)):
-                rest = mask ^ wmask
-                val = value(wmask, counted) + value(rest, counted) \
-                    + gamma_masks(c, wmask, rest)
-                if counted:
-                    ledger.gamma_evals += 1
-                if best is None or val < best:
-                    best = val
-            return best
-        finally:
-            meter.exit(frame)
+    def scan(n_values, value_fn):
+        best = None
+        for i in range(n_values):
+            val = value_fn(i)
+            ledger.gamma_evals += 1
+            if best is None or val < best:
+                best = val
+        return best, 0
 
-    def reconstruct(mask):
-        s = mask.bit_count()
-        frame = SpaceMeter.frame_bytes(s)
-        meter.enter(frame)
-        try:
-            if s <= cfg.base_size:
-                return base_case_order(c, mask_members(mask))
-            best, best_w = None, None
-            for wmask in iter_splits(mask, ceil(s / 2)):
-                rest = mask ^ wmask
-                val = value(wmask, False) + value(rest, False) \
-                    + gamma_masks(c, wmask, rest)
-                if best is None or val < best:
-                    best, best_w = val, wmask
-            return reconstruct(best_w) + reconstruct(mask ^ best_w)
-        finally:
-            meter.exit(frame)
-
-    total = value(full, True)
-    ordering = None if cfg.count_only else reconstruct(full)
+    _, total, _, ordering = split_min(build_crossing_matrix(inst).counts,
+                                      cfg.base_size, scan, ledger, meter,
+                                      cfg.node_budget)
     ledger.meta["peak_state_bytes"] = meter.peak
     ledger.meta["max_depth"] = meter.max_depth
-    return Solution(ordering, total), ledger
+    return Solution(None if cfg.count_only else ordering, total), ledger

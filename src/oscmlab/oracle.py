@@ -6,9 +6,11 @@ solver results reach the optimum through disjoint routes. Enumeration is
 lexicographic and the reported optimum is the lexicographically least
 ordering among minimizers.
 
-The permutation scan is vectorized with numpy (chunked to bound memory);
-the scalar definition in bigraph.count_crossings is the reference the
-vectorized path is tested against.
+Edge pairs are first tallied per free-vertex pair: how many cross when a
+precedes b, and how many when b precedes a. The permutation scan then adds
+one of the two tallies per vertex pair, vectorized with numpy (chunked to
+bound memory); the scalar definition in bigraph.count_crossings is the
+reference the vectorized path is tested against.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ def _perm_tables(n: int):
     return perms, pos
 
 
-def _pair_arrays(edges, colors, upos, same_color_only):
-    """Edge pairs that can ever cross, as (v1, v2, u1-left-of-u2) arrays."""
-    v1s, v2s, flips = [], [], []
+def _pair_weights(edges, colors, upos, n_v, same_color_only):
+    """w[a][b]: edge pairs on free vertices a and b that cross when a
+    precedes b, tallied one edge pair at a time."""
+    w = [[0] * n_v for _ in range(n_v)]
     for i in range(len(edges)):
         u1, v1 = edges[i]
         for j in range(i + 1, len(edges)):
@@ -56,27 +59,34 @@ def _pair_arrays(edges, colors, upos, same_color_only):
                 continue
             if same_color_only and colors[i] != colors[j]:
                 continue
-            v1s.append(v1)
-            v2s.append(v2)
-            flips.append(upos[u1] < upos[u2])
-    return (
-        np.array(v1s, dtype=np.intp),
-        np.array(v2s, dtype=np.intp),
-        np.array(flips, dtype=bool),
-    )
+            # A pair crosses when its free-layer order disagrees with the
+            # fixed-layer order of its other endpoints.
+            if upos[u1] < upos[u2]:
+                w[v2][v1] += 1
+            else:
+                w[v1][v2] += 1
+    return w
 
 
 def _scan_orderings(inst, upos, same_color_only):
     """Crossing count of every ordering of V, in lexicographic order."""
-    perms, pos = _perm_tables(inst.n_v)
-    v1s, v2s, flips = _pair_arrays(inst.edges, inst.colors, upos, same_color_only)
+    n = inst.n_v
+    perms, pos = _perm_tables(n)
+    w = _pair_weights(inst.edges, inst.colors, upos, n, same_color_only)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if w[a][b] or w[b][a]]
     counts = np.zeros(len(perms), dtype=np.int64)
-    if len(v1s) == 0:
+    if not pairs:
         return perms, counts
+    firsts = np.array([a for a, _ in pairs], dtype=np.intp)
+    seconds = np.array([b for _, b in pairs], dtype=np.intp)
+    in_order = np.array([w[a][b] for a, b in pairs], dtype=np.int64)
+    reversed_ = np.array([w[b][a] for a, b in pairs], dtype=np.int64)
     for start in range(0, len(perms), _CHUNK_ROWS):
         block = pos[start:start + _CHUNK_ROWS]
-        crossed = (block[:, v1s] < block[:, v2s]) != flips[np.newaxis, :]
-        counts[start:start + _CHUNK_ROWS] = crossed.sum(axis=1)
+        ahead = block[:, firsts] < block[:, seconds]
+        counts[start:start + _CHUNK_ROWS] = \
+            np.where(ahead, in_order, reversed_).sum(axis=1)
     return perms, counts
 
 

@@ -10,21 +10,25 @@ in qmf; both children recurse. The oracle charge composes per node as
 
 — every charged query at a node carries one full evaluation of each child —
 and qdc_cost_model computes the same quantity in closed form so solver
-ledgers can be checked against it exactly. Recursion nodes are counted with
-the same convention as the classical divide-and-conquer solver (every
-evaluation call is one node), so `nodes` matches dc_node_count on full runs.
+ledgers can be checked against it exactly. The recursion is dc.split_min
+with qmf as the minimizer, so recursion nodes are counted exactly as in
+the classical divide-and-conquer solver and `nodes` matches dc_node_count.
 
-The winning splits are re-derived in an uncounted second pass into a
-SplitTrace: node (0, 0) is the root, and node (i, j) splits into
-(i + 1, 2 j) (the W side, which precedes) and (i + 1, 2 j + 1). Leaves keep
+Every frame also keeps its first exactly-best split and that split's
+ordering, so the optimal ordering comes out of the same pass. A SplitTrace
+is rebuilt from that ordering alone: node (0, 0) is the root, and node
+(i, j) splits into (i + 1, 2 j) (the first ceil(s/2) vertices, which
+precede) and (i + 1, 2 j + 1) (the rest), down to base_size. Leaves keep
 their enumerated internal ordering, since split bits alone cannot recover
 it once base cases hold more than one vertex. extract_ordering walks the
 trace pre-order and validates balance and completeness along the way.
 
-In cost-model mode (the default) the value pass is exact and the extracted
-ordering's cost is asserted equal to the value-pass minimum. In
-state-vector mode oracle charges reflect the sampled search rounds while
-the reported ordering still comes from the deterministic trace pass.
+In cost-model mode (the default) the searched minimum is asserted equal to
+the kept exact value and to the kept ordering's cost. In state-vector mode
+each search sees its children's searched minima plus gamma, and oracle
+charges reflect the sampled search rounds; a count-only run reports the
+root's searched minimum, while a full run reports the exact kept best and
+its ordering.
 """
 
 from __future__ import annotations
@@ -36,9 +40,8 @@ from math import ceil, comb, sqrt
 import numpy as np
 
 from .bigraph import BipartiteInstance, Solution
-from .bits import mask_members, iter_splits
-from .dc import SpaceMeter, base_case_order, base_case_value, gamma_masks
-from .errors import NodeBudgetExceeded, SizeLimitError
+from .dc import SpaceMeter, split_min
+from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix, ordering_cost
 from .qmf import QmfConfig, qmf
@@ -127,6 +130,26 @@ def trace_json_dict(trace: SplitTrace) -> dict:
     }
 
 
+def split_trace(ordering: tuple, base_size: int) -> SplitTrace:
+    """The split tree of an ordering: each part splits into its first
+    ceil(s/2) vertices and the rest, down to parts of base_size."""
+    nodes, sizes, leaves = {}, {}, {}
+
+    def split(key, part):
+        nodes[key] = tuple(sorted(part))
+        sizes[key] = len(part)
+        if len(part) <= base_size:
+            leaves[key] = part
+            return
+        i, j = key
+        k = ceil(len(part) / 2)
+        split((i + 1, 2 * j), part[:k])
+        split((i + 1, 2 * j + 1), part[k:])
+
+    split((0, 0), ordering)
+    return SplitTrace(len(ordering), base_size, nodes, sizes, leaves)
+
+
 def _run(inst: BipartiteInstance, cfg: QdcConfig, want_trace: bool):
     n = inst.n_v
     if n > 64:
@@ -136,100 +159,29 @@ def _run(inst: BipartiteInstance, cfg: QdcConfig, want_trace: bool):
                               "qmf_mode": cfg.qmf_cfg.mode})
     meter = SpaceMeter()
     cm = build_crossing_matrix(inst)
-    c = cm.counts
-    full = (1 << n) - 1
     rng = np.random.default_rng(cfg.qmf_cfg.seed) if cfg.qmf_cfg.mode == "state_vector" else None
-
-    def evaluate(mask):
-        # Counted value pass; returns (min crossings, oracle charge).
-        s = mask.bit_count()
-        frame = SpaceMeter.frame_bytes(s)
-        meter.enter(frame)
-        try:
-            ledger.nodes += 1
-            if cfg.node_budget is not None and ledger.nodes > cfg.node_budget:
-                raise NodeBudgetExceeded(ledger, meter.peak, meter.max_depth)
-            if s <= cfg.base_size:
-                return base_case_value(c, mask_members(mask)), 0
-            k = ceil(s / 2)
-            splits = list(iter_splits(mask, k))
-            child_charge = {}
-
-            def value_fn(i):
-                wmask = splits[i]
-                rest = mask ^ wmask
-                v1, q1 = evaluate(wmask)
-                v2, q2 = evaluate(rest)
-                child_charge[k] = q1
-                child_charge[s - k] = q2
-                return v1 + v2 + gamma_masks(c, wmask, rest)
-
-            res = qmf(len(splits), value_fn, cfg.qmf_cfg, rng)
-            charge = res.oracle_calls * (child_charge[s - k] + child_charge[k] + 1)
-            return res.min_value, charge
-        finally:
-            meter.exit(frame)
-
-    def value_u(mask):
-        # Uncounted exact value, for the trace pass.
-        s = mask.bit_count()
-        frame = SpaceMeter.frame_bytes(s)
-        meter.enter(frame)
-        try:
-            if s <= cfg.base_size:
-                return base_case_value(c, mask_members(mask))
-            best = None
-            for wmask in iter_splits(mask, ceil(s / 2)):
-                val = value_u(wmask) + value_u(mask ^ wmask) \
-                    + gamma_masks(c, wmask, mask ^ wmask)
-                if best is None or val < best:
-                    best = val
-            return best
-        finally:
-            meter.exit(frame)
-
-    def build_trace(key, mask, nodes, sizes, leaves):
-        s = mask.bit_count()
-        members = tuple(mask_members(mask))
-        nodes[key] = members
-        sizes[key] = s
-        meter.hold(SpaceMeter.trace_bytes(s))
-        if s <= cfg.base_size:
-            leaves[key] = base_case_order(c, members)
-            return
-        best, best_w = None, None
-        for wmask in iter_splits(mask, ceil(s / 2)):
-            val = value_u(wmask) + value_u(mask ^ wmask) \
-                + gamma_masks(c, wmask, mask ^ wmask)
-            if best is None or val < best:
-                best, best_w = val, wmask
-        i, j = key
-        build_trace((i + 1, 2 * j), best_w, nodes, sizes, leaves)
-        build_trace((i + 1, 2 * j + 1), mask ^ best_w, nodes, sizes, leaves)
 
     if n == 0:
         ledger.meta["peak_state_bytes"] = 0
         ledger.meta["max_depth"] = 0
-        trace = SplitTrace(0, cfg.base_size, {(0, 0): ()}, {(0, 0): 0}, {(0, 0): ()})
-        return Solution((), 0), ledger, (trace if want_trace else None)
+        return Solution((), 0), ledger, (split_trace((), cfg.base_size) if want_trace else None)
 
-    total, charge = evaluate(full)
+    def search(n_values, value_fn):
+        res = qmf(n_values, value_fn, cfg.qmf_cfg, rng)
+        return res.min_value, res.oracle_calls
+
+    searched, exact, charge, ordering = split_min(
+        cm.counts, cfg.base_size, search, ledger, meter, cfg.node_budget)
     ledger.oracle_calls = charge
-
-    trace = None
-    ordering = None
-    if want_trace or not cfg.count_only:
-        nodes, sizes, leaves = {}, {}, {}
-        build_trace((0, 0), full, nodes, sizes, leaves)
-        trace = SplitTrace(n, cfg.base_size, nodes, sizes, leaves)
-        ordering = extract_ordering(trace)
-        cost = ordering_cost(cm, ordering)
-        if cfg.qmf_cfg.mode == "cost_model" and cost != total:
-            raise AssertionError("trace ordering cost disagrees with value pass")
-        total = cost
+    if cfg.qmf_cfg.mode == "cost_model" and (
+            searched != exact or ordering_cost(cm, ordering) != exact):
+        raise AssertionError("kept ordering disagrees with the searched minimum")
     ledger.meta["peak_state_bytes"] = meter.peak
     ledger.meta["max_depth"] = meter.max_depth
-    return Solution(ordering, total), ledger, trace
+    if cfg.count_only:
+        return Solution(None, searched), ledger, None
+    trace = split_trace(ordering, cfg.base_size) if want_trace else None
+    return Solution(ordering, exact), ledger, trace
 
 
 def solve_qdc(inst: BipartiteInstance, cfg: QdcConfig = None):

@@ -162,7 +162,7 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
 
     # Phase 2: nested searches over splits, leaves read from the table.
     # Splits of one subset are enumerated lexicographically over the
-    # ascending member list (same order as iter_splits), with all gammas
+    # ascending member list (same order as dc.split_min), with all gammas
     # for the node computed in one vectorized pass: for membership matrix
     # P and the subset's matrix block B, gamma_i = p_i B (1 - p_i).
     k3 = ceil(cfg.alpha * n / 4.0)

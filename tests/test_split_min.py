@@ -1,0 +1,79 @@
+"""The split recursion shared by dc and qdc (dc.split_min).
+
+Outputs are pinned from the two-pass recursion it replaced (a value pass,
+then a second pass re-deriving the winning splits), recorded before the
+switch in split_recursion_golden.json. The peak test measures real
+allocation at criterion 7's configuration, and the agreement test checks
+the engine against dp where brute force no longer reaches.
+"""
+
+import json
+import random
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from oscmlab import (BipartiteInstance, DcConfig, NodeBudgetExceeded,
+                     QdcConfig, QmfConfig, count_crossings, solve_dc,
+                     solve_dp, solve_qdc, solve_qdc_with_trace,
+                     trace_json_dict)
+
+GOLDEN = json.loads(
+    Path(__file__).with_name("split_recursion_golden.json").read_text())
+
+
+def random_instance(rng, n_u, n_v, p):
+    edges = tuple((u, v) for u in range(n_u) for v in range(n_v)
+                  if rng.random() < p)
+    return BipartiteInstance(n_u, n_v, edges)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: f"n{case['n_v']}")
+def test_outputs_match_the_two_pass_recursion(case):
+    inst = random_instance(random.Random(case["seed"]), case["n_u"],
+                           case["n_v"], case["p"])
+    dc_sol, _ = solve_dc(inst)
+    assert dc_sol.crossings == case["crossings"]
+    assert list(dc_sol.ordering) == case["dc_ordering"]
+
+    sol, _, trace = solve_qdc_with_trace(inst)
+    assert sol.crossings == case["crossings"]
+    assert list(sol.ordering) == case["qdc_ordering"]
+    assert trace_json_dict(trace) == case["qdc_trace"]
+
+    qmf_cfg = QmfConfig(mode="state_vector", seed=case["sv_seed"])
+    sampled, ledger = solve_qdc(inst, QdcConfig(qmf_cfg=qmf_cfg))
+    assert ledger.oracle_calls == case["sv_oracle_calls"]
+    assert list(sampled.ordering) == case["sv_ordering"]
+    assert sampled.crossings == case["crossings"]
+    # A count-only run reports what the sampled searches found, which
+    # misses the optimum on the n=8 case.
+    counted, _ = solve_qdc(inst, QdcConfig(count_only=True, qmf_cfg=qmf_cfg))
+    assert counted.crossings == case["sv_count_only_crossings"]
+
+
+@pytest.mark.parametrize("solve,cfg", [
+    (solve_dc, DcConfig(count_only=True, node_budget=100_000)),
+    (solve_qdc, QdcConfig(count_only=True, node_budget=100_000)),
+], ids=["dc", "qdc"])
+def test_measured_peak_stays_polynomial(solve, cfg):
+    inst = random_instance(random.Random(20), 5, 20, 0.4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NodeBudgetExceeded) as info:
+            solve(inst, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert info.value.peak_state_bytes < peak
+
+
+@pytest.mark.parametrize("n_v,seed", [(11, 1), (11, 2), (12, 1), (12, 2)])
+def test_dc_qdc_and_dp_agree_past_brute_force(n_v, seed):
+    inst = random_instance(random.Random(n_v * 100 + seed), 5, n_v, 0.5)
+    want = solve_dp(inst)[0].crossings
+    for sol, _ in (solve_dc(inst), solve_qdc(inst)):
+        assert sol.crossings == want
+        assert count_crossings(inst, sol.ordering) == want
