@@ -38,12 +38,27 @@ class OracleLimit:
 
 @lru_cache(maxsize=4)
 def _perm_tables(n: int):
-    """All permutations of range(n) (lexicographic) and their position tables."""
-    if n == 0:
-        perms = np.zeros((1, 0), dtype=np.int8)
-        return perms, perms
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    pos = np.argsort(perms, axis=1).astype(np.int8)
+    """All permutations of range(n) (lexicographic) and their position tables.
+
+    Built up from the tables of range(k - 1): the orderings of range(k)
+    that start with ``first`` are ``first`` followed by those of range(k - 1)
+    with every value from ``first`` up shifted by one, and each vertex sits
+    one place later than it did there.
+    """
+    perms = pos = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        rows = len(perms)
+        next_perms = np.empty((k * rows, k), dtype=np.int8)
+        next_pos = np.empty((k * rows, k), dtype=np.int8)
+        later = pos + 1
+        for first in range(k):
+            block = slice(first * rows, (first + 1) * rows)
+            next_perms[block, 0] = first
+            next_perms[block, 1:] = perms + (perms >= first)
+            next_pos[block, :first] = later[:, :first]
+            next_pos[block, first] = 0
+            next_pos[block, first + 1:] = later[:, first:]
+        perms, pos = next_perms, next_pos
     return perms, pos
 
 

@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 
 from oscmlab import (BipartiteInstance, OracleLimit, SizeLimitError,
@@ -9,6 +10,7 @@ from oscmlab import (BipartiteInstance, OracleLimit, SizeLimitError,
                      count_two_level_crossings, orderings_scanned,
                      solve_bruteforce, solve_osscm_bruteforce,
                      solve_tlcm_bruteforce)
+from oscmlab.oracle import _perm_tables
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 CROSS_PAIR = BipartiteInstance(2, 2, ((0, 1), (1, 0)))
@@ -35,6 +37,14 @@ def scalar_best(inst, counter):
         if best_val is None or val < best_val:
             best_val, best_ord = val, perm
     return best_ord, best_val
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_perm_tables_are_lexicographic_with_inverses(n):
+    perms, pos = _perm_tables(n)
+    assert perms.dtype == pos.dtype == np.int8
+    assert [tuple(p) for p in perms.tolist()] == list(permutations(range(n)))
+    assert np.array_equal(pos, np.argsort(perms, axis=1))
 
 
 def test_k22():
