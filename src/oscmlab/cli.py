@@ -29,7 +29,7 @@ from .qdc import QdcConfig, qdc_cost_model, solve_qdc, solve_qdc_with_trace, tra
 from .qdp import QdpConfig, qdp_cost_model, solve_qdp
 from .qmf import QmfConfig
 
-_WALL_CAPS = {"dp": 18, "dc": 11, "qdp": 14, "qdc": 11}
+_WALL_CAPS = {"dp": 18, "dc": 11, "qdp": 16, "qdc": 11}
 
 
 def _resolve_seed(flag_value):

@@ -21,11 +21,32 @@ the balancing alpha (about 0.055362) both phases grow like 1.728^n.
 Below min_quantum_n, or when t >= n, the solver silently degenerates to the
 plain DP (full table, zero oracle calls).
 
-The simulation memoizes each subset's optimum and winning split in phase 2
-— the optimum of a subset does not depend on which split rule reached it —
-purely to keep desk-scale runs fast; charges are the analytic counts above.
-The ordering is rebuilt once at the end by concatenating the winning
-splits' orders down to table leaves.
+The simulation evaluates both phases one subset-size layer at a time in
+NumPy. A layer holds every subset of one size as a row of ascending
+members, in combinatorial-number-system (colex) order: the subset
+x_0 < x_1 < ... sits in row sum_i C(x_i, i + 1), its rank, so reading a
+smaller subset's optimum is an array gather. Phase 1 fills the layers of
+size <= t, keeping for each subset its optimum and chosen last vertex
+(ties keep the smallest vertex). Phase 2 rests on the searches reaching
+every subset of each search size: level 1 enumerates all ceil(n/2)-subsets
+and their complements, and so on down. So each search size is one layer
+too, evaluated bottom-up after the sizes it splits into. A split (W, S\\W)
+of a subset S costs
+
+    OPT(W) + OPT(S\\W) + sum_{v in W} rho_S(v) - Sym(W),
+
+with rho_S(v) = sum_{u in S} c[v][u] and Sym(W) = sum_{v,u in W} c[v][u]
+kept per subset beside its optimum. Splits are enumerated lexicographically
+over the ascending member positions (the order of dc.split_min) and a
+subset keeps its first strictly-best split. The optimum of a subset does
+not depend on which search reached it, so one value per subset stands for
+all of them; charges are the analytic counts above, taken from the chain
+of search layers that ran. The ordering is rebuilt at the end by
+concatenating the winning splits' orders down to table leaves.
+
+Space: sum_{i<=t} C(n, i) table entries plus C(n, s) per search size s,
+and at most _CHUNK candidate values at a time. Member, rank and split
+tables depend on n and the sizes alone and are cached across solves.
 
 Alpha is capped at 0.5: with alpha <= 1 - alpha the third level's split
 size ceil(alpha*n/4) and its complement both fit the table (ceilings are
@@ -36,17 +57,20 @@ which is what keeps the search depth at three.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, combinations
 from math import ceil, comb, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .bigraph import BipartiteInstance, Solution
-from .bits import mask_of, mask_members
 from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix
 from .qmf import QmfConfig, cost_model_calls
+
+_CHUNK = 1 << 14  # candidate values evaluated at once (128 KiB of int64)
 
 
 @dataclass(frozen=True)
@@ -99,15 +123,165 @@ def qdp_cost_model(n_v: int, cfg: QdpConfig = None):
     return classical, quantum
 
 
-def _search_charge(level, s, n, t, alpha, call_constant):
-    """Oracle charge of one nested search rooted at a size-s subset."""
-    if level > 3 or s <= t:
-        return 0
-    k = ceil(s / 2) if level <= 2 else ceil(alpha * n / 4.0)
-    if not 1 <= k < s:
-        return 0
-    calls = cost_model_calls(comb(s, k), call_constant)
-    return calls * (1 + _search_charge(level + 1, k, n, t, alpha, call_constant))
+@lru_cache(maxsize=16)
+def _binomials(n):
+    """C(x, i) at [x, i] for 0 <= x < n and 0 <= i <= n + 1."""
+    return np.array([[comb(x, i) for i in range(n + 2)] for x in range(n)],
+                    dtype=np.int64)
+
+
+def _combinations(s, k):
+    """The k-combinations of range(s) in lexicographic order, one per row."""
+    return np.fromiter(chain.from_iterable(combinations(range(s), k)),
+                       np.int8, comb(s, k) * k).reshape(-1, k)
+
+
+@lru_cache(maxsize=64)
+def _layer(n, s):
+    """Every s-subset of range(n) as a row of ascending members; row = rank.
+
+    Mapping x to n - 1 - x turns lexicographic order into reverse colex
+    order with descending rows, so reversing rows and columns gives colex
+    order with ascending rows.
+    """
+    members = (n - 1 - _combinations(n, s))[::-1, ::-1].copy()
+    members.setflags(write=False)
+    return members
+
+
+@lru_cache(maxsize=64)
+def _removal_ranks(n, s):
+    """Rank of each subset with the member at position j removed, at [row, j]:
+    members before j keep their rank term, members after it move down one."""
+    members = _layer(n, s)
+    binom = _binomials(n)
+    own = binom[members, np.arange(1, s + 1)]
+    shifted = binom[members, np.arange(s)]
+    ranks = (np.cumsum(own, axis=1) - own
+             + shifted.sum(axis=1, keepdims=True) - np.cumsum(shifted, axis=1))
+    ranks.setflags(write=False)
+    return ranks
+
+
+@lru_cache(maxsize=64)
+def _splits(s, k):
+    """Member positions of W and of the rest for every split of an s-subset,
+    W running over the k-combinations of range(s) in lexicographic order
+    (their complements then run in reverse lexicographic order). Entry
+    [i, j] is the position of the i-th member of that side in split j."""
+    picks = np.ascontiguousarray(_combinations(s, k).T)
+    rest = np.ascontiguousarray(_combinations(s, s - k)[::-1].T)
+    picks.setflags(write=False)
+    rest.setflags(write=False)
+    return picks, rest
+
+
+def _sum_at(tables, positions):
+    """sum_i tables[i][:, positions[i]]: one column per split."""
+    total = tables[0][:, positions[0]]
+    for table, at in zip(tables[1:], positions[1:]):
+        total += table[:, at]
+    return total
+
+
+def _rank(members) -> int:
+    """Colex rank of a subset given by its ascending members."""
+    return sum(comb(x, i + 1) for i, x in enumerate(members))
+
+
+class _Layer(NamedTuple):
+    """Optimum, Sym and winning candidate of every subset of one size, by
+    rank. The candidate is the position of the last vertex in a table
+    layer and the index of the split in a search layer."""
+
+    opt: np.ndarray
+    sym: np.ndarray
+    choice: np.ndarray
+
+
+def _by_chunks(members, step, kernel):
+    """One _Layer from kernel(lo, rows) -> (opt, sym, choice) over chunks
+    of at most step rows."""
+    parts = [kernel(lo, members[lo:lo + step])
+             for lo in range(0, len(members), step)]
+    if len(parts) == 1:
+        return _Layer(*parts[0])
+    return _Layer(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _table_layer(c, n, s, below):
+    """OPT(S) = min_w OPT(S \\ w) + sum_{v in S} c[v][w] over all s-subsets;
+    ties keep the smallest w."""
+    removal = _removal_ranks(n, s)
+
+    def kernel(lo, rows):
+        into = c[rows[:, :, None], rows[:, None, :]].sum(axis=1)
+        vals = below.opt[removal[lo:lo + len(rows)]] + into
+        return vals.min(axis=1), into.sum(axis=1), vals.argmin(axis=1)
+
+    return _by_chunks(_layer(n, s), max(1, _CHUNK // (s * s)), kernel)
+
+
+def _search_layer(c, n, s, k, w_side, rest_side):
+    """Best split of every s-subset into a k-subset W and the rest; ties
+    keep the first split."""
+    picks, rest = _splits(s, k)
+    binom = _binomials(n).T[1:max(k, s - k) + 1]
+    w_value = w_side.opt - w_side.sym
+
+    def kernel(lo, rows):
+        rho = c[rows[:, :, None], rows[:, None, :]].sum(axis=2)
+        terms = [column[rows] for column in binom]  # C(member, i + 1)
+        vals = _sum_at([rho] * k, picks)
+        vals += w_value[_sum_at(terms, picks)]
+        vals += rest_side.opt[_sum_at(terms, rest)]
+        return vals.min(axis=1), rho.sum(axis=1), vals.argmin(axis=1)
+
+    return _by_chunks(_layer(n, s), max(1, _CHUNK // picks.shape[1]), kernel)
+
+
+def _search_plan(n, t, k3):
+    """Split width of each search size: ceil(s/2) at levels 1 and 2, k3 at
+    level 3. For alpha <= 0.5 a size never recurs at another level with
+    another width, so one width per size describes every search."""
+    plan = {}
+    sizes = [n]
+    for level in (1, 2, 3):
+        below = []
+        for s in sizes:
+            if s > t:
+                k = ceil(s / 2) if level <= 2 else k3
+                plan[s] = k
+                below += [k, s - k]
+        sizes = below
+    if any(s > t for s in sizes):
+        raise AssertionError("split recursion exceeded three search levels")
+    return plan
+
+
+def _ordering(n, layers, plan):
+    """Optimal ordering of range(n) from the winning candidates: a search
+    subset concatenates its split's two orders, a table subset peels its
+    last vertices."""
+    def order_of(s, r):
+        if s in plan:
+            picks, rest = _splits(s, plan[s])
+            members = _layer(n, s)[r]
+            j = layers[s].choice[r]
+            w, others = members[picks[:, j]].tolist(), members[rest[:, j]].tolist()
+            return order_of(len(w), _rank(w)) + order_of(len(others),
+                                                         _rank(others))
+        out = []
+        while s > 1:
+            j = layers[s].choice[r]
+            out.append(int(_layer(n, s)[r, j]))
+            r = int(_removal_ranks(n, s)[r, j])
+            s -= 1
+        out.append(r)  # a singleton's rank is its vertex
+        out.reverse()
+        return out
+
+    return tuple(order_of(n, 0))
 
 
 def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
@@ -123,89 +297,36 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
 
     t = table_threshold(n, cfg.alpha)
     fallback = n < cfg.min_quantum_n or t >= n
-    t_eff = n if fallback else t
 
-    # Phase 1: classical table over all subsets of size <= t_eff.
-    table = {}
-    for s in range(1, t_eff + 1):
-        for combo in combinations(range(n), s):
-            mask = mask_of(combo)
-            if s == 1:
-                table[mask] = (0, -1)
-                ledger.recurrence_evals += 1
-                continue
-            idx = np.array(combo)
-            best, best_w = None, None
-            for w in combo:
-                val = table[mask ^ (1 << w)][0] + int(c[idx, w].sum())
-                ledger.recurrence_evals += 1
-                if best is None or val < best:
-                    best, best_w = val, w
-            table[mask] = (best, best_w)
+    # Phase 1: classical table over all subsets of size <= t (all of them
+    # on the fallback path). A singleton costs 0 and is its own last vertex.
+    zeros = np.zeros(n, np.int64)
+    layers = {1: _Layer(zeros, zeros, zeros)}
+    ledger.recurrence_evals += n
+    for s in range(2, (n if fallback else t) + 1):
+        layers[s] = _table_layer(c, n, s, layers[s - 1])
+        ledger.recurrence_evals += len(layers[s].opt) * s
 
-    def table_order(mask):
-        out = []
-        m = mask
-        while m.bit_count() > 1:
-            w = table[m][1]
-            out.append(w)
-            m ^= 1 << w
-        if m:
-            out.append(m.bit_length() - 1)
-        out.reverse()
-        return tuple(out)
-
-    full = (1 << n) - 1
     if fallback:
         ledger.table_reads += 1
-        return Solution(table_order(full), table[full][0]), ledger
+        return Solution(_ordering(n, layers, {}), int(layers[n].opt[0])), ledger
 
-    # Phase 2: nested searches over splits, leaves read from the table.
-    # Splits of one subset are enumerated lexicographically over the
-    # ascending member list (same order as dc.split_min), with all gammas
-    # for the node computed in one vectorized pass: for membership matrix
-    # P and the subset's matrix block B, gamma_i = p_i B (1 - p_i).
-    k3 = ceil(cfg.alpha * n / 4.0)
-    memo = {}
+    # Phase 2: the nested searches, one layer per search size, smallest
+    # first so that both sides of every split are already evaluated.
+    plan = _search_plan(n, t, ceil(cfg.alpha * n / 4.0))
+    for s in sorted(plan):
+        k = plan[s]
+        layers[s] = _search_layer(c, n, s, k, layers[k], layers[s - k])
+        ledger.table_reads += (len(layers[s].opt) * comb(s, k)
+                               * ((k <= t) + (s - k <= t)))
 
-    def eval_opt(mask, level):
-        s = mask.bit_count()
-        if s <= t:
-            ledger.table_reads += 1
-            return table[mask][0]
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit[0]
-        if level > 3:
-            raise AssertionError("split recursion exceeded three search levels")
-        k = ceil(s / 2) if level <= 2 else k3
-        members = mask_members(mask)
-        block = c[np.ix_(members, members)]
-        combos = list(combinations(range(s), k))
-        picks = np.zeros((len(combos), s), dtype=np.int64)
-        picks[np.repeat(np.arange(len(combos)), k),
-              np.fromiter(chain.from_iterable(combos), np.intp,
-                          len(combos) * k)] = 1
-        row_sums = picks @ block
-        gammas = row_sums.sum(axis=1) - (row_sums * picks).sum(axis=1)
-        bits = [1 << v for v in members]
-        best = best_w = None
-        for combo, gamma in zip(combos, gammas.tolist()):
-            wmask = sum(bits[j] for j in combo)
-            val = (eval_opt(wmask, level + 1)
-                   + eval_opt(mask ^ wmask, level + 1) + gamma)
-            if best is None or val < best:
-                best, best_w = val, wmask
-        memo[mask] = (best, best_w)
-        return best
-
-    def order_of(mask):
-        if mask.bit_count() <= t:
-            return table_order(mask)
-        wmask = memo[mask][1]
-        return order_of(wmask) + order_of(mask ^ wmask)
-
-    value = eval_opt(full, 1)
-    ledger.oracle_calls = _search_charge(1, n, n, t, cfg.alpha,
-                                         cfg.qmf_cfg.call_constant)
-    return Solution(order_of(full), value), ledger
+    # Each charged query at a level carries one search on its W side.
+    w_chain = []
+    s = n
+    while s in plan:
+        w_chain.append(cost_model_calls(comb(s, plan[s]),
+                                        cfg.qmf_cfg.call_constant))
+        s = plan[s]
+    for calls in reversed(w_chain):
+        ledger.oracle_calls = calls * (1 + ledger.oracle_calls)
+    return Solution(_ordering(n, layers, plan), int(layers[n].opt[0])), ledger

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from oscmlab import (CostLedger, Solution, SplitTrace, dp_recurrence_count,
-                     extract_ordering, qdc_cost_model)
+                     extract_ordering, qdc_cost_model, qdp_cost_model)
 from oscmlab.cli import main
 
 K22_TEXT = "2 2 4 1\n0 0\n0 1\n1 0\n1 1\n"
@@ -252,6 +252,16 @@ def test_bench_qdc_beyond_wall_cap(capsys):
     assert [int(r[3]) for r in rows] == [qdc_cost_model(n)
                                          for n in (12, 13, 14)]
     assert [r[4] for r in rows] == ["0.000", "0.000", "0.000"]
+
+
+def test_bench_qdp_beyond_wall_cap(capsys):
+    assert main(["bench", "--algo", "qdp", "--n-min", "16",
+                 "--n-max", "18"]) == 0
+    rows = [r.split(",") for r in lines_of(capsys)[1:]]
+    assert [(int(r[2]), int(r[3])) for r in rows] == [
+        qdp_cost_model(n) for n in (16, 17, 18)]
+    assert float(rows[0][4]) > 0.0
+    assert [r[4] for r in rows[1:]] == ["0.000", "0.000"]
 
 
 def test_bench_rejects_bad_ranges(capsys):

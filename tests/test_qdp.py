@@ -1,5 +1,7 @@
+import json
 import random
 from math import ceil, comb
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,10 @@ from oscmlab import (BipartiteInstance, QdpConfig, SizeLimitError,
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 SEEDS = [6, 18, 30, 42, 54, 68, 82, 96]
+
+# Outputs recorded from the dict-table solver with one memoized recursive
+# call per candidate split, which the layer kernels replaced.
+GOLDEN = json.loads(Path(__file__).with_name("qdp_golden.json").read_text())
 
 
 def random_instance(rng, n_u, n_v, p):
@@ -114,11 +120,34 @@ def test_all_three_levels_live_with_wide_alpha():
     assert ledger.oracle_calls == 114 * (1 + 9 * (1 + 3))
 
 
-@pytest.mark.slow
 def test_matches_dp_at_eighteen():
     inst = random_instance(random.Random(180), 5, 18, 0.4)
     sol, _ = solve_qdp(inst)
     assert sol.crossings == solve_dp(inst)[0].crossings
+
+
+def test_matches_dp_at_seventeen():
+    inst = random_instance(random.Random(170), 6, 17, 0.5)
+    sol, ledger = solve_qdp(inst)
+    want = solve_dp(inst)[0].crossings
+    assert sol.crossings == want
+    assert count_crossings(inst, sol.ordering) == want
+    assert (ledger.recurrence_evals, ledger.oracle_calls) == qdp_cost_model(17)
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN,
+    ids=lambda case: f"n{case['n_v']}-a{case['alpha']}-q{case['min_quantum_n']}")
+def test_outputs_match_the_dict_table_solver(case):
+    inst = random_instance(random.Random(case["seed"]), case["n_u"],
+                           case["n_v"], case["p"])
+    cfg = QdpConfig(alpha=case["alpha"], min_quantum_n=case["min_quantum_n"])
+    sol, ledger = solve_qdp(inst, cfg)
+    assert list(sol.ordering) == case["ordering"]
+    assert sol.crossings == case["crossings"]
+    assert ledger.recurrence_evals == case["recurrence_evals"]
+    assert ledger.table_reads == case["table_reads"]
+    assert ledger.oracle_calls == case["oracle_calls"]
 
 
 def test_empty_layer():
