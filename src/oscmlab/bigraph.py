@@ -4,15 +4,19 @@ An instance is a bipartite graph drawn on two horizontal lines: the fixed
 layer U (order pinned to the vertex index) and the free layer V (order
 chosen by a solver). Edges are straight lines. Two edges (u1,v1), (u2,v2)
 cross iff u1 != u2, v1 != v2 and the endpoint orders disagree between the
-layers.
+layers. That definition lives in one place, _edge_pairs, which enumerates
+the pairs that can cross; every counter here and the brute-force oracle
+(oracle.py) count from it, independently of the crossing matrix in
+matrix.py that the solvers use.
 
 Instances are immutable; every operation here is pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .bits import mask_members
 from .errors import InstanceParseError
 
 
@@ -101,63 +105,51 @@ def _positions(n_v, ordering):
     return pos
 
 
+def _edge_pairs(inst: BipartiteInstance, same_color=False, v_subset=None):
+    """Every edge pair that crosses under some orders of the two layers.
+
+    Those are the pairs with distinct endpoints on both layers; with
+    ``same_color``, only pairs within one color class, and with
+    ``v_subset``, only edges whose free-layer endpoint lies in it. Yields
+    (u1, v1, u2, v2), the earlier edge first. This is the one place that
+    decides which pairs count: the counters below and the brute-force
+    oracle both read it.
+    """
+    edges = [(u, v, c) for (u, v), c in zip(inst.edges, inst.colors)
+             if v_subset is None or v in v_subset]
+    for i, (u1, v1, c1) in enumerate(edges):
+        for j in range(i + 1, len(edges)):
+            u2, v2, c2 = edges[j]
+            if u1 != u2 and v1 != v2 and (c1 == c2 or not same_color):
+                yield u1, v1, u2, v2
+
+
+def _count(inst, upos, ordering, same_color=False, v_subset=None) -> int:
+    """Pairs from _edge_pairs whose endpoint orders disagree between the
+    fixed-layer positions ``upos`` and the free-layer ``ordering``."""
+    vpos = _positions(inst.n_v, check_ordering(inst.n_v, ordering))
+    return sum((upos[u1] < upos[u2]) != (vpos[v1] < vpos[v2])
+               for u1, v1, u2, v2 in _edge_pairs(inst, same_color, v_subset))
+
+
 def count_crossings(inst: BipartiteInstance, ordering) -> int:
     """Crossings of the drawing under ``ordering``, ignoring colors.
 
     Direct pair enumeration over the crossing definition; this is the
     reference route that the matrix-based count in solvers is tested against.
     """
-    order = check_ordering(inst.n_v, ordering)
-    pos = _positions(inst.n_v, order)
-    edges = inst.edges
-    total = 0
-    for i in range(len(edges)):
-        u1, v1 = edges[i]
-        for j in range(i + 1, len(edges)):
-            u2, v2 = edges[j]
-            if u1 == u2 or v1 == v2:
-                continue
-            if (u1 < u2) != (pos[v1] < pos[v2]):
-                total += 1
-    return total
+    return _count(inst, range(inst.n_u), ordering)
 
 
 def count_same_color_crossings(inst: BipartiteInstance, ordering) -> int:
     """Crossings between same-colored edge pairs only (colored objective)."""
-    order = check_ordering(inst.n_v, ordering)
-    pos = _positions(inst.n_v, order)
-    edges, colors = inst.edges, inst.colors
-    total = 0
-    for i in range(len(edges)):
-        u1, v1 = edges[i]
-        for j in range(i + 1, len(edges)):
-            if colors[i] != colors[j]:
-                continue
-            u2, v2 = edges[j]
-            if u1 == u2 or v1 == v2:
-                continue
-            if (u1 < u2) != (pos[v1] < pos[v2]):
-                total += 1
-    return total
+    return _count(inst, range(inst.n_u), ordering, same_color=True)
 
 
 def count_two_level_crossings(inst: BipartiteInstance, u_ordering, v_ordering) -> int:
     """Crossings when both layers are permuted (two-layer variant)."""
-    u_order = check_ordering(inst.n_u, u_ordering)
-    v_order = check_ordering(inst.n_v, v_ordering)
-    upos = _positions(inst.n_u, u_order)
-    vpos = _positions(inst.n_v, v_order)
-    edges = inst.edges
-    total = 0
-    for i in range(len(edges)):
-        u1, v1 = edges[i]
-        for j in range(i + 1, len(edges)):
-            u2, v2 = edges[j]
-            if u1 == u2 or v1 == v2:
-                continue
-            if (upos[u1] < upos[u2]) != (vpos[v1] < vpos[v2]):
-                total += 1
-    return total
+    upos = _positions(inst.n_u, check_ordering(inst.n_u, u_ordering))
+    return _count(inst, upos, v_ordering)
 
 
 def count_restricted_crossings(inst: BipartiteInstance, ordering, v_subset) -> int:
@@ -167,28 +159,8 @@ def count_restricted_crossings(inst: BipartiteInstance, ordering, v_subset) -> i
     evaluate the crossing count of an edge-subset drawing under a full
     ordering.
     """
-    if isinstance(v_subset, int):
-        allowed = set()
-        m = v_subset
-        while m:
-            low = m & -m
-            allowed.add(low.bit_length() - 1)
-            m ^= low
-    else:
-        allowed = set(v_subset)
-    order = check_ordering(inst.n_v, ordering)
-    pos = _positions(inst.n_v, order)
-    edges = [e for e in inst.edges if e[1] in allowed]
-    total = 0
-    for i in range(len(edges)):
-        u1, v1 = edges[i]
-        for j in range(i + 1, len(edges)):
-            u2, v2 = edges[j]
-            if u1 == u2 or v1 == v2:
-                continue
-            if (u1 < u2) != (pos[v1] < pos[v2]):
-                total += 1
-    return total
+    allowed = set(mask_members(v_subset) if isinstance(v_subset, int) else v_subset)
+    return _count(inst, range(inst.n_u), ordering, v_subset=allowed)
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,9 @@ def split_min(c: np.ndarray, base_size: int, search, ledger: CostLedger,
     Every frame returns (searched value, exact value, oracle charge,
     ordering). The frame keeps only its first strictly best candidate by
     exact value, so the ordering (W's ordering, then the rest's) comes out
-    of the same pass. The charge is calls * (charge of each child + 1),
-    with the children's charges taken from the last candidate searched.
+    of the same pass. The charge is calls * (W's charge + the rest's
+    charge + 1), with both children's charges taken from the last
+    candidate searched.
     """
     rows = c.tolist()
 
@@ -172,10 +173,10 @@ def split_min(c: np.ndarray, base_size: int, search, ledger: CostLedger,
             k = ceil(s / 2)
             splits = combinations(members, k)
             best = None                 # (exact value, W ordering, rest ordering)
-            charges = {}                # child size -> charge, last candidate
+            child_charge = 0            # both children's, last candidate
 
             def value_fn(_):
-                nonlocal best, held
+                nonlocal best, held, child_charge
                 w = next(splits)
                 rest = tuple([v for v in members if v not in w])
                 w_searched, w_exact, w_charge, w_order = frame(w)
@@ -191,14 +192,11 @@ def split_min(c: np.ndarray, base_size: int, search, ledger: CostLedger,
                         held = SpaceMeter.trace_bytes(s)
                         meter.hold(held)
                     best = (exact, w_order, r_order)
-                # At even sizes both children share one key, so the rest's
-                # charge stands for both (sampled counts depend on this).
-                charges[k] = w_charge
-                charges[s - k] = r_charge
+                child_charge = w_charge + r_charge
                 return w_searched + r_searched + g
 
             searched, calls = search(comb(s, k), value_fn)
-            charge = calls * (charges[s - k] + charges[k] + 1)
+            charge = calls * (child_charge + 1)
             return searched, best[0], charge, best[1] + best[2]
         finally:
             if held:

@@ -8,6 +8,23 @@ closed-form models.
 from dataclasses import dataclass, field
 
 
+_COUNTERS = ("recurrence_evals", "gamma_evals", "oracle_calls", "table_reads", "nodes")
+
+# Fixed per-algorithm schemas after "algo": (output key, counter it reads),
+# where a counter of None reads the meta field of that key.
+_SCHEMAS = {
+    "dp": (("n_v", None), ("recurrence_evals", "recurrence_evals"),
+           ("gamma_evals", "gamma_evals")),
+    "dc": (("nodes", "nodes"), ("gamma_evals", "gamma_evals")),
+    "qdp": (("alpha", None), ("classical_evals", "recurrence_evals"),
+            ("oracle_calls", "oracle_calls"), ("table_reads", "table_reads")),
+    "qdc": (("oracle_calls", "oracle_calls"), ("nodes", "nodes")),
+    "tlcm": (("enumerated_side", None), ("inner", None),
+             ("classical_evals", "recurrence_evals"),
+             ("oracle_calls", "oracle_calls")),
+}
+
+
 @dataclass
 class CostLedger:
     algo: str
@@ -19,43 +36,18 @@ class CostLedger:
     meta: dict = field(default_factory=dict)
 
     def json_dict(self) -> dict:
-        """Emit the fixed per-algorithm JSON schema."""
-        if self.algo == "dp":
-            return {
-                "algo": "dp",
-                "n_v": self.meta.get("n_v"),
-                "recurrence_evals": self.recurrence_evals,
-                "gamma_evals": self.gamma_evals,
-            }
-        if self.algo == "dc":
-            return {"algo": "dc", "nodes": self.nodes, "gamma_evals": self.gamma_evals}
-        if self.algo == "qdp":
-            return {
-                "algo": "qdp",
-                "alpha": self.meta.get("alpha"),
-                "classical_evals": self.recurrence_evals,
-                "oracle_calls": self.oracle_calls,
-                "table_reads": self.table_reads,
-            }
-        if self.algo == "qdc":
-            return {"algo": "qdc", "oracle_calls": self.oracle_calls, "nodes": self.nodes}
-        if self.algo == "tlcm":
-            return {
-                "algo": "tlcm",
-                "enumerated_side": self.meta.get("enumerated_side"),
-                "inner": self.meta.get("inner"),
-                "classical_evals": self.recurrence_evals,
-                "oracle_calls": self.oracle_calls,
-            }
+        """Emit the fixed per-algorithm JSON schema.
+
+        Algorithms without a schema (brute force) emit their non-zero
+        counters followed by all of meta.
+        """
         out = {"algo": self.algo}
-        for key, val in (
-            ("recurrence_evals", self.recurrence_evals),
-            ("gamma_evals", self.gamma_evals),
-            ("oracle_calls", self.oracle_calls),
-            ("table_reads", self.table_reads),
-            ("nodes", self.nodes),
-        ):
-            if val:
-                out[key] = val
-        out.update(self.meta)
+        schema = _SCHEMAS.get(self.algo)
+        if schema is None:
+            out.update((key, getattr(self, key)) for key in _COUNTERS
+                       if getattr(self, key))
+            out.update(self.meta)
+            return out
+        for key, counter in schema:
+            out[key] = self.meta.get(key) if counter is None else getattr(self, counter)
         return out

@@ -1,10 +1,12 @@
 """Brute-force ground truth for the exact solvers.
 
-Everything here counts crossings straight from the definition (edge-pair
-order inversion), never through the pairwise matrix, so oracle results and
-solver results reach the optimum through disjoint routes. Enumeration is
-lexicographic and the reported optimum is the lexicographically least
-ordering among minimizers.
+Everything here counts crossings straight from the definition, never
+through the pairwise crossing matrix of matrix.py (nothing here imports
+it), so oracle results and solver results reach the optimum through
+disjoint routes. Which edge pairs can cross is decided in one place,
+bigraph._edge_pairs, which the public counters in bigraph read too.
+Enumeration is lexicographic and the reported optimum is the
+lexicographically least ordering among minimizers.
 
 Edge pairs are first tallied per free-vertex pair: how many cross when a
 precedes b, and how many when b precedes a. The permutation scan then adds
@@ -22,7 +24,7 @@ from math import factorial
 
 import numpy as np
 
-from .bigraph import BipartiteInstance, Solution
+from .bigraph import BipartiteInstance, Solution, _edge_pairs
 from .errors import SizeLimitError
 
 _CHUNK_ROWS = 1 << 14
@@ -62,24 +64,17 @@ def _perm_tables(n: int):
     return perms, pos
 
 
-def _pair_weights(edges, colors, upos, n_v, same_color_only):
+def _pair_weights(inst, upos, same_color_only):
     """w[a][b]: edge pairs on free vertices a and b that cross when a
-    precedes b, tallied one edge pair at a time."""
-    w = [[0] * n_v for _ in range(n_v)]
-    for i in range(len(edges)):
-        u1, v1 = edges[i]
-        for j in range(i + 1, len(edges)):
-            u2, v2 = edges[j]
-            if u1 == u2 or v1 == v2:
-                continue
-            if same_color_only and colors[i] != colors[j]:
-                continue
-            # A pair crosses when its free-layer order disagrees with the
-            # fixed-layer order of its other endpoints.
-            if upos[u1] < upos[u2]:
-                w[v2][v1] += 1
-            else:
-                w[v1][v2] += 1
+    precedes b, tallied over bigraph's edge-pair enumeration."""
+    w = [[0] * inst.n_v for _ in range(inst.n_v)]
+    for u1, v1, u2, v2 in _edge_pairs(inst, same_color_only):
+        # A pair crosses when its free-layer order disagrees with the
+        # fixed-layer order of its other endpoints.
+        if upos[u1] < upos[u2]:
+            w[v2][v1] += 1
+        else:
+            w[v1][v2] += 1
     return w
 
 
@@ -87,7 +82,7 @@ def _scan_orderings(inst, upos, same_color_only):
     """Crossing count of every ordering of V, in lexicographic order."""
     n = inst.n_v
     perms, pos = _perm_tables(n)
-    w = _pair_weights(inst.edges, inst.colors, upos, n, same_color_only)
+    w = _pair_weights(inst, upos, same_color_only)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
              if w[a][b] or w[b][a]]
     counts = np.zeros(len(perms), dtype=np.int64)

@@ -150,7 +150,9 @@ def split_trace(ordering: tuple, base_size: int) -> SplitTrace:
     return SplitTrace(len(ordering), base_size, nodes, sizes, leaves)
 
 
-def _run(inst: BipartiteInstance, cfg: QdcConfig, want_trace: bool):
+def solve_qdc(inst: BipartiteInstance, cfg: QdcConfig = None):
+    """Solve one instance; returns (Solution, CostLedger)."""
+    cfg = cfg or QdcConfig()
     n = inst.n_v
     if n > 64:
         raise SizeLimitError(f"subset solvers support n_v <= 64, got {n}")
@@ -164,7 +166,7 @@ def _run(inst: BipartiteInstance, cfg: QdcConfig, want_trace: bool):
     if n == 0:
         ledger.meta["peak_state_bytes"] = 0
         ledger.meta["max_depth"] = 0
-        return Solution((), 0), ledger, (split_trace((), cfg.base_size) if want_trace else None)
+        return Solution((), 0), ledger
 
     def search(n_values, value_fn):
         res = qmf(n_values, value_fn, cfg.qmf_cfg, rng)
@@ -179,16 +181,8 @@ def _run(inst: BipartiteInstance, cfg: QdcConfig, want_trace: bool):
     ledger.meta["peak_state_bytes"] = meter.peak
     ledger.meta["max_depth"] = meter.max_depth
     if cfg.count_only:
-        return Solution(None, searched), ledger, None
-    trace = split_trace(ordering, cfg.base_size) if want_trace else None
-    return Solution(ordering, exact), ledger, trace
-
-
-def solve_qdc(inst: BipartiteInstance, cfg: QdcConfig = None):
-    """Solve one instance; returns (Solution, CostLedger)."""
-    cfg = cfg or QdcConfig()
-    sol, ledger, _ = _run(inst, cfg, want_trace=False)
-    return sol, ledger
+        return Solution(None, searched), ledger
+    return Solution(ordering, exact), ledger
 
 
 def solve_qdc_with_trace(inst: BipartiteInstance, cfg: QdcConfig = None):
@@ -196,5 +190,5 @@ def solve_qdc_with_trace(inst: BipartiteInstance, cfg: QdcConfig = None):
     cfg = cfg or QdcConfig()
     if cfg.count_only:
         raise ValueError("a trace requires reconstruction; unset count_only")
-    sol, ledger, trace = _run(inst, cfg, want_trace=True)
-    return sol, ledger, trace
+    sol, ledger = solve_qdc(inst, cfg)
+    return sol, ledger, split_trace(sol.ordering, cfg.base_size)

@@ -38,6 +38,35 @@ def test_solve_prints_ledger_json(tmp_path, capsys):
                        "gamma_evals": 2}
 
 
+README_LEDGERS = [
+    (["--algo", "dp"],
+     '{"algo": "dp", "n_v": 6, "recurrence_evals": 186, "gamma_evals": 186}'),
+    (["--algo", "dc"], '{"algo": "dc", "nodes": 281, "gamma_evals": 140}'),
+    (["--algo", "qdp"],
+     '{"algo": "qdp", "alpha": 0.055362, "classical_evals": 192, '
+     '"oracle_calls": 0, "table_reads": 1}'),
+    (["--algo", "qdc"], '{"algo": "qdc", "oracle_calls": 25, "nodes": 281}'),
+    (["--objective", "tlcm", "--algo", "dp"],
+     '{"algo": "tlcm", "enumerated_side": 3, "inner": "dp", '
+     '"classical_evals": 1116, "oracle_calls": 558}'),
+    (["--objective", "osscm", "--algo", "bruteforce"],
+     '{"algo": "bruteforce", "orderings_scanned": 720, "objective": "osscm"}'),
+]
+
+
+@pytest.mark.parametrize("args,ledger", README_LEDGERS,
+                         ids=["dp", "dc", "qdp", "qdc", "tlcm", "bruteforce"])
+def test_solve_prints_readme_ledger_text(tmp_path, capsys, args, ledger):
+    """The ledger line is exactly the README's schema text, key order
+    included; a 3 x 6 instance (p=0.5, seed 7) gives the README's counts."""
+    path = str(tmp_path / "demo.oscm")
+    assert main(["gen", "--n-u", "3", "--n-v", "6", "--edge-prob", "0.5",
+                 "--seed", "7", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--input", path] + args) == 0
+    assert f"ledger: {ledger}" in lines_of(capsys)
+
+
 def test_solve_qdp_verify_small(tmp_path, capsys):
     path = write(tmp_path, "3 9 5 1\n0 0\n0 4\n1 2\n2 7\n2 1\n")
     assert main(["solve", "--input", path, "--algo", "qdp", "--verify"]) == 0

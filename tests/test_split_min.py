@@ -12,12 +12,15 @@ import random
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oscmlab import (BipartiteInstance, DcConfig, NodeBudgetExceeded,
                      QdcConfig, QmfConfig, count_crossings, solve_dc,
                      solve_dp, solve_qdc, solve_qdc_with_trace,
                      trace_json_dict)
+from oscmlab.dc import SpaceMeter, split_min
+from oscmlab.ledger import CostLedger
 
 GOLDEN = json.loads(
     Path(__file__).with_name("split_recursion_golden.json").read_text())
@@ -77,3 +80,22 @@ def test_dc_qdc_and_dp_agree_past_brute_force(n_v, seed):
     for sol, _ in (solve_dc(inst), solve_qdc(inst)):
         assert sol.crossings == want
         assert count_crossings(inst, sol.ordering) == want
+
+
+def test_charge_takes_both_siblings_from_the_last_candidate():
+    """At even sizes W and the rest have one size but their own searches;
+    a node charges calls * (W's charge + the rest's charge + 1)."""
+    entered = []
+
+    def search(n_values, value_fn):
+        entered.append(n_values)
+        calls = len(entered)            # a different count for every search
+        return min(value_fn(i) for i in range(n_values)), calls
+
+    c = np.zeros((4, 4), dtype=np.int64)
+    _, _, charge, _ = split_min(c, 1, search, CostLedger("qdc"), SpaceMeter())
+    # Search 1 is the root's over C(4, 2) = 6 splits. Each split searches
+    # its W, then its rest (two splits each, base cases charge 0), so the
+    # last candidate's children are searches 12 and 13.
+    assert entered == [6] + [2] * 12
+    assert charge == 1 * (12 + 13 + 1)
