@@ -74,6 +74,10 @@ def _verify_line(reported, brute_crossings):
 
 
 def cmd_solve(args) -> int:
+    if args.qmf_mode == "state_vector" and (args.algo != "qdc" or args.objective == "tlcm"):
+        raise ValueError("--qmf-mode state_vector applies to the one-sided qdc solver only")
+    if (args.count_only or args.node_budget is not None) and args.algo not in ("dc", "qdc"):
+        raise ValueError("--count-only and --node-budget apply to dc and qdc only")
     inst = load_instance(args.input)
     seed = _resolve_seed(args.seed)
 

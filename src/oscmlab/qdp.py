@@ -22,16 +22,15 @@ Below min_quantum_n, or when t >= n, the solver silently degenerates to the
 plain DP (full table, zero oracle calls).
 
 The simulation evaluates both phases one subset-size layer at a time in
-NumPy. A layer holds every subset of one size as a row of ascending
-members, in combinatorial-number-system (colex) order: the subset
-x_0 < x_1 < ... sits in row sum_i C(x_i, i + 1), its rank, so reading a
-smaller subset's optimum is an array gather. Phase 1 fills the layers of
-size <= t, keeping for each subset its optimum and chosen last vertex
-(ties keep the smallest vertex). Phase 2 rests on the searches reaching
-every subset of each search size: level 1 enumerates all ceil(n/2)-subsets
-and their complements, and so on down. So each search size is one layer
-too, evaluated bottom-up after the sizes it splits into. A split (W, S\\W)
-of a subset S costs
+NumPy, on dp's table format: a layer holds every subset of one size by its
+combinatorial-number-system (colex) rank, so reading a smaller subset's
+optimum is an array gather. Phase 1 is dp's kernel (dp.subset_layers) run
+up to size t, keeping for each subset its optimum, its Sym and its chosen
+last vertex (ties keep the smallest vertex). Phase 2 rests on the searches
+reaching every subset of each search size: level 1 enumerates all
+ceil(n/2)-subsets and their complements, and so on down. So each search
+size is one layer too, evaluated bottom-up after the sizes it splits into.
+A split (W, S\\W) of a subset S costs
 
     OPT(W) + OPT(S\\W) + sum_{v in W} rho_S(v) - Sym(W),
 
@@ -45,8 +44,8 @@ of search layers that ran. The ordering is rebuilt at the end by
 concatenating the winning splits' orders down to table leaves.
 
 Space: sum_{i<=t} C(n, i) table entries plus C(n, s) per search size s,
-and at most _CHUNK candidate values at a time. Member, rank and split
-tables depend on n and the sizes alone and are cached across solves.
+and at most _CHUNK candidate values at a time. Member and split tables
+depend on n and the sizes alone and are cached across solves.
 
 Alpha is capped at 0.5: with alpha <= 1 - alpha the third level's split
 size ceil(alpha*n/4) and its complement both fit the table (ceilings are
@@ -58,19 +57,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
 from math import ceil, comb, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
 from .bigraph import BipartiteInstance, Solution
+from .dp import (_CHUNK, _binomials, _by_chunks, _layer, _peel, _rank,
+                 subset_layers)
 from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix
 from .qmf import QmfConfig, cost_model_calls
-
-_CHUNK = 1 << 14  # candidate values evaluated at once (128 KiB of int64)
 
 
 @dataclass(frozen=True)
@@ -123,54 +120,16 @@ def qdp_cost_model(n_v: int, cfg: QdpConfig = None):
     return classical, quantum
 
 
-@lru_cache(maxsize=16)
-def _binomials(n):
-    """C(x, i) at [x, i] for 0 <= x < n and 0 <= i <= n + 1."""
-    return np.array([[comb(x, i) for i in range(n + 2)] for x in range(n)],
-                    dtype=np.int64)
-
-
-def _combinations(s, k):
-    """The k-combinations of range(s) in lexicographic order, one per row."""
-    return np.fromiter(chain.from_iterable(combinations(range(s), k)),
-                       np.int8, comb(s, k) * k).reshape(-1, k)
-
-
-@lru_cache(maxsize=64)
-def _layer(n, s):
-    """Every s-subset of range(n) as a row of ascending members; row = rank.
-
-    Mapping x to n - 1 - x turns lexicographic order into reverse colex
-    order with descending rows, so reversing rows and columns gives colex
-    order with ascending rows.
-    """
-    members = (n - 1 - _combinations(n, s))[::-1, ::-1].copy()
-    members.setflags(write=False)
-    return members
-
-
-@lru_cache(maxsize=64)
-def _removal_ranks(n, s):
-    """Rank of each subset with the member at position j removed, at [row, j]:
-    members before j keep their rank term, members after it move down one."""
-    members = _layer(n, s)
-    binom = _binomials(n)
-    own = binom[members, np.arange(1, s + 1)]
-    shifted = binom[members, np.arange(s)]
-    ranks = (np.cumsum(own, axis=1) - own
-             + shifted.sum(axis=1, keepdims=True) - np.cumsum(shifted, axis=1))
-    ranks.setflags(write=False)
-    return ranks
-
-
 @lru_cache(maxsize=64)
 def _splits(s, k):
     """Member positions of W and of the rest for every split of an s-subset,
     W running over the k-combinations of range(s) in lexicographic order
     (their complements then run in reverse lexicographic order). Entry
-    [i, j] is the position of the i-th member of that side in split j."""
-    picks = np.ascontiguousarray(_combinations(s, k).T)
-    rest = np.ascontiguousarray(_combinations(s, s - k)[::-1].T)
+    [i, j] is the position of the i-th member of that side in split j.
+    Mapping x to s - 1 - x turns colex order with ascending rows into
+    reverse lexicographic order with descending rows."""
+    picks = np.ascontiguousarray((s - 1 - _layer(s, k))[::-1, ::-1].T)
+    rest = np.ascontiguousarray((s - 1 - _layer(s, s - k))[:, ::-1].T)
     picks.setflags(write=False)
     rest.setflags(write=False)
     return picks, rest
@@ -184,49 +143,11 @@ def _sum_at(tables, positions):
     return total
 
 
-def _rank(members) -> int:
-    """Colex rank of a subset given by its ascending members."""
-    return sum(comb(x, i + 1) for i, x in enumerate(members))
-
-
-class _Layer(NamedTuple):
-    """Optimum, Sym and winning candidate of every subset of one size, by
-    rank. The candidate is the position of the last vertex in a table
-    layer and the index of the split in a search layer."""
-
-    opt: np.ndarray
-    sym: np.ndarray
-    choice: np.ndarray
-
-
-def _by_chunks(members, step, kernel):
-    """One _Layer from kernel(lo, rows) -> (opt, sym, choice) over chunks
-    of at most step rows."""
-    parts = [kernel(lo, members[lo:lo + step])
-             for lo in range(0, len(members), step)]
-    if len(parts) == 1:
-        return _Layer(*parts[0])
-    return _Layer(*(np.concatenate(column) for column in zip(*parts)))
-
-
-def _table_layer(c, n, s, below):
-    """OPT(S) = min_w OPT(S \\ w) + sum_{v in S} c[v][w] over all s-subsets;
-    ties keep the smallest w."""
-    removal = _removal_ranks(n, s)
-
-    def kernel(lo, rows):
-        into = c[rows[:, :, None], rows[:, None, :]].sum(axis=1)
-        vals = below.opt[removal[lo:lo + len(rows)]] + into
-        return vals.min(axis=1), into.sum(axis=1), vals.argmin(axis=1)
-
-    return _by_chunks(_layer(n, s), max(1, _CHUNK // (s * s)), kernel)
-
-
 def _search_layer(c, n, s, k, w_side, rest_side):
     """Best split of every s-subset into a k-subset W and the rest; ties
     keep the first split."""
     picks, rest = _splits(s, k)
-    binom = _binomials(n).T[1:max(k, s - k) + 1]
+    binom = _binomials(n)[1:max(k, s - k) + 1]
     w_value = w_side.opt - w_side.sym
 
     def kernel(lo, rows):
@@ -263,25 +184,18 @@ def _ordering(n, layers, plan):
     """Optimal ordering of range(n) from the winning candidates: a search
     subset concatenates its split's two orders, a table subset peels its
     last vertices."""
-    def order_of(s, r):
-        if s in plan:
-            picks, rest = _splits(s, plan[s])
-            members = _layer(n, s)[r]
-            j = layers[s].choice[r]
-            w, others = members[picks[:, j]].tolist(), members[rest[:, j]].tolist()
-            return order_of(len(w), _rank(w)) + order_of(len(others),
-                                                         _rank(others))
-        out = []
-        while s > 1:
-            j = layers[s].choice[r]
-            out.append(int(_layer(n, s)[r, j]))
-            r = int(_removal_ranks(n, s)[r, j])
-            s -= 1
-        out.append(r)  # a singleton's rank is its vertex
-        out.reverse()
-        return out
+    choice = {s: layer.choice for s, layer in layers.items()}
 
-    return tuple(order_of(n, 0))
+    def order_of(members):
+        s = len(members)
+        if s not in plan:
+            return _peel(choice, members)
+        picks, rest = _splits(s, plan[s])
+        j = choice[s][_rank(members)]
+        return (order_of([members[i] for i in picks[:, j]])
+                + order_of([members[i] for i in rest[:, j]]))
+
+    return tuple(order_of(list(range(n))))
 
 
 def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
@@ -298,14 +212,11 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
     t = table_threshold(n, cfg.alpha)
     fallback = n < cfg.min_quantum_n or t >= n
 
-    # Phase 1: classical table over all subsets of size <= t (all of them
-    # on the fallback path). A singleton costs 0 and is its own last vertex.
-    zeros = np.zeros(n, np.int64)
-    layers = {1: _Layer(zeros, zeros, zeros)}
-    ledger.recurrence_evals += n
-    for s in range(2, (n if fallback else t) + 1):
-        layers[s] = _table_layer(c, n, s, layers[s - 1])
-        ledger.recurrence_evals += len(layers[s].opt) * s
+    # Phase 1: dp's table layers over all subsets of size <= t (all of
+    # them on the fallback path).
+    layers = dict(enumerate(subset_layers(c, n, n if fallback else t)))
+    ledger.recurrence_evals += sum(len(layer.opt) * s
+                                   for s, layer in layers.items())
 
     if fallback:
         ledger.table_reads += 1

@@ -97,6 +97,29 @@ def test_solve_count_only_has_no_ordering(tmp_path, capsys):
     assert out[1] == "ordering: (none)"
 
 
+@pytest.mark.parametrize("args", [
+    ["--algo", algo] for algo in ("bruteforce", "dp", "dc", "qdp")
+] + [["--algo", algo, "--objective", "tlcm"] for algo in ("dp", "qdp", "qdc")])
+def test_solve_rejects_state_vector_outside_one_sided_qdc(tmp_path, capsys, args):
+    path = write(tmp_path, K22_TEXT)
+    assert main(["solve", "--input", path, "--qmf-mode", "state_vector"]
+                + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--qmf-mode state_vector" in captured.err
+
+
+@pytest.mark.parametrize("algo", ["bruteforce", "dp", "qdp"])
+@pytest.mark.parametrize("option", [["--count-only"], ["--node-budget", "50"]])
+def test_solve_rejects_recursion_options_outside_dc_and_qdc(tmp_path, capsys,
+                                                             algo, option):
+    path = write(tmp_path, K22_TEXT)
+    assert main(["solve", "--input", path, "--algo", algo] + option) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option[0] in captured.err
+
+
 def test_solve_osscm_objective(tmp_path, capsys):
     path = write(tmp_path, "2 2 2 2\n0 1 0\n1 0 1\n")
     assert main(["solve", "--input", path, "--objective", "osscm",

@@ -1,10 +1,14 @@
+import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from oscmlab import (BipartiteInstance, SizeLimitError, count_crossings,
                      dp_recurrence_count, dp_table_entries, solve_bruteforce,
                      solve_dp)
+from oscmlab import dp
 from oscmlab.bits import mask_of
 from oscmlab.dp import opt_of_subset
 
@@ -105,3 +109,49 @@ def test_size_limits():
         solve_dp(BipartiteInstance(1, 24))
     with pytest.raises(SizeLimitError):
         solve_dp(BipartiteInstance(1, 65))
+
+
+# Outputs recorded from the mask-indexed kernel with an n x 2^n column-sum
+# table, which the rank-layer kernel replaced.
+GOLDEN = json.loads(Path(__file__).with_name("dp_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["solves"],
+    ids=lambda case: f"n{case['n_v']}-p{case['p']}")
+def test_outputs_match_the_mask_table_solver(case):
+    inst = random_instance(random.Random(case["seed"]), case["n_u"],
+                           case["n_v"], case["p"])
+    sol, ledger = solve_dp(inst)
+    assert list(sol.ordering) == case["ordering"]
+    assert sol.crossings == case["crossings"]
+    assert ledger.recurrence_evals == case["recurrence_evals"]
+    assert ledger.gamma_evals == case["gamma_evals"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["tables"], ids=lambda case: f"p{case['p']}")
+def test_table_queries_match_the_mask_table_solver(case):
+    inst = random_instance(random.Random(case["seed"]), case["n_u"],
+                           case["n_v"], case["p"])
+    _, _, table = solve_dp(inst, keep_table=True)
+    assert table.entry_count == 2 ** case["n_v"]
+    assert [table.opt_of(m) for m in range(2 ** case["n_v"])] == case["opt"]
+    assert [list(table.order_of(m))
+            for m in range(2 ** case["n_v"])] == case["order"]
+
+
+def test_peak_memory_at_twenty():
+    """Two layers of column sums, not an n x 2^n table: the mask-indexed
+    kernel peaked at 112 MB here."""
+    inst = random_instance(random.Random(200), 6, 20, 0.5)
+    for cached in vars(dp).values():  # a first call builds dp's caches
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    for call in ("first", "warm"):
+        tracemalloc.start()
+        try:
+            solve_dp(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 10 ** 6, (call, peak)
