@@ -1,5 +1,13 @@
 """Command-line front end: solve, gen, bench, analyze.
 
+solve checks every option first, then builds the chosen solver's config
+(_solver_config, which bench shares) and runs one dispatch: solve_osscm
+for the one-sided objectives, solve_tlcm when both layers are free. It
+prints one report; with --verify it recounts every reported ordering
+through bigraph and checks the optimum against the brute-force oracle of
+the objective. bench times the same dispatch and takes its cost columns
+from the closed-form models.
+
 Exit codes: 0 ok, 2 parse/usage error, 3 size limit, 4 verification
 mismatch. The OSCM_SEED environment variable overrides the default seed
 wherever --seed is not given explicitly.
@@ -16,17 +24,18 @@ from time import perf_counter
 
 from .analysis import (balanced_alpha, binary_entropy, fit_exponent_base,
                        fpt_crossover_k, fpt_crossover_k_tight)
-from .bigraph import count_two_level_crossings, format_instance, load_instance
-from .dc import DcConfig, dc_node_count, solve_dc
-from .dp import dp_recurrence_count, dp_table_entries, solve_dp
+from .bigraph import (count_crossings, count_same_color_crossings,
+                      count_two_level_crossings, format_instance, load_instance)
+from .dc import DcConfig, dc_node_count
+from .dp import dp_recurrence_count, dp_table_entries
 from .errors import InstanceParseError, NodeBudgetExceeded, SizeLimitError
 from .extensions import TlcmConfig, solve_osscm, solve_tlcm
 from .generate import GenSpec, random_instance
 from .ledger import CostLedger
 from .oracle import (orderings_scanned, solve_bruteforce, solve_osscm_bruteforce,
                      solve_tlcm_bruteforce)
-from .qdc import QdcConfig, qdc_cost_model, solve_qdc, solve_qdc_with_trace, trace_json_dict
-from .qdp import QdpConfig, qdp_cost_model, solve_qdp
+from .qdc import QdcConfig, qdc_cost_model, split_trace, trace_json_dict
+from .qdp import QdpConfig, qdp_cost_model
 from .qmf import QmfConfig
 
 _WALL_CAPS = {"dp": 18, "dc": 11, "qdp": 16, "qdc": 11}
@@ -53,102 +62,101 @@ def _fmt_ordering(ordering):
     return " ".join(str(v) for v in ordering)
 
 
-def _solver_configs(args, seed):
+def _solver_config(args, seed):
+    """The config of the solver args.algo names, built from the command's
+    options; dp and brute force take none."""
     qmf_cfg = QmfConfig(mode=args.qmf_mode, call_constant=args.call_constant,
                         seed=seed)
-    return {
-        "dc": DcConfig(base_size=args.base_size, count_only=args.count_only,
-                       node_budget=args.node_budget),
-        "qdp": QdpConfig(alpha=args.alpha, qmf_cfg=qmf_cfg),
-        "qdc": QdcConfig(base_size=args.base_size, count_only=args.count_only,
-                         node_budget=args.node_budget, qmf_cfg=qmf_cfg),
-    }
+    if args.algo == "qdp":
+        return QdpConfig(alpha=args.alpha, qmf_cfg=qmf_cfg)
+    recursion = dict(base_size=args.base_size, count_only=args.count_only,
+                     node_budget=args.node_budget)
+    if args.algo == "dc":
+        return DcConfig(**recursion)
+    if args.algo == "qdc":
+        return QdcConfig(**recursion, qmf_cfg=qmf_cfg)
+    return None
 
 
-def _verify_line(reported, brute_crossings):
-    if reported == brute_crossings:
-        print("verify: ok")
+# Per objective: the brute-force oracle (returning its Solution) and the
+# bigraph recount of the reported orderings.
+_CHECKS = {
+    "oscm": (solve_bruteforce, count_crossings),
+    "osscm": (solve_osscm_bruteforce, count_same_color_crossings),
+    "tlcm": (lambda inst: solve_tlcm_bruteforce(inst)[1],
+             count_two_level_crossings),
+}
+
+
+def _verify(inst, objective, orderings, sol) -> int:
+    """Print the verify line and return the exit code: every reported
+    ordering is recounted, then the optimum is checked against brute force
+    where the oracle's limits allow."""
+    oracle, recount = _CHECKS[objective]
+    if sol.ordering is not None:
+        got = recount(inst, *orderings)
+        if got != sol.crossings:
+            print(f"verify: MISMATCH (reported {sol.crossings}, recount {got})")
+            return 4
+    try:
+        brute = oracle(inst)
+    except SizeLimitError:
+        print("verify: skipped (beyond oracle limits)")
         return 0
-    print(f"verify: MISMATCH (solver {reported}, bruteforce {brute_crossings})")
-    return 4
+    if sol.crossings != brute.crossings:
+        print(f"verify: MISMATCH (solver {sol.crossings}, "
+              f"bruteforce {brute.crossings})")
+        return 4
+    print("verify: ok")
+    return 0
 
 
 def cmd_solve(args) -> int:
-    if args.qmf_mode == "state_vector" and (args.algo != "qdc" or args.objective == "tlcm"):
+    tlcm = args.objective == "tlcm"
+    if args.qmf_mode == "state_vector" and (args.algo != "qdc" or tlcm):
         raise ValueError("--qmf-mode state_vector applies to the one-sided qdc solver only")
     if (args.count_only or args.node_budget is not None) and args.algo not in ("dc", "qdc"):
         raise ValueError("--count-only and --node-budget apply to dc and qdc only")
+    if args.trace_out and tlcm:
+        raise ValueError("--trace-out applies to the one-sided qdc solver only")
+    if args.trace_out and args.algo != "qdc":
+        raise ValueError("--trace-out requires --algo qdc")
+    if args.trace_out and args.count_only:
+        raise ValueError("a trace requires reconstruction; unset count_only")
+    if tlcm and args.algo in ("dc", "qdc"):
+        raise ValueError("the two-layer objective supports dp, qdp, or bruteforce")
     inst = load_instance(args.input)
     seed = _resolve_seed(args.seed)
-
-    if args.objective == "tlcm":
-        if args.trace_out:
-            print("error: --trace-out applies to the one-sided qdc solver only",
-                  file=sys.stderr)
-            return 2
-        if args.algo == "bruteforce":
-            u_ord, sol = solve_tlcm_bruteforce(inst)
-            ledger = CostLedger(algo="bruteforce",
-                                meta={"orderings_scanned":
-                                      orderings_scanned(inst.n_u) *
-                                      orderings_scanned(inst.n_v)})
-        elif args.algo in ("dp", "qdp"):
-            qmf_cfg = QmfConfig(call_constant=args.call_constant, seed=seed)
-            cfg = TlcmConfig(inner_algo=args.algo, qmf_cfg=qmf_cfg,
-                             qdp=QdpConfig(alpha=args.alpha, qmf_cfg=qmf_cfg))
-            u_ord, sol, ledger = solve_tlcm(inst, cfg)
-        else:
-            print("error: the two-layer objective supports dp, qdp, or bruteforce",
-                  file=sys.stderr)
-            return 2
-        print(f"crossings: {sol.crossings}")
-        print(f"u-ordering: {_fmt_ordering(u_ord)}")
-        print(f"ordering: {_fmt_ordering(sol.ordering)}")
-        print(f"ledger: {json.dumps(ledger.json_dict())}")
-        if args.verify:
-            try:
-                bu, bsol = solve_tlcm_bruteforce(inst)
-            except SizeLimitError:
-                print("verify: skipped (beyond oracle limits)")
-                return 0
-            recount = count_two_level_crossings(inst, u_ord, sol.ordering)
-            if recount != sol.crossings:
-                print(f"verify: MISMATCH (reported {sol.crossings}, recount {recount})")
-                return 4
-            return _verify_line(sol.crossings, bsol.crossings)
-        return 0
-
-    work = inst
     if args.objective == "oscm" and inst.n_colors > 1:
-        work = inst.uncolored()  # ValueError (exit 2) when colors share an edge
+        inst = inst.uncolored()  # ValueError (exit 2) when colors share an edge
+    cfg = _solver_config(args, seed)
 
-    cfgs = _solver_configs(args, seed)
-    if args.trace_out and args.algo != "qdc":
-        print("error: --trace-out requires --algo qdc", file=sys.stderr)
-        return 2
-
-    trace = None
-    if args.algo == "qdc" and args.trace_out:
-        sol, ledger, trace = solve_qdc_with_trace(work, cfgs["qdc"])
+    u_ord = None
+    if not tlcm:
+        sol, ledger = solve_osscm(inst, args.algo, cfg)
+        ledger.meta["objective"] = args.objective
+    elif args.algo == "bruteforce":
+        u_ord, sol = solve_tlcm_bruteforce(inst)
+        ledger = CostLedger(algo="bruteforce",
+                            meta={"orderings_scanned": orderings_scanned(inst.n_u)
+                                  * orderings_scanned(inst.n_v)})
     else:
-        sol, ledger = solve_osscm(work, args.algo, cfgs.get(args.algo))
-    ledger.meta["objective"] = args.objective
+        qmf_cfg = QmfConfig(call_constant=args.call_constant, seed=seed)
+        u_ord, sol, ledger = solve_tlcm(
+            inst, TlcmConfig(args.algo, qmf_cfg, cfg or QdpConfig()))
 
     print(f"crossings: {sol.crossings}")
+    if tlcm:
+        print(f"u-ordering: {_fmt_ordering(u_ord)}")
     print(f"ordering: {_fmt_ordering(sol.ordering)}")
     print(f"ledger: {json.dumps(ledger.json_dict())}")
-    if trace is not None:
+    if args.trace_out:
+        trace = split_trace(sol.ordering, cfg.base_size)
         Path(args.trace_out).write_text(json.dumps(trace_json_dict(trace), indent=2))
         print(f"trace: {args.trace_out}")
-
     if args.verify:
-        brute_fn = solve_bruteforce if args.objective == "oscm" else solve_osscm_bruteforce
-        try:
-            brute = brute_fn(work)
-        except SizeLimitError:
-            print("verify: skipped (beyond oracle limits)")
-            return 0
-        return _verify_line(sol.crossings, brute.crossings)
+        orderings = (u_ord, sol.ordering) if tlcm else (sol.ordering,)
+        return _verify(inst, args.objective, orderings, sol)
     return 0
 
 
@@ -163,38 +171,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _bench_rows(args, seed):
-    rows = []
-    qmf_cfg = QmfConfig(call_constant=args.call_constant, seed=seed)
-    qdp_cfg = QdpConfig(alpha=args.alpha, qmf_cfg=qmf_cfg)
-    qdc_cfg = QdcConfig(base_size=args.base_size, count_only=True, qmf_cfg=qmf_cfg)
-    dc_cfg = DcConfig(base_size=args.base_size, count_only=True)
-    for n in range(args.n_min, args.n_max + 1):
-        if args.algo == "dp":
-            classical, oracle = dp_recurrence_count(n), 0
-        elif args.algo == "dc":
-            classical, oracle = dc_node_count(n, args.base_size), 0
-        elif args.algo == "qdp":
-            classical, oracle = qdp_cost_model(n, qdp_cfg)
-        else:
-            classical, oracle = 0, qdc_cost_model(n, qdc_cfg)
-
-        wall = 0.0
-        if n <= _WALL_CAPS[args.algo]:
-            inst = random_instance(GenSpec(5, n, 0.4, 1, seed + n))
-            start = perf_counter()
-            if args.algo == "dp":
-                solve_dp(inst)
-            elif args.algo == "dc":
-                solve_dc(inst, dc_cfg)
-            elif args.algo == "qdp":
-                solve_qdp(inst, qdp_cfg)
-            else:
-                solve_qdc(inst, qdc_cfg)
-            wall = (perf_counter() - start) * 1000.0
-        rows.append((args.algo, n, classical, oracle, wall))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
+# Closed-form (classical_cost, oracle_calls) of one bench row.
+_BENCH_MODELS = {
+    "dp": lambda n, cfg: (dp_recurrence_count(n), 0),
+    "dc": lambda n, cfg: (dc_node_count(n, cfg.base_size), 0),
+    "qdp": qdp_cost_model,
+    "qdc": lambda n, cfg: (0, qdc_cost_model(n, cfg)),
+}
 
 
 def cmd_bench(args) -> int:
@@ -203,9 +186,17 @@ def cmd_bench(args) -> int:
     if args.n_max > 64:
         raise SizeLimitError("bench range exceeds the n_v <= 64 solver limit")
     seed = _resolve_seed(args.seed)
+    cfg = _solver_config(args, seed)
     lines = ["algo,n,classical_cost,oracle_calls,wall_ms"]
-    for algo, n, classical, oracle, wall in _bench_rows(args, seed):
-        lines.append(f"{algo},{n},{classical},{oracle},{wall:.3f}")
+    for n in range(args.n_min, args.n_max + 1):
+        classical, oracle = _BENCH_MODELS[args.algo](n, cfg)
+        wall = 0.0
+        if n <= _WALL_CAPS[args.algo]:
+            inst = random_instance(GenSpec(5, n, 0.4, 1, seed + n))
+            start = perf_counter()
+            solve_osscm(inst, args.algo, cfg)
+            wall = (perf_counter() - start) * 1000.0
+        lines.append(f"{args.algo},{n},{classical},{oracle},{wall:.3f}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -301,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--call-constant", type=float, default=1.0)
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--out", help="output path (default stdout)")
+    # bench times count-only runs in cost-model mode.
+    p_bench.set_defaults(qmf_mode="cost_model", count_only=True, node_budget=None)
     p_bench.set_defaults(func=cmd_bench)
 
     p_an = sub.add_parser("analyze", help="report complexity constants and fits")

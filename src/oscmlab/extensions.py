@@ -9,9 +9,10 @@ plain objective.
 Two-layer objective (both sides free; colors ignored): solve_tlcm
 enumerates the smaller layer's permutations and solves the other layer
 exactly for each one. The ledger models a square-root-speed search over
-the enumerated side — oracle_calls holds ceil(c * sqrt(side!)) times the
-inner solver's modeled cost — while recurrence_evals tallies the classical
-work the inner runs actually performed.
+the enumerated side: oracle_calls holds ceil(c * sqrt(side!)) times the
+cost an inner solve recorded in its own ledger (its recurrence evals plus
+its oracle calls), while recurrence_evals tallies the classical work all
+the inner runs performed.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from math import factorial
 
 from .bigraph import BipartiteInstance, Solution
 from .dc import DcConfig, solve_dc
-from .dp import dp_recurrence_count, solve_dp
+from .dp import solve_dp
 from .errors import SizeLimitError
 from .ledger import CostLedger
 from .oracle import OracleLimit, orderings_scanned, solve_osscm_bruteforce
 from .qdc import QdcConfig, solve_qdc
-from .qdp import QdpConfig, qdp_cost_model, solve_qdp
+from .qdp import QdpConfig, solve_qdp
 from .qmf import QmfConfig, cost_model_calls
 
 
@@ -66,6 +67,9 @@ class TlcmConfig:
     def __post_init__(self):
         if self.inner_algo not in ("dp", "qdp"):
             raise ValueError("inner solver must be 'dp' or 'qdp'")
+        if self.qmf_cfg.mode != "cost_model":
+            raise ValueError("the outer search is charged, never sampled; "
+                             "qmf_cfg.mode must be 'cost_model'")
 
 
 def transpose_instance(inst: BipartiteInstance) -> BipartiteInstance:
@@ -113,12 +117,10 @@ def solve_tlcm(inst: BipartiteInstance, cfg: TlcmConfig = None,
         if best is None or sol.crossings < best[0]:
             best = (sol.crossings, perm, sol.ordering)
 
-    if cfg.inner_algo == "dp":
-        inner_model = dp_recurrence_count(n_inner)
-    else:
-        inner_model = sum(qdp_cost_model(n_inner, cfg.qdp))
+    # Every inner solve of one size records the same cost; charge it per
+    # outer search call.
     outer_calls = cost_model_calls(factorial(n_outer), cfg.qmf_cfg.call_constant)
-    ledger.oracle_calls = outer_calls * inner_model
+    ledger.oracle_calls = outer_calls * (inner.recurrence_evals + inner.oracle_calls)
 
     crossings, outer, inner_order = best
     if transposed:

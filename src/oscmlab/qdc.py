@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import ceil, comb, sqrt
+from math import ceil, comb
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .dc import SpaceMeter, split_min
 from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix, ordering_cost
-from .qmf import QmfConfig, qmf
+from .qmf import QmfConfig, cost_model_calls, qmf
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _charge(k: int, base_size: int, call_constant: float) -> int:
     if k <= base_size:
         return 0
     half = ceil(k / 2)
-    calls = max(1, ceil(call_constant * sqrt(comb(k, half))))
+    calls = cost_model_calls(comb(k, half), call_constant)
     return calls * (_charge(k - half, base_size, call_constant)
                     + _charge(half, base_size, call_constant) + 1)
 

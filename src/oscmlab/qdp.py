@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import ceil, comb, sqrt
+from math import ceil, comb
 
 import numpy as np
 
@@ -81,6 +81,9 @@ class QdpConfig:
             raise ValueError("alpha must lie in (0, 0.5]")
         if self.min_quantum_n < 0:
             raise ValueError("min_quantum_n must be non-negative")
+        if self.qmf_cfg.mode != "cost_model":
+            raise ValueError("solve_qdp charges its searches and samples none; "
+                             "qmf_cfg.mode must be 'cost_model'")
 
 
 def table_threshold(n_v: int, alpha: float) -> int:
@@ -103,19 +106,19 @@ def qdp_cost_model(n_v: int, cfg: QdpConfig = None):
     classical = sum(comb(n, i) * i for i in range(1, t + 1))
 
     k1 = ceil(n / 2)
-    level1 = ceil(c * sqrt(comb(n, k1)))
+    level1 = cost_model_calls(comb(n, k1), c)
     level2 = 0
     level3 = 0
     s2 = k1
     if s2 > t:
         k2 = ceil(s2 / 2)
         if 1 <= k2 < s2:
-            level2 = ceil(c * sqrt(comb(s2, k2)))
+            level2 = cost_model_calls(comb(s2, k2), c)
             s3 = k2
             if s3 > t:
                 k3 = ceil(cfg.alpha * n / 4.0)
                 if 1 <= k3 < s3:
-                    level3 = ceil(c * sqrt(comb(s3, k3)))
+                    level3 = cost_model_calls(comb(s3, k3), c)
     quantum = level1 * (1 + level2 * (1 + level3))
     return classical, quantum
 

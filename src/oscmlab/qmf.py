@@ -18,7 +18,7 @@ marked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil, log2, pi, sqrt
 
 import numpy as np
@@ -135,14 +135,7 @@ def _state_vector_qmf(n_values, value_fn, cfg, rng):
 
 def qmf_success_rate(n_trials: int, n_values: int, cfg: QmfConfig = None) -> float:
     """Fraction of seeded state-vector runs that return the true minimum."""
-    cfg = cfg or QmfConfig(mode="state_vector")
-    if cfg.mode != "state_vector":
-        cfg = QmfConfig(
-            mode="state_vector",
-            call_constant=cfg.call_constant,
-            seed=cfg.seed,
-            max_statevector_domain=cfg.max_statevector_domain,
-        )
+    cfg = replace(cfg or QmfConfig(), mode="state_vector")
     rng = np.random.default_rng(cfg.seed)
     hits = 0
     for _ in range(n_trials):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from oscmlab import (CostLedger, Solution, SplitTrace, dp_recurrence_count,
-                     extract_ordering, qdc_cost_model, qdp_cost_model)
+from oscmlab import (CostLedger, Solution, SplitTrace, dc_node_count,
+                     dp_recurrence_count, extract_ordering, qdc_cost_model,
+                     qdp_cost_model)
 from oscmlab.cli import main
 
 K22_TEXT = "2 2 4 1\n0 0\n0 1\n1 0\n1 1\n"
@@ -354,3 +355,47 @@ def test_analyze_custom_fpt_sizes(capsys):
     out = capsys.readouterr().out
     assert "    10            161             63" in out
     assert "16005" not in out
+
+
+@pytest.mark.parametrize("text", [CROSS_TEXT, "2 11 2 1\n0 1\n1 0\n"],
+                         ids=["n2", "beyond-oracle"])
+def test_verify_recounts_a_one_sided_ordering(tmp_path, capsys, monkeypatch,
+                                              text):
+    """A solver that reports the optimum (0) with an ordering that has one
+    crossing fails --verify on the recount, also past the oracle's limit."""
+    def liar(inst, algo, cfg=None):
+        return Solution(tuple(range(inst.n_v)), 0), CostLedger(algo="dp")
+
+    monkeypatch.setattr("oscmlab.cli.solve_osscm", liar)
+    path = write(tmp_path, text)
+    assert main(["solve", "--input", path, "--verify"]) == 4
+    assert lines_of(capsys)[-1] == "verify: MISMATCH (reported 0, recount 1)"
+
+
+def test_verify_count_only_checks_the_optimum(tmp_path, capsys):
+    path = write(tmp_path, CROSS_TEXT)
+    assert main(["solve", "--input", path, "--algo", "qdc", "--count-only",
+                 "--verify"]) == 0
+    out = lines_of(capsys)
+    assert out[1] == "ordering: (none)"
+    assert out[-1] == "verify: ok"
+
+
+@pytest.mark.parametrize("args", [["--objective", "tlcm"], ["--algo", "dp"]])
+def test_trace_out_outside_one_sided_qdc_is_rejected(tmp_path, capsys, args):
+    path = write(tmp_path, CROSS_TEXT)
+    assert main(["solve", "--input", path, "--trace-out",
+                 str(tmp_path / "t.json")] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "qdc" in captured.err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_bench_dc_rows_are_node_counts(capsys):
+    assert main(["bench", "--algo", "dc", "--base-size", "1", "--n-min", "3",
+                 "--n-max", "6"]) == 0
+    rows = [r.split(",") for r in lines_of(capsys)[1:]]
+    assert [(r[0], int(r[1]), int(r[2]), int(r[3])) for r in rows] == [
+        ("dc", n, dc_node_count(n, 1), 0) for n in range(3, 7)]
+    assert all(float(r[4]) > 0.0 for r in rows)

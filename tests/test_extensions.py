@@ -4,10 +4,11 @@ from math import factorial
 import pytest
 
 from oscmlab import (BipartiteInstance, DcConfig, OracleLimit, QdcConfig,
-                     QdpConfig, SizeLimitError, TlcmConfig,
-                     count_same_color_crossings, count_two_level_crossings,
-                     dp_recurrence_count, qdp_cost_model, solve_dp,
-                     solve_osscm, solve_osscm_bruteforce, solve_tlcm,
+                     QdpConfig, QmfConfig, SizeLimitError, TlcmConfig,
+                     cost_model_calls, count_same_color_crossings,
+                     count_two_level_crossings, dp_recurrence_count,
+                     qdp_cost_model, solve_dp, solve_osscm,
+                     solve_osscm_bruteforce, solve_qdp, solve_tlcm,
                      solve_tlcm_bruteforce, transpose_instance)
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
@@ -198,3 +199,26 @@ def test_tlcm_size_limits():
 def test_tlcm_config_validation():
     with pytest.raises(ValueError):
         TlcmConfig(inner_algo="dc")
+
+
+def test_tlcm_rejects_a_sampled_outer_search():
+    with pytest.raises(ValueError, match="cost_model"):
+        TlcmConfig(qmf_cfg=QmfConfig(mode="state_vector"))
+
+
+def test_tlcm_charges_one_inner_ledger_per_outer_call():
+    """oracle_calls is the outer search's charge times the cost one inner
+    solve records (recurrence evals plus oracle calls), here with three
+    search levels and a non-default call constant."""
+    rng = random.Random(11)
+    inst = random_instance(rng, 4, 13, 0.4)
+    qmf_cfg = QmfConfig(call_constant=2.0)
+    qdp_cfg = QdpConfig(alpha=0.4, qmf_cfg=qmf_cfg)
+    _, _, ledger = solve_tlcm(inst, TlcmConfig("qdp", qmf_cfg, qdp_cfg))
+    _, inner = solve_qdp(inst, qdp_cfg)
+    assert inner.oracle_calls > 0
+    outer = cost_model_calls(factorial(4), 2.0)
+    assert ledger.oracle_calls == outer * (inner.recurrence_evals
+                                           + inner.oracle_calls)
+    assert ledger.oracle_calls == outer * sum(qdp_cost_model(13, qdp_cfg))
+    assert ledger.recurrence_evals == factorial(4) * inner.recurrence_evals

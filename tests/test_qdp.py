@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from oscmlab import (BipartiteInstance, QdpConfig, SizeLimitError,
+from oscmlab import (BipartiteInstance, QdpConfig, QmfConfig, SizeLimitError,
                      count_crossings, qdp_cost_model, solve_dp, solve_qdp,
                      table_threshold)
 
@@ -163,3 +163,11 @@ def test_validation():
         QdpConfig(alpha=1.0)
     with pytest.raises(SizeLimitError):
         solve_qdp(BipartiteInstance(1, 65))
+
+
+def test_rejects_a_sampled_search_mode():
+    """solve_qdp charges its searches and samples none, so a state-vector
+    qmf config would be silently ignored; it is rejected instead."""
+    with pytest.raises(ValueError, match="cost_model"):
+        QdpConfig(qmf_cfg=QmfConfig(mode="state_vector"))
+    assert QdpConfig(qmf_cfg=QmfConfig(call_constant=2.0)).qmf_cfg.call_constant == 2.0
