@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import mask_members
 from .errors import InstanceParseError
 
 
@@ -155,12 +154,10 @@ def count_two_level_crossings(inst: BipartiteInstance, u_ordering, v_ordering) -
 def count_restricted_crossings(inst: BipartiteInstance, ordering, v_subset) -> int:
     """Crossings among edges whose free-layer endpoint lies in ``v_subset``.
 
-    v_subset is an iterable of V vertices (or a bitmask int). Used to
-    evaluate the crossing count of an edge-subset drawing under a full
-    ordering.
+    v_subset is an iterable of V vertices. Used to evaluate the crossing
+    count of an edge-subset drawing under a full ordering.
     """
-    allowed = set(mask_members(v_subset) if isinstance(v_subset, int) else v_subset)
-    return _count(inst, range(inst.n_u), ordering, v_subset=allowed)
+    return _count(inst, range(inst.n_u), ordering, v_subset=set(v_subset))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Command-line front end: solve, gen, bench, analyze.
 
-solve checks every option first, then builds the chosen solver's config
-(_solver_config, which bench shares) and runs one dispatch: solve_osscm
-for the one-sided objectives, solve_tlcm when both layers are free. It
-prints one report; with --verify it recounts every reported ordering
-through bigraph and checks the optimum against the brute-force oracle of
-the objective. bench times the same dispatch and takes its cost columns
-from the closed-form models.
+solve checks every option first; _solver_config, which bench shares,
+rejects a valued option the chosen solver does not read and builds its
+config. solve then runs one dispatch (solve_osscm for the one-sided
+objectives, solve_tlcm when both layers are free) and prints one report;
+with --verify it recounts every reported ordering through bigraph and
+checks the optimum against the brute-force oracle of the objective. bench
+times the same dispatch and takes its cost columns from the closed-form
+models.
 
 Exit codes: 0 ok, 2 parse/usage error, 3 size limit, 4 verification
 mismatch. The OSCM_SEED environment variable overrides the default seed
@@ -62,20 +63,48 @@ def _fmt_ordering(ordering):
     return " ".join(str(v) for v in ordering)
 
 
+# The valued solver options each solve reads, by (two-layer objective,
+# algo); dp and brute force read none on the one-sided objectives. An
+# option left unset (None) takes its config class's default.
+_OPTIONS_READ = {
+    (False, "dc"): ("base_size",),
+    (False, "qdc"): ("base_size", "call_constant"),
+    (False, "qdp"): ("alpha", "call_constant"),
+    (True, "dp"): ("call_constant",),
+    (True, "qdp"): ("alpha", "call_constant"),
+}
+
+
+def _given(args, *names) -> dict:
+    """The named options that were set on the command line."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
 def _solver_config(args, seed):
-    """The config of the solver args.algo names, built from the command's
-    options; dp and brute force take none."""
-    qmf_cfg = QmfConfig(mode=args.qmf_mode, call_constant=args.call_constant,
-                        seed=seed)
-    if args.algo == "qdp":
-        return QdpConfig(alpha=args.alpha, qmf_cfg=qmf_cfg)
-    recursion = dict(base_size=args.base_size, count_only=args.count_only,
-                     node_budget=args.node_budget)
-    if args.algo == "dc":
-        return DcConfig(**recursion)
-    if args.algo == "qdc":
+    """The config of the solve the command names, built from the options it
+    set: a TlcmConfig for the two-layer objective, None for brute force and
+    one-sided dp. A valued option that solve does not read raises
+    ValueError."""
+    tlcm = args.objective == "tlcm"
+    read = _OPTIONS_READ.get((tlcm, args.algo), ())
+    for name in _given(args, "alpha", "base_size", "call_constant"):
+        if name not in read:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to "
+                             f"--algo {args.algo}"
+                             + (" with --objective tlcm" if tlcm else ""))
+    qmf_cfg = QmfConfig(mode=args.qmf_mode, seed=seed,
+                        **_given(args, "call_constant"))
+    if args.algo in ("dc", "qdc"):
+        recursion = dict(count_only=args.count_only,
+                         node_budget=args.node_budget, **_given(args, "base_size"))
+        if args.algo == "dc":
+            return DcConfig(**recursion)
         return QdcConfig(**recursion, qmf_cfg=qmf_cfg)
-    return None
+    if args.algo == "bruteforce" or (args.algo == "dp" and not tlcm):
+        return None
+    qdp = QdpConfig(qmf_cfg=qmf_cfg, **_given(args, "alpha"))
+    return TlcmConfig(args.algo, qmf_cfg, qdp) if tlcm else qdp
 
 
 # Per objective: the brute-force oracle (returning its Solution) and the
@@ -125,11 +154,10 @@ def cmd_solve(args) -> int:
         raise ValueError("a trace requires reconstruction; unset count_only")
     if tlcm and args.algo in ("dc", "qdc"):
         raise ValueError("the two-layer objective supports dp, qdp, or bruteforce")
+    cfg = _solver_config(args, _resolve_seed(args.seed))
     inst = load_instance(args.input)
-    seed = _resolve_seed(args.seed)
     if args.objective == "oscm" and inst.n_colors > 1:
         inst = inst.uncolored()  # ValueError (exit 2) when colors share an edge
-    cfg = _solver_config(args, seed)
 
     u_ord = None
     if not tlcm:
@@ -141,9 +169,7 @@ def cmd_solve(args) -> int:
                             meta={"orderings_scanned": orderings_scanned(inst.n_u)
                                   * orderings_scanned(inst.n_v)})
     else:
-        qmf_cfg = QmfConfig(call_constant=args.call_constant, seed=seed)
-        u_ord, sol, ledger = solve_tlcm(
-            inst, TlcmConfig(args.algo, qmf_cfg, cfg or QdpConfig()))
+        u_ord, sol, ledger = solve_tlcm(inst, cfg)
 
     print(f"crossings: {sol.crossings}")
     if tlcm:
@@ -264,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--verify", action="store_true",
                          help="cross-check against brute force when feasible")
     p_solve.add_argument("--trace-out", help="write the qdc split trace as JSON")
-    p_solve.add_argument("--alpha", type=float, default=0.055362)
-    p_solve.add_argument("--base-size", type=int, default=2)
+    p_solve.add_argument("--alpha", type=float)
+    p_solve.add_argument("--base-size", type=int)
     p_solve.add_argument("--count-only", action="store_true")
     p_solve.add_argument("--node-budget", type=int, default=None)
-    p_solve.add_argument("--call-constant", type=float, default=1.0)
+    p_solve.add_argument("--call-constant", type=float)
     p_solve.add_argument("--qmf-mode", default="cost_model",
                          choices=["cost_model", "state_vector"])
     p_solve.add_argument("--seed", type=int, default=None)
@@ -287,13 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algo", required=True, choices=["dp", "dc", "qdp", "qdc"])
     p_bench.add_argument("--n-min", type=int, default=4)
     p_bench.add_argument("--n-max", type=int, default=16)
-    p_bench.add_argument("--alpha", type=float, default=0.055362)
-    p_bench.add_argument("--base-size", type=int, default=2)
-    p_bench.add_argument("--call-constant", type=float, default=1.0)
+    p_bench.add_argument("--alpha", type=float)
+    p_bench.add_argument("--base-size", type=int)
+    p_bench.add_argument("--call-constant", type=float)
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--out", help="output path (default stdout)")
     # bench times count-only runs in cost-model mode.
-    p_bench.set_defaults(qmf_mode="cost_model", count_only=True, node_budget=None)
+    p_bench.set_defaults(qmf_mode="cost_model", count_only=True, node_budget=None,
+                         objective="oscm")
     p_bench.set_defaults(func=cmd_bench)
 
     p_an = sub.add_parser("analyze", help="report complexity constants and fits")

@@ -32,7 +32,7 @@ import numpy as np
 from .bigraph import BipartiteInstance, Solution
 from .errors import SizeLimitError, NodeBudgetExceeded
 from .ledger import CostLedger
-from .matrix import build_crossing_matrix
+from .matrix import build_crossing_matrix, cross_sum, order_sum
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,7 @@ def base_case(rows, members) -> tuple:
     """
     best_val, best_perm = None, ()
     for perm in permutations(members):
-        tot = 0
-        for i, v in enumerate(perm):
-            row = rows[v]
-            for w in perm[i + 1:]:
-                tot += row[w]
+        tot = order_sum(rows, perm)
         if best_val is None or tot < best_val:
             best_val, best_perm = tot, perm
     return best_val, best_perm
@@ -181,11 +177,7 @@ def split_min(c: np.ndarray, base_size: int, search, ledger: CostLedger,
                 rest = tuple([v for v in members if v not in w])
                 w_searched, w_exact, w_charge, w_order = frame(w)
                 r_searched, r_exact, r_charge, r_order = frame(rest)
-                g = 0
-                for v in w:
-                    row = rows[v]
-                    for x in rest:
-                        g += row[x]
+                g = cross_sum(rows, w, rest)
                 exact = w_exact + r_exact + g
                 if best is None or exact < best[0]:
                     if not held:

@@ -32,7 +32,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bigraph import BipartiteInstance, Solution
-from .bits import mask_members
 from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix
@@ -156,7 +155,8 @@ def _peel(choice, members):
 @dataclass
 class DpTable:
     """Optimum and last-vertex choice of every subset: opt[s] and choice[s]
-    hold the s-subsets by colex rank."""
+    hold the s-subsets by colex rank. opt_of and order_of take a subset's
+    members in any order; a vertex out of range or repeated is a KeyError."""
 
     n_v: int
     opt: list
@@ -166,22 +166,20 @@ class DpTable:
     def entry_count(self) -> int:
         return sum(len(layer) for layer in self.opt)
 
-    def _members(self, mask: int) -> list:
-        if not 0 <= mask < 1 << self.n_v:
-            raise KeyError(f"subset mask {mask} outside table for n_v={self.n_v}")
-        return mask_members(mask)
+    def _members(self, members) -> list:
+        members = sorted(members)
+        if (len(set(members)) != len(members)
+                or not all(0 <= v < self.n_v for v in members)):
+            raise KeyError(f"{members} is not a subset of range({self.n_v})")
+        return members
 
-    def opt_of(self, mask: int) -> int:
-        members = self._members(mask)
+    def opt_of(self, members) -> int:
+        members = self._members(members)
         return int(self.opt[len(members)][_rank(members)])
 
-    def order_of(self, mask: int) -> tuple:
+    def order_of(self, members) -> tuple:
         """Optimal ordering of the subset, rebuilt from last-vertex choices."""
-        return tuple(_peel(self.choice, self._members(mask)))
-
-
-def opt_of_subset(table: DpTable, mask: int) -> int:
-    return table.opt_of(mask)
+        return tuple(_peel(self.choice, self._members(members)))
 
 
 def dp_recurrence_count(n_v: int) -> int:
@@ -221,7 +219,7 @@ def solve_dp(inst: BipartiteInstance, keep_table: bool = False):
             ledger.recurrence_evals += len(layer.opt) * s
             ledger.gamma_evals += len(layer.opt) * s
 
-    full = (1 << n) - 1
+    full = range(n)
     solution = Solution(table.order_of(full), table.opt_of(full))
     if keep_table:
         return solution, ledger, table

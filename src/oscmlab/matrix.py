@@ -11,6 +11,11 @@ The key structural fact used by every solver: for disjoint subsets V1, V2
 the cross-term gamma(V1, V2) = sum_{v in V1, w in V2} c[v][w] is the same
 for every ordering placing all of V1 before all of V2, so optimal orderings
 decompose over subset splits.
+
+Subsets are sequences of members. cross_sum (gamma) and order_sum (the
+cost of an ordering) are the only pair sums; they read the matrix as nested
+lists (c.tolist()), which dc's pure-Python recursion indexes far faster
+than NumPy elements.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bigraph import BipartiteInstance
-from .bits import mask_members
 
 
 @dataclass(frozen=True)
@@ -62,29 +66,43 @@ def build_crossing_matrix(inst: BipartiteInstance) -> CrossingMatrix:
     return CrossingMatrix(n_v, c)
 
 
-def gamma(cm: CrossingMatrix, v1_mask: int, v2_mask: int) -> int:
-    """Cross-term sum_{v in V1, w in V2} c[v][w] for disjoint subsets.
+def cross_sum(rows, first, second) -> int:
+    """sum_{v in first, w in second} rows[v][w] over nested-list rows."""
+    total = 0
+    for v in first:
+        row = rows[v]
+        for w in second:
+            total += row[w]
+    return total
+
+
+def order_sum(rows, ordering) -> int:
+    """sum of rows[v][w] over every pair v placed before w in ``ordering``,
+    over nested-list rows: the crossings of that ordering."""
+    total = 0
+    for i, v in enumerate(ordering):
+        row = rows[v]
+        for w in ordering[i + 1:]:
+            total += row[w]
+    return total
+
+
+def gamma(cm: CrossingMatrix, first, second) -> int:
+    """Cross-term sum_{v in V1, w in V2} c[v][w] for disjoint subsets given
+    by their members.
 
     Equals cr(E(V1) u E(V2)) - cr(E(V1)) - cr(E(V2)) under any full ordering
-    that places V1 entirely before V2.
+    that places V1 entirely before V2. Raises ValueError when the subsets
+    overlap, repeat a vertex or leave 0..n_v-1.
     """
-    if v1_mask & v2_mask:
+    first, second = list(first), list(second)
+    if len(set(first + second)) != len(first) + len(second):
         raise ValueError("subsets overlap")
-    full = (1 << cm.n_v) - 1
-    if v1_mask & ~full or v2_mask & ~full:
+    if not all(0 <= v < cm.n_v for v in first + second):
         raise ValueError("subset out of range")
-    if v1_mask == 0 or v2_mask == 0:
-        return 0
-    rows = mask_members(v1_mask)
-    cols = mask_members(v2_mask)
-    return int(cm.counts[np.ix_(rows, cols)].sum())
+    return cross_sum(cm.counts.tolist(), first, second)
 
 
 def ordering_cost(cm: CrossingMatrix, ordering) -> int:
     """Crossings of a full ordering via the matrix: sum over v-before-w pairs."""
-    total = 0
-    counts = cm.counts
-    for i, v in enumerate(ordering):
-        for w in ordering[i + 1:]:
-            total += int(counts[v, w])
-    return total
+    return order_sum(cm.counts.tolist(), ordering)

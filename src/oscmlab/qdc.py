@@ -40,7 +40,7 @@ from math import ceil, comb
 import numpy as np
 
 from .bigraph import BipartiteInstance, Solution
-from .dc import SpaceMeter, split_min
+from .dc import DcConfig, SpaceMeter, split_min
 from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix, ordering_cost
@@ -48,17 +48,10 @@ from .qmf import QmfConfig, cost_model_calls, qmf
 
 
 @dataclass(frozen=True)
-class QdcConfig:
-    base_size: int = 2
-    count_only: bool = False
-    node_budget: int = None
-    qmf_cfg: QmfConfig = field(default_factory=QmfConfig)
+class QdcConfig(DcConfig):
+    """DcConfig plus the minimum-finding config of every node's search."""
 
-    def __post_init__(self):
-        if self.base_size < 1:
-            raise ValueError("base_size must be at least 1")
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError("node_budget must be positive when set")
+    qmf_cfg: QmfConfig = field(default_factory=QmfConfig)
 
 
 @dataclass(frozen=True)
@@ -162,11 +155,6 @@ def solve_qdc(inst: BipartiteInstance, cfg: QdcConfig = None):
     meter = SpaceMeter()
     cm = build_crossing_matrix(inst)
     rng = np.random.default_rng(cfg.qmf_cfg.seed) if cfg.qmf_cfg.mode == "state_vector" else None
-
-    if n == 0:
-        ledger.meta["peak_state_bytes"] = 0
-        ledger.meta["max_depth"] = 0
-        return Solution((), 0), ledger
 
     def search(n_values, value_fn):
         res = qmf(n_values, value_fn, cfg.qmf_cfg, rng)

@@ -19,7 +19,6 @@ from oscmlab import (BipartiteInstance, DcConfig, NodeBudgetExceeded,
                      qdc_cost_model, qdp_cost_model, qmf, solve_bruteforce,
                      solve_dc, solve_dp, solve_osscm, solve_qdc, solve_qdp,
                      solve_tlcm, solve_tlcm_bruteforce)
-from oscmlab.bits import mask_of
 
 EDGE_PROBS = (0.2, 0.5, 0.8)
 
@@ -54,7 +53,7 @@ def test_criterion_2_separability():
         rng.shuffle(verts)
         cut = rng.randint(1, inst.n_v - 1)
         v1, v2 = verts[:cut], verts[cut:]
-        expected = gamma(cm, mask_of(v1), mask_of(v2))
+        expected = gamma(cm, v1, v2)
         differences = set()
         for _ in range(2):
             rng.shuffle(v1)

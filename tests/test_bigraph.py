@@ -109,11 +109,6 @@ def test_restricted_crossings_full_and_empty(seed):
     assert count_restricted_crossings(inst, ordering, range(6)) \
         == count_crossings(inst, ordering)
     assert count_restricted_crossings(inst, ordering, ()) == 0
-    # bitmask and iterable subsets agree
-    subset = [v for v in range(6) if rng.random() < 0.5]
-    mask = sum(1 << v for v in subset)
-    assert count_restricted_crossings(inst, ordering, subset) \
-        == count_restricted_crossings(inst, ordering, mask)
 
 
 def test_parse_basic_with_comments():

@@ -121,6 +121,66 @@ def test_solve_rejects_recursion_options_outside_dc_and_qdc(tmp_path, capsys,
     assert option[0] in captured.err
 
 
+@pytest.mark.parametrize("args,option", [
+    (["--algo", "dp", "--alpha", "0.9"], "--alpha"),
+    (["--algo", "dp", "--call-constant", "5"], "--call-constant"),
+    (["--algo", "bruteforce", "--base-size", "3"], "--base-size"),
+    (["--algo", "dc", "--alpha", "0.3"], "--alpha"),
+    (["--algo", "dc", "--call-constant", "2"], "--call-constant"),
+    (["--algo", "qdc", "--alpha", "0.3"], "--alpha"),
+    (["--algo", "qdp", "--base-size", "0"], "--base-size"),
+    (["--objective", "tlcm", "--algo", "dp", "--alpha", "0.3"], "--alpha"),
+    (["--objective", "tlcm", "--algo", "qdp", "--base-size", "1"], "--base-size"),
+    (["--objective", "tlcm", "--algo", "bruteforce", "--call-constant", "2"],
+     "--call-constant"),
+])
+def test_solve_rejects_an_option_its_solver_ignores(tmp_path, capsys, args,
+                                                    option):
+    path = write(tmp_path, K22_TEXT)
+    assert main(["solve", "--input", path] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err
+
+
+@pytest.mark.parametrize("args,option", [
+    (["--algo", "dp", "--alpha", "0.9"], "--alpha"),
+    (["--algo", "qdp", "--base-size", "3"], "--base-size"),
+    (["--algo", "dc", "--call-constant", "2"], "--call-constant"),
+])
+def test_bench_rejects_an_option_its_solver_ignores(capsys, args, option):
+    assert main(["bench", "--n-min", "3", "--n-max", "4"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err
+
+
+@pytest.mark.parametrize("args,ledger", [
+    (["--algo", "qdc", "--base-size", "1"],
+     '{"algo": "qdc", "oracle_calls": 65, "nodes": 761}'),
+    (["--objective", "tlcm", "--algo", "qdp", "--alpha", "0.3"],
+     '{"algo": "tlcm", "enumerated_side": 3, "inner": "qdp", '
+     '"classical_evals": 1152, "oracle_calls": 576}'),
+    (["--objective", "tlcm", "--algo", "dp", "--call-constant", "2"],
+     '{"algo": "tlcm", "enumerated_side": 3, "inner": "dp", '
+     '"classical_evals": 1116, "oracle_calls": 930}'),
+    (["--algo", "qdp", "--alpha", "0.3", "--call-constant", "2"],
+     '{"algo": "qdp", "alpha": 0.3, "classical_evals": 192, '
+     '"oracle_calls": 0, "table_reads": 1}'),
+], ids=["qdc-base", "tlcm-qdp-alpha", "tlcm-dp-constant", "qdp-both"])
+def test_solve_honours_the_options_its_solver_reads(tmp_path, capsys, args,
+                                                    ledger):
+    """Ledgers recorded before unset options took their config defaults."""
+    path = str(tmp_path / "demo.oscm")
+    assert main(["gen", "--n-u", "3", "--n-v", "6", "--edge-prob", "0.5",
+                 "--seed", "7", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--input", path, "--verify"] + args) == 0
+    out = lines_of(capsys)
+    assert f"ledger: {ledger}" in out
+    assert out[-1] == "verify: ok"
+
+
 def test_solve_osscm_objective(tmp_path, capsys):
     path = write(tmp_path, "2 2 2 2\n0 1 0\n1 0 1\n")
     assert main(["solve", "--input", path, "--objective", "osscm",

@@ -9,8 +9,6 @@ from oscmlab import (BipartiteInstance, SizeLimitError, count_crossings,
                      dp_recurrence_count, dp_table_entries, solve_bruteforce,
                      solve_dp)
 from oscmlab import dp
-from oscmlab.bits import mask_of
-from oscmlab.dp import opt_of_subset
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 CROSS_PAIR = BipartiteInstance(2, 2, ((0, 1), (1, 0)))
@@ -78,13 +76,37 @@ def test_matches_bruteforce(seed):
 def test_table_queries():
     sol, _, table = solve_dp(K22, keep_table=True)
     assert table.entry_count == 4
-    assert opt_of_subset(table, 0) == 0
-    assert opt_of_subset(table, mask_of([0])) == 0
-    assert opt_of_subset(table, mask_of([1])) == 0
-    assert opt_of_subset(table, mask_of([0, 1])) == 1
-    assert table.order_of(mask_of([0, 1])) == sol.ordering
+    assert table.opt_of([]) == 0
+    assert table.opt_of([0]) == 0
+    assert table.opt_of([1]) == 0
+    assert table.opt_of([0, 1]) == 1
+    assert table.order_of([0, 1]) == sol.ordering
     with pytest.raises(KeyError):
-        table.opt_of(4)
+        table.opt_of([2])
+
+
+def test_table_queries_take_members_in_any_order():
+    rng = random.Random(31)
+    inst = random_instance(rng, 4, 6, 0.5)
+    _, _, table = solve_dp(inst, keep_table=True)
+    for members in ([4, 1, 3], [5, 0], [2, 5, 0, 3]):
+        shuffled = members[:]
+        rng.shuffle(shuffled)
+        assert table.opt_of(shuffled) == table.opt_of(sorted(members))
+        assert table.order_of(shuffled) == table.order_of(sorted(members))
+    assert table.order_of([5, 4, 3, 2, 1, 0]) == solve_dp(inst)[0].ordering
+
+
+@pytest.mark.parametrize("members", [[6], [-1], [0, 6], [1, 1], [2, 0, 2]],
+                         ids=["past-top", "negative", "one-out", "repeat",
+                              "repeat-unsorted"])
+def test_table_queries_reject_a_non_subset(members):
+    _, _, table = solve_dp(random_instance(random.Random(5), 3, 6, 0.5),
+                           keep_table=True)
+    with pytest.raises(KeyError):
+        table.opt_of(members)
+    with pytest.raises(KeyError):
+        table.order_of(members)
 
 
 def test_table_subsets_agree_with_sub_solves():
@@ -101,7 +123,7 @@ def test_table_subsets_agree_with_sub_solves():
             val = count_restricted_crossings(inst, perm + tuple(rest), combo)
             if best is None or val < best:
                 best = val
-        assert table.opt_of(mask_of(combo)) == best
+        assert table.opt_of(combo) == best
 
 
 def test_size_limits():
@@ -135,9 +157,10 @@ def test_table_queries_match_the_mask_table_solver(case):
                            case["n_v"], case["p"])
     _, _, table = solve_dp(inst, keep_table=True)
     assert table.entry_count == 2 ** case["n_v"]
-    assert [table.opt_of(m) for m in range(2 ** case["n_v"])] == case["opt"]
-    assert [list(table.order_of(m))
-            for m in range(2 ** case["n_v"])] == case["order"]
+    subsets = [[v for v in range(case["n_v"]) if m >> v & 1]  # mask m's members
+               for m in range(2 ** case["n_v"])]
+    assert [table.opt_of(members) for members in subsets] == case["opt"]
+    assert [list(table.order_of(members)) for members in subsets] == case["order"]
 
 
 def test_peak_memory_at_twenty():

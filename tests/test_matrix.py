@@ -5,7 +5,6 @@ import pytest
 from oscmlab import (BipartiteInstance, build_crossing_matrix, count_crossings,
                      count_restricted_crossings, count_same_color_crossings,
                      gamma, ordering_cost)
-from oscmlab.bits import mask_of
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 CROSS_PAIR = BipartiteInstance(2, 2, ((0, 1), (1, 0)))
@@ -76,17 +75,21 @@ def test_colored_matrix_counts_same_color_objective(seed):
 
 
 def test_gamma_examples():
-    assert gamma(build_crossing_matrix(K22), mask_of([0]), mask_of([1])) == 1
-    assert gamma(build_crossing_matrix(CROSS_PAIR), mask_of([1]), mask_of([0])) == 0
-    assert gamma(build_crossing_matrix(K22), 0, mask_of([1])) == 0
+    assert gamma(build_crossing_matrix(K22), [0], [1]) == 1
+    assert gamma(build_crossing_matrix(CROSS_PAIR), [1], [0]) == 0
+    assert gamma(build_crossing_matrix(K22), [], [1]) == 0
 
 
 def test_gamma_rejects_bad_subsets():
     cm = build_crossing_matrix(K22)
     with pytest.raises(ValueError):
-        gamma(cm, 0b11, 0b10)  # overlap
+        gamma(cm, [0, 1], [1])  # overlap
     with pytest.raises(ValueError):
-        gamma(cm, 0b100, 0b01)  # out of range
+        gamma(cm, [0, 0], [1])  # a repeated vertex
+    with pytest.raises(ValueError):
+        gamma(cm, [2], [0])  # out of range
+    with pytest.raises(ValueError):
+        gamma(cm, [-1], [0])  # out of range
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -107,4 +110,4 @@ def test_gamma_equals_restricted_crossing_difference(seed):
         both = count_restricted_crossings(inst, ordering, v1 + v2)
         first = count_restricted_crossings(inst, ordering, v1)
         second = count_restricted_crossings(inst, ordering, v2)
-        assert both - first - second == gamma(cm, mask_of(v1), mask_of(v2))
+        assert both - first - second == gamma(cm, v1, v2)

@@ -1,6 +1,8 @@
+import ast
 import random
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from oscmlab import (BipartiteInstance, OracleLimit, SizeLimitError,
                      count_two_level_crossings, orderings_scanned,
                      solve_bruteforce, solve_osscm_bruteforce,
                      solve_tlcm_bruteforce)
+import oscmlab
 from oscmlab.oracle import _perm_tables
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
@@ -128,3 +131,19 @@ def test_tlcm_size_limit():
 @pytest.mark.parametrize("n", [0, 1, 4, 7])
 def test_orderings_scanned(n):
     assert orderings_scanned(n) == factorial(n)
+
+
+@pytest.mark.parametrize("module", ["oracle.py", "bigraph.py"])
+def test_oracle_route_imports_no_solver_module(module):
+    """The brute-force route counts from the definition: neither module may
+    import the crossing matrix or a subset solver, under any import form
+    (``from .matrix import x``, ``from . import dp``, ``import oscmlab.qdc``)."""
+    tree = ast.parse((Path(oscmlab.__file__).parent / module).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names
+                         for part in alias.name.split("."))
+    assert not names & {"matrix", "dp", "dc", "qdp", "qdc"}, (module, names)

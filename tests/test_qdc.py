@@ -74,7 +74,7 @@ def test_single_vertex():
 def test_empty_layer():
     sol, ledger, trace = solve_qdc_with_trace(BipartiteInstance(2, 0))
     assert (sol.ordering, sol.crossings) == ((), 0)
-    assert ledger.nodes == 0
+    assert ledger.nodes == dc_node_count(0)
     assert extract_ordering(trace) == ()
 
 
