@@ -8,11 +8,11 @@ tree has
     nodes(k) = 1 + C(k, ceil(k/2)) * (nodes(floor(k/2)) + nodes(ceil(k/2)))
 
 nodes, nodes(k <= base_size) = 1. Subsets of at most base_size vertices are
-solved by direct enumeration. split_min is the recursion, shared with the
+solved by direct enumeration. split_min is the solve, shared with the
 quantum divide and conquer in qdc: the caller supplies the minimizer over a
-node's splits (a plain scan here). Each frame keeps only its best split's
-value and ordering, so one pass yields both the optimum and an optimal
-ordering, and the ledger equals dc_node_count exactly on every run.
+node's splits (min here). Each frame keeps only its best split's value and
+ordering, so one pass yields both the optimum and an ordering, recounted
+before it is returned, and the ledger equals dc_node_count on every run.
 
 A SpaceMeter tracks live algorithm state in bytes under a fixed accounting
 model, and an optional node budget lets instrumented runs at sizes too big
@@ -133,9 +133,8 @@ def base_case(rows, members) -> tuple:
     return best_val, best_perm
 
 
-def split_min(c: np.ndarray, base_size: int, search, ledger: CostLedger,
-              meter: SpaceMeter, node_budget: int | None = None):
-    """Minimum over balanced splits of all vertices of the matrix ``c``.
+def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
+    """The dc and qdc solve: minimum over balanced splits of the matrix ``c``.
 
     A frame over the sorted member tuple S counts one node, then either
     solves S by enumeration (|S| <= base_size) or hands
@@ -143,7 +142,8 @@ def split_min(c: np.ndarray, base_size: int, search, ledger: CostLedger,
     which stream from itertools.combinations in lexicographic order.
     ``search`` must call value_fn once per index in ascending order and
     return (searched minimum, oracle calls). value_fn(i) solves W and then
-    S minus W and returns their searched values plus gamma(W, S minus W).
+    S minus W, counts one gamma evaluation, and returns their searched
+    values plus gamma(W, S minus W).
 
     Every frame returns (searched value, exact value, oracle charge,
     ordering). The frame keeps only its first strictly best candidate by
@@ -151,8 +151,17 @@ def split_min(c: np.ndarray, base_size: int, search, ledger: CostLedger,
     of the same pass. The charge is calls * (W's charge + the rest's
     charge + 1), with both children's charges taken from the last
     candidate searched.
+
+    Returns the root's tuple once its ordering recounts to the exact value
+    (else AssertionError), with the SpaceMeter's peak and depth in
+    ledger.meta. Raises SizeLimitError past 64 vertices and
+    NodeBudgetExceeded past cfg.node_budget nodes.
     """
-    rows = c.tolist()
+    n = len(c)
+    if n > 64:
+        raise SizeLimitError(f"subset solvers support n_v <= 64, got {n}")
+    rows, meter = c.tolist(), SpaceMeter()
+    base_size, node_budget = cfg.base_size, cfg.node_budget
 
     def frame(members):
         s = len(members)
@@ -178,6 +187,7 @@ def split_min(c: np.ndarray, base_size: int, search, ledger: CostLedger,
                 w_searched, w_exact, w_charge, w_order = frame(w)
                 r_searched, r_exact, r_charge, r_order = frame(rest)
                 g = cross_sum(rows, w, rest)
+                ledger.gamma_evals += 1
                 exact = w_exact + r_exact + g
                 if best is None or exact < best[0]:
                     if not held:
@@ -195,7 +205,13 @@ def split_min(c: np.ndarray, base_size: int, search, ledger: CostLedger,
                 meter.release(held)
             meter.exit(nbytes)
 
-    return frame(tuple(range(len(rows))))
+    searched, exact, charge, ordering = frame(tuple(range(n)))
+    recount = order_sum(rows, ordering)
+    if recount != exact:
+        raise AssertionError(f"kept ordering recounts to {recount}, not {exact}")
+    ledger.meta["peak_state_bytes"] = meter.peak
+    ledger.meta["max_depth"] = meter.max_depth
+    return searched, exact, charge, ordering
 
 
 def solve_dc(inst: BipartiteInstance, cfg: DcConfig = None):
@@ -205,24 +221,9 @@ def solve_dc(inst: BipartiteInstance, cfg: DcConfig = None):
     outgrows it.
     """
     cfg = cfg or DcConfig()
-    n = inst.n_v
-    if n > 64:
-        raise SizeLimitError(f"subset solvers support n_v <= 64, got {n}")
-    ledger = CostLedger(algo="dc", meta={"n_v": n, "base_size": cfg.base_size})
-    meter = SpaceMeter()
-
-    def scan(n_values, value_fn):
-        best = None
-        for i in range(n_values):
-            val = value_fn(i)
-            ledger.gamma_evals += 1
-            if best is None or val < best:
-                best = val
-        return best, 0
-
-    _, total, _, ordering = split_min(build_crossing_matrix(inst).counts,
-                                      cfg.base_size, scan, ledger, meter,
-                                      cfg.node_budget)
-    ledger.meta["peak_state_bytes"] = meter.peak
-    ledger.meta["max_depth"] = meter.max_depth
+    ledger = CostLedger(algo="dc",
+                        meta={"n_v": inst.n_v, "base_size": cfg.base_size})
+    _, total, _, ordering = split_min(
+        build_crossing_matrix(inst).counts, cfg,
+        lambda n_values, value_fn: (min(map(value_fn, range(n_values))), 0), ledger)
     return Solution(None if cfg.count_only else ordering, total), ledger

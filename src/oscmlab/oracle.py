@@ -40,28 +40,27 @@ class OracleLimit:
 
 @lru_cache(maxsize=4)
 def _perm_tables(n: int):
-    """All permutations of range(n) (lexicographic) and their position tables.
+    """Position table of every ordering of range(n), in lexicographic order
+    of the orderings: row r holds each vertex's place in ordering r, so
+    argsort of the row is the ordering.
 
-    Built up from the tables of range(k - 1): the orderings of range(k)
+    Built up from the table of range(k - 1): the orderings of range(k)
     that start with ``first`` are ``first`` followed by those of range(k - 1)
-    with every value from ``first`` up shifted by one, and each vertex sits
-    one place later than it did there.
+    with every value from ``first`` up shifted by one, so ``first`` sits at
+    place 0 and each other vertex one place later than it did there.
     """
-    perms = pos = np.zeros((1, 0), dtype=np.int8)
+    pos = np.zeros((1, 0), dtype=np.int8)
     for k in range(1, n + 1):
-        rows = len(perms)
-        next_perms = np.empty((k * rows, k), dtype=np.int8)
+        rows = len(pos)
         next_pos = np.empty((k * rows, k), dtype=np.int8)
         later = pos + 1
         for first in range(k):
             block = slice(first * rows, (first + 1) * rows)
-            next_perms[block, 0] = first
-            next_perms[block, 1:] = perms + (perms >= first)
             next_pos[block, :first] = later[:, :first]
             next_pos[block, first] = 0
             next_pos[block, first + 1:] = later[:, first:]
-        perms, pos = next_perms, next_pos
-    return perms, pos
+        pos = next_pos
+    return pos
 
 
 def _pair_weights(inst, upos, same_color_only):
@@ -79,34 +78,35 @@ def _pair_weights(inst, upos, same_color_only):
 
 
 def _scan_orderings(inst, upos, same_color_only):
-    """Crossing count of every ordering of V, in lexicographic order."""
+    """Position table and crossing count of every ordering of V, in
+    lexicographic order."""
     n = inst.n_v
-    perms, pos = _perm_tables(n)
+    pos = _perm_tables(n)
     w = _pair_weights(inst, upos, same_color_only)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
              if w[a][b] or w[b][a]]
-    counts = np.zeros(len(perms), dtype=np.int64)
+    counts = np.zeros(len(pos), dtype=np.int64)
     if not pairs:
-        return perms, counts
+        return pos, counts
     firsts = np.array([a for a, _ in pairs], dtype=np.intp)
     seconds = np.array([b for _, b in pairs], dtype=np.intp)
     in_order = np.array([w[a][b] for a, b in pairs], dtype=np.int64)
     reversed_ = np.array([w[b][a] for a, b in pairs], dtype=np.int64)
-    for start in range(0, len(perms), _CHUNK_ROWS):
+    for start in range(0, len(pos), _CHUNK_ROWS):
         block = pos[start:start + _CHUNK_ROWS]
         ahead = block[:, firsts] < block[:, seconds]
         counts[start:start + _CHUNK_ROWS] = \
             np.where(ahead, in_order, reversed_).sum(axis=1)
-    return perms, counts
+    return pos, counts
 
 
 def _best_ordering(inst, upos=None, same_color_only=False):
     if upos is None:
         upos = list(range(inst.n_u))
-    perms, counts = _scan_orderings(inst, upos, same_color_only)
-    best = int(np.argmin(counts)) if len(counts) else 0
-    ordering = tuple(int(v) for v in perms[best])
-    return Solution(ordering, int(counts[best]) if len(counts) else 0)
+    pos, counts = _scan_orderings(inst, upos, same_color_only)
+    best = int(np.argmin(counts))
+    ordering = tuple(int(v) for v in np.argsort(pos[best]))
+    return Solution(ordering, int(counts[best]))
 
 
 def solve_bruteforce(inst: BipartiteInstance, limit: OracleLimit = None) -> Solution:

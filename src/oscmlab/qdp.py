@@ -112,13 +112,10 @@ def qdp_cost_model(n_v: int, cfg: QdpConfig = None):
     s2 = k1
     if s2 > t:
         k2 = ceil(s2 / 2)
-        if 1 <= k2 < s2:
-            level2 = cost_model_calls(comb(s2, k2), c)
-            s3 = k2
-            if s3 > t:
-                k3 = ceil(cfg.alpha * n / 4.0)
-                if 1 <= k3 < s3:
-                    level3 = cost_model_calls(comb(s3, k3), c)
+        level2 = cost_model_calls(comb(s2, k2), c)
+        s3 = k2
+        if s3 > t:
+            level3 = cost_model_calls(comb(s3, ceil(cfg.alpha * n / 4.0)), c)
     quantum = level1 * (1 + level2 * (1 + level3))
     return classical, quantum
 

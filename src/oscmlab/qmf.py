@@ -25,22 +25,21 @@ import numpy as np
 
 from .errors import SizeLimitError
 
+# Largest domain a state-vector search simulates (a 1024-amplitude vector).
+MAX_STATEVECTOR_DOMAIN = 1024
+
 
 @dataclass(frozen=True)
 class QmfConfig:
     mode: str = "cost_model"
     call_constant: float = 1.0
     seed: int = 0
-    max_statevector_domain: int = 1024
 
     def __post_init__(self):
         if self.mode not in ("cost_model", "state_vector"):
             raise ValueError(f"unknown qmf mode {self.mode!r}")
         if self.call_constant <= 0:
             raise ValueError("call_constant must be positive")
-        dom = self.max_statevector_domain
-        if dom < 1 or dom & (dom - 1):
-            raise ValueError("max_statevector_domain must be a power of two")
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,9 @@ def _grover_iteration(psi, marked):
 
 
 def _state_vector_qmf(n_values, value_fn, cfg, rng):
-    if n_values > cfg.max_statevector_domain:
+    if n_values > MAX_STATEVECTOR_DOMAIN:
         raise SizeLimitError(
-            f"state-vector domain {n_values} exceeds cap {cfg.max_statevector_domain}"
+            f"state-vector domain {n_values} exceeds cap {MAX_STATEVECTOR_DOMAIN}"
         )
     if rng is None:
         rng = np.random.default_rng(cfg.seed)

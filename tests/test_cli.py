@@ -1,10 +1,12 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
-from oscmlab import (CostLedger, Solution, SplitTrace, dc_node_count,
-                     dp_recurrence_count, extract_ordering, qdc_cost_model,
-                     qdp_cost_model)
+from oscmlab import (BipartiteInstance, CostLedger, Solution, SplitTrace,
+                     dc_node_count, dp_recurrence_count, extract_ordering,
+                     format_instance, qdc_cost_model, qdp_cost_model)
 from oscmlab.cli import main
 
 K22_TEXT = "2 2 4 1\n0 0\n0 1\n1 0\n1 1\n"
@@ -459,3 +461,40 @@ def test_bench_dc_rows_are_node_counts(capsys):
     assert [(r[0], int(r[1]), int(r[2]), int(r[3])) for r in rows] == [
         ("dc", n, dc_node_count(n, 1), 0) for n in range(3, 7)]
     assert all(float(r[4]) > 0.0 for r in rows)
+
+
+def golden_instance_text(n_v):
+    """The split_recursion_golden.json instance of that size, as a file."""
+    case = next(c for c in json.loads(
+        (Path(__file__).with_name("split_recursion_golden.json")).read_text())
+        if c["n_v"] == n_v)
+    rng = random.Random(case["seed"])
+    edges = tuple((u, v) for u in range(case["n_u"]) for v in range(n_v)
+                  if rng.random() < case["p"])
+    return format_instance(BipartiteInstance(case["n_u"], n_v, edges))
+
+
+@pytest.mark.parametrize("n_v,crossings,warned", [(8, 44, True), (9, 50, False)])
+def test_count_only_sampled_miss_warns_on_stderr(tmp_path, capsys, n_v,
+                                                 crossings, warned):
+    """The pinned n_v = 8 case reports 44 against an optimum of 34."""
+    path = write(tmp_path, golden_instance_text(n_v))
+    assert main(["solve", "--input", path, "--algo", "qdc", "--count-only",
+                 "--qmf-mode", "state_vector", "--seed", "6"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:2] == [f"crossings: {crossings}",
+                                             "ordering: (none)"]
+    assert captured.err.startswith("warning: ") is warned
+    assert len(captured.err.splitlines()) == int(warned)
+
+
+@pytest.mark.parametrize("args", [
+    ["--count-only"],
+    ["--qmf-mode", "state_vector", "--seed", "6"],
+], ids=["cost-model", "full"])
+def test_no_miss_warning_without_a_sampled_count(tmp_path, capsys, args):
+    path = write(tmp_path, golden_instance_text(8))
+    assert main(["solve", "--input", path, "--algo", "qdc"] + args) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("crossings: 34\n")
+    assert captured.err == ""

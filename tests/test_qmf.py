@@ -58,14 +58,12 @@ def test_input_validation():
         QmfConfig(mode="dream_mode")
     with pytest.raises(ValueError):
         QmfConfig(call_constant=0.0)
-    with pytest.raises(ValueError):
-        QmfConfig(max_statevector_domain=100)  # not a power of two
 
 
 def test_state_vector_domain_cap():
-    cfg = QmfConfig(mode="state_vector", max_statevector_domain=16)
+    cfg = QmfConfig(mode="state_vector")
     with pytest.raises(SizeLimitError):
-        qmf(17, values_fn(list(range(17))), cfg)
+        qmf(1025, values_fn(list(range(1025))), cfg)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
