@@ -19,11 +19,11 @@ from .errors import InstanceParseError, NodeBudgetExceeded, SizeLimitError
 from .extensions import TlcmConfig, solve_osscm, solve_tlcm, transpose_instance
 from .generate import GenSpec, random_instance
 from .ledger import CostLedger
-from .matrix import CrossingMatrix, build_crossing_matrix, gamma, ordering_cost
+from .matrix import build_crossing_matrix, gamma, ordering_cost
 from .oracle import (OracleLimit, orderings_scanned, solve_bruteforce,
                      solve_osscm_bruteforce, solve_tlcm_bruteforce)
-from .qdc import (QdcConfig, SplitTrace, extract_ordering, qdc_cost_model,
-                  solve_qdc, solve_qdc_with_trace, trace_json_dict)
+from .qdc import (QdcConfig, extract_ordering, qdc_cost_model, solve_qdc,
+                  split_trace)
 from .qdp import QdpConfig, qdp_cost_model, solve_qdp, table_threshold
 from .qmf import QmfConfig, QmfResult, cost_model_calls, qmf, qmf_success_rate
 
@@ -31,10 +31,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GROVER_BASE",
-    "BipartiteInstance", "Solution", "CostLedger", "CrossingMatrix",
+    "BipartiteInstance", "Solution", "CostLedger",
     "DcConfig", "DpTable", "GenSpec", "InstanceParseError",
     "NodeBudgetExceeded", "OracleLimit", "QdcConfig", "QdpConfig",
-    "QmfConfig", "QmfResult", "SizeLimitError", "SplitTrace", "TlcmConfig",
+    "QmfConfig", "QmfResult", "SizeLimitError", "TlcmConfig",
     "alpha_balance_residual", "balanced_alpha", "binary_entropy",
     "build_crossing_matrix", "cost_model_calls", "count_crossings",
     "count_restricted_crossings", "count_same_color_crossings",
@@ -45,8 +45,7 @@ __all__ = [
     "orderings_scanned", "parse_instance_text", "qdc_cost_model",
     "qdp_cost_model", "qmf", "qmf_success_rate", "random_instance",
     "save_instance", "solve_bruteforce", "solve_dc", "solve_dp",
-    "solve_osscm", "solve_osscm_bruteforce", "solve_qdc",
-    "solve_qdc_with_trace", "solve_qdp", "solve_tlcm",
-    "solve_tlcm_bruteforce", "table_threshold", "trace_json_dict",
+    "solve_osscm", "solve_osscm_bruteforce", "solve_qdc", "solve_qdp",
+    "solve_tlcm", "solve_tlcm_bruteforce", "split_trace", "table_threshold",
     "transpose_instance",
 ]

@@ -36,7 +36,7 @@ from .generate import GenSpec, random_instance
 from .ledger import CostLedger
 from .oracle import (orderings_scanned, solve_bruteforce, solve_osscm_bruteforce,
                      solve_tlcm_bruteforce)
-from .qdc import QdcConfig, qdc_cost_model, split_trace, trace_json_dict
+from .qdc import QdcConfig, qdc_cost_model, split_trace
 from .qdp import QdpConfig, qdp_cost_model
 from .qmf import QmfConfig
 
@@ -182,7 +182,7 @@ def cmd_solve(args) -> int:
               "crossings lie above the optimum", file=sys.stderr)
     if args.trace_out:
         trace = split_trace(sol.ordering, cfg.base_size)
-        Path(args.trace_out).write_text(json.dumps(trace_json_dict(trace), indent=2))
+        Path(args.trace_out).write_text(json.dumps(trace, indent=2))
         print(f"trace: {args.trace_out}")
     if args.verify:
         orderings = (u_ord, sol.ordering) if tlcm else (sol.ordering,)

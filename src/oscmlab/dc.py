@@ -224,6 +224,6 @@ def solve_dc(inst: BipartiteInstance, cfg: DcConfig = None):
     ledger = CostLedger(algo="dc",
                         meta={"n_v": inst.n_v, "base_size": cfg.base_size})
     _, total, _, ordering = split_min(
-        build_crossing_matrix(inst).counts, cfg,
+        build_crossing_matrix(inst), cfg,
         lambda n_values, value_fn: (min(map(value_fn, range(n_values))), 0), ledger)
     return Solution(None if cfg.count_only else ordering, total), ledger

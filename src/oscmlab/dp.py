@@ -209,7 +209,7 @@ def solve_dp(inst: BipartiteInstance, keep_table: bool = False):
             f"(limit {_PRACTICAL_MAX_NV})"
         )
     ledger = CostLedger(algo="dp", meta={"n_v": n})
-    c = build_crossing_matrix(inst).counts
+    c = build_crossing_matrix(inst)
 
     table = DpTable(n, [], [])
     for s, layer in enumerate(subset_layers(c, n, n)):

@@ -22,12 +22,12 @@ from itertools import permutations
 from math import factorial
 
 from .bigraph import BipartiteInstance, Solution
-from .dc import DcConfig, solve_dc
+from .dc import solve_dc
 from .dp import solve_dp
 from .errors import SizeLimitError
 from .ledger import CostLedger
 from .oracle import OracleLimit, orderings_scanned, solve_osscm_bruteforce
-from .qdc import QdcConfig, solve_qdc
+from .qdc import solve_qdc
 from .qdp import QdpConfig, solve_qdp
 from .qmf import QmfConfig, cost_model_calls
 
@@ -47,11 +47,11 @@ def solve_osscm(inst: BipartiteInstance, algo: str = "dp", cfg=None,
     elif algo == "dp":
         sol, ledger = solve_dp(inst)
     elif algo == "dc":
-        sol, ledger = solve_dc(inst, cfg or DcConfig())
+        sol, ledger = solve_dc(inst, cfg)
     elif algo == "qdp":
-        sol, ledger = solve_qdp(inst, cfg or QdpConfig())
+        sol, ledger = solve_qdp(inst, cfg)
     elif algo == "qdc":
-        sol, ledger = solve_qdc(inst, cfg or QdcConfig())
+        sol, ledger = solve_qdc(inst, cfg)
     else:
         raise ValueError(f"unknown solver {algo!r}")
     ledger.meta["objective"] = "osscm"

@@ -12,44 +12,30 @@ the cross-term gamma(V1, V2) = sum_{v in V1, w in V2} c[v][w] is the same
 for every ordering placing all of V1 before all of V2, so optimal orderings
 decompose over subset splits.
 
-Subsets are sequences of members. cross_sum (gamma) and order_sum (the
-cost of an ordering) are the only pair sums; they read the matrix as nested
-lists (c.tolist()), which dc's pure-Python recursion indexes far faster
-than NumPy elements.
+build_crossing_matrix returns the matrix itself: a read-only n_v x n_v
+int64 array. Subsets are sequences of members. cross_sum (gamma) and
+order_sum (the cost of an ordering) are the only pair sums; they read the
+matrix as nested lists (c.tolist()), which dc's pure-Python recursion
+indexes far faster than NumPy elements.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bigraph import BipartiteInstance
 
 
-@dataclass(frozen=True)
-class CrossingMatrix:
-    """n_v x n_v matrix of pairwise crossing contributions (read-only)."""
-
-    n_v: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts.setflags(write=False)
-
-
-def build_crossing_matrix(inst: BipartiteInstance) -> CrossingMatrix:
+def build_crossing_matrix(inst: BipartiteInstance) -> np.ndarray:
     """Count, for each ordered pair (v, w), the crossings of v-before-w.
 
     c[v][w] = #{((a,v), (b,w)) same-colored edge pairs with a > b}. Built
     per color class as A @ P.T where A is the V x U incidence matrix and
     P[w, a] = #neighbours of w strictly left of a; the diagonal is zeroed
-    (a vertex never crosses itself).
+    (a vertex never crosses itself). The array is read-only.
     """
     n_v, n_u = inst.n_v, inst.n_u
     c = np.zeros((n_v, n_v), dtype=np.int64)
-    if n_v == 0 or n_u == 0 or not inst.edges:
-        return CrossingMatrix(n_v, c)
     for color in range(inst.n_colors):
         a = np.zeros((n_v, n_u), dtype=np.int64)
         touched = False
@@ -63,7 +49,8 @@ def build_crossing_matrix(inst: BipartiteInstance) -> CrossingMatrix:
         left[:, 1:] = np.cumsum(a, axis=1)[:, :-1]
         c += a @ left.T
     np.fill_diagonal(c, 0)
-    return CrossingMatrix(n_v, c)
+    c.setflags(write=False)
+    return c
 
 
 def cross_sum(rows, first, second) -> int:
@@ -87,7 +74,7 @@ def order_sum(rows, ordering) -> int:
     return total
 
 
-def gamma(cm: CrossingMatrix, first, second) -> int:
+def gamma(c: np.ndarray, first, second) -> int:
     """Cross-term sum_{v in V1, w in V2} c[v][w] for disjoint subsets given
     by their members.
 
@@ -98,11 +85,11 @@ def gamma(cm: CrossingMatrix, first, second) -> int:
     first, second = list(first), list(second)
     if len(set(first + second)) != len(first) + len(second):
         raise ValueError("subsets overlap")
-    if not all(0 <= v < cm.n_v for v in first + second):
+    if not all(0 <= v < len(c) for v in first + second):
         raise ValueError("subset out of range")
-    return cross_sum(cm.counts.tolist(), first, second)
+    return cross_sum(c.tolist(), first, second)
 
 
-def ordering_cost(cm: CrossingMatrix, ordering) -> int:
+def ordering_cost(c: np.ndarray, ordering) -> int:
     """Crossings of a full ordering via the matrix: sum over v-before-w pairs."""
-    return order_sum(cm.counts.tolist(), ordering)
+    return order_sum(c.tolist(), ordering)

@@ -150,8 +150,6 @@ def solve_tlcm_bruteforce(inst: BipartiteInstance, limit: OracleLimit = None):
         sol = _best_ordering(inst, upos=upos)
         if best is None or sol.crossings < best[1].crossings:
             best = (u_perm, sol)
-    if best is None:  # n_u == 0
-        best = ((), _best_ordering(inst))
     return best[0], best[1]
 
 

@@ -15,13 +15,15 @@ with qmf as the minimizer, so recursion nodes are counted exactly as in
 the classical divide-and-conquer solver and `nodes` matches dc_node_count.
 
 Every frame also keeps its first exactly-best split and that split's
-ordering, so the optimal ordering comes out of the same pass. A SplitTrace
-is rebuilt from that ordering alone: node (0, 0) is the root, and node
-(i, j) splits into (i + 1, 2 j) (the first ceil(s/2) vertices, which
-precede) and (i + 1, 2 j + 1) (the rest), down to base_size. Leaves keep
-their enumerated internal ordering, since split bits alone cannot recover
-it once base cases hold more than one vertex. extract_ordering walks the
-trace pre-order and validates balance and completeness along the way.
+ordering, so the optimal ordering comes out of the same pass. split_trace
+rebuilds the split tree from that ordering alone, as the JSON-ready dict
+that `oscmlab solve --trace-out` writes: node "0,0" is the root, and node
+"i,j" splits into "i+1,2j" (the first ceil(s/2) vertices, which precede)
+and "i+1,2j+1" (the rest), down to base_size. Leaves keep their
+enumerated internal ordering, since split bits alone cannot recover it
+once base cases hold more than one vertex. extract_ordering walks that
+dict (or json.loads of a trace file) pre-order and validates balance and
+completeness along the way.
 
 In cost-model mode (the default) the searched minimum is asserted equal to
 the kept exact value, which split_min recounts on the kept ordering. In
@@ -54,17 +56,6 @@ class QdcConfig(DcConfig):
     qmf_cfg: QmfConfig = field(default_factory=QmfConfig)
 
 
-@dataclass(frozen=True)
-class SplitTrace:
-    """Winning-split tree: maps (depth, index) keys to subset contents."""
-
-    n_v: int
-    base_size: int
-    nodes: dict          # (i, j) -> sorted tuple of subset members
-    sizes: dict          # (i, j) -> subset size
-    leaves: dict         # (i, j) -> optimal internal ordering of that leaf
-
-
 def qdc_cost_model(n_v: int, cfg: QdcConfig = None) -> int:
     """Closed-form oracle-call total the solver ledger must match exactly."""
     cfg = cfg or QdcConfig()
@@ -81,66 +72,59 @@ def _charge(k: int, base_size: int, call_constant: float) -> int:
                     + _charge(half, base_size, call_constant) + 1)
 
 
-def extract_ordering(trace: SplitTrace, n_v: int = None) -> tuple:
-    """Pre-order leaf concatenation; validates the trace is a split tree."""
-    if n_v is not None and n_v != trace.n_v:
-        raise ValueError(f"trace covers {trace.n_v} vertices, expected {n_v}")
-    if (0, 0) not in trace.nodes:
+def extract_ordering(trace: dict, n_v: int = None) -> tuple:
+    """Pre-order leaf concatenation of a split_trace dict; validates that
+    the trace is a split tree of range(n_v)."""
+    nodes, sizes, leaves = trace["nodes"], trace["sizes"], trace["leaves"]
+    if n_v is not None and n_v != trace["n_v"]:
+        raise ValueError(f"trace covers {trace['n_v']} vertices, expected {n_v}")
+    if "0,0" not in nodes:
         raise ValueError("trace has no root node")
 
-    def walk(key):
-        members = trace.nodes[key]
-        if key in trace.leaves:
-            leaf = trace.leaves[key]
-            if tuple(sorted(leaf)) != tuple(members):
+    def walk(i, j):
+        key = f"{i},{j}"
+        members = list(nodes[key])
+        if key in leaves:
+            leaf = list(leaves[key])
+            if sorted(leaf) != members:
                 raise ValueError(f"leaf {key} ordering does not match its members")
-            return list(leaf)
-        i, j = key
-        left, right = (i + 1, 2 * j), (i + 1, 2 * j + 1)
-        if left not in trace.nodes or right not in trace.nodes:
+            return leaf
+        left, right = f"{i + 1},{2 * j}", f"{i + 1},{2 * j + 1}"
+        if left not in nodes or right not in nodes:
             raise ValueError(f"internal node {key} is missing a child")
-        if trace.sizes[left] != ceil(trace.sizes[key] / 2):
+        if sizes[left] != ceil(sizes[key] / 2):
             raise ValueError(f"unbalanced split at {key}")
-        merged = tuple(sorted(trace.nodes[left] + trace.nodes[right]))
-        if merged != tuple(members):
+        if sorted(list(nodes[left]) + list(nodes[right])) != members:
             raise ValueError(f"children of {key} do not partition it")
-        return walk(left) + walk(right)
+        return walk(i + 1, 2 * j) + walk(i + 1, 2 * j + 1)
 
-    ordering = walk((0, 0))
-    if sorted(ordering) != list(range(trace.n_v)):
+    ordering = walk(0, 0)
+    if sorted(ordering) != list(range(trace["n_v"])):
         raise ValueError("trace leaves do not cover every vertex exactly once")
     return tuple(ordering)
 
 
-def trace_json_dict(trace: SplitTrace) -> dict:
-    """JSON-ready view of a trace ('i,j' keys, plain lists)."""
-    return {
-        "n_v": trace.n_v,
-        "base_size": trace.base_size,
-        "nodes": {f"{i},{j}": list(m) for (i, j), m in sorted(trace.nodes.items())},
-        "sizes": {f"{i},{j}": s for (i, j), s in sorted(trace.sizes.items())},
-        "leaves": {f"{i},{j}": list(o) for (i, j), o in sorted(trace.leaves.items())},
-    }
-
-
-def split_trace(ordering: tuple, base_size: int) -> SplitTrace:
-    """The split tree of an ordering: each part splits into its first
-    ceil(s/2) vertices and the rest, down to parts of base_size."""
+def split_trace(ordering, base_size: int) -> dict:
+    """The split tree of an ordering, as the JSON-ready dict that
+    --trace-out writes: each part splits into its first ceil(s/2) vertices
+    and the rest, down to parts of base_size. Keys "i,j" run level by
+    level; nodes hold sorted members, leaves their order in ``ordering``."""
     nodes, sizes, leaves = {}, {}, {}
-
-    def split(key, part):
-        nodes[key] = tuple(sorted(part))
-        sizes[key] = len(part)
-        if len(part) <= base_size:
-            leaves[key] = part
-            return
-        i, j = key
-        k = ceil(len(part) / 2)
-        split((i + 1, 2 * j), part[:k])
-        split((i + 1, 2 * j + 1), part[k:])
-
-    split((0, 0), ordering)
-    return SplitTrace(len(ordering), base_size, nodes, sizes, leaves)
+    depth, level = 0, [(0, tuple(ordering))]
+    while level:
+        below = []
+        for j, part in level:
+            key = f"{depth},{j}"
+            nodes[key] = sorted(part)
+            sizes[key] = len(part)
+            if len(part) <= base_size:
+                leaves[key] = list(part)
+            else:
+                k = ceil(len(part) / 2)
+                below += [(2 * j, part[:k]), (2 * j + 1, part[k:])]
+        depth, level = depth + 1, below
+    return {"n_v": len(ordering), "base_size": base_size,
+            "nodes": nodes, "sizes": sizes, "leaves": leaves}
 
 
 def solve_qdc(inst: BipartiteInstance, cfg: QdcConfig = None):
@@ -157,7 +141,7 @@ def solve_qdc(inst: BipartiteInstance, cfg: QdcConfig = None):
         return res.min_value, res.oracle_calls
 
     searched, exact, ledger.oracle_calls, ordering = split_min(
-        build_crossing_matrix(inst).counts, cfg, search, ledger)
+        build_crossing_matrix(inst), cfg, search, ledger)
     if sampled:
         ledger.meta["search_missed"] = searched != exact
     elif searched != exact:
@@ -166,11 +150,3 @@ def solve_qdc(inst: BipartiteInstance, cfg: QdcConfig = None):
         return Solution(None, searched), ledger
     return Solution(ordering, exact), ledger
 
-
-def solve_qdc_with_trace(inst: BipartiteInstance, cfg: QdcConfig = None):
-    """Solve and keep the winning-split trace; returns (Solution, CostLedger, SplitTrace)."""
-    cfg = cfg or QdcConfig()
-    if cfg.count_only:
-        raise ValueError("a trace requires reconstruction; unset count_only")
-    sol, ledger = solve_qdc(inst, cfg)
-    return sol, ledger, split_trace(sol.ordering, cfg.base_size)

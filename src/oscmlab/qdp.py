@@ -207,7 +207,7 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
     ledger = CostLedger(algo="qdp", meta={"alpha": cfg.alpha, "n_v": n})
     if n == 0:
         return Solution((), 0), ledger
-    c = build_crossing_matrix(inst).counts
+    c = build_crossing_matrix(inst)
 
     t = table_threshold(n, cfg.alpha)
     fallback = n < cfg.min_quantum_n or t >= n
@@ -224,20 +224,16 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
 
     # Phase 2: the nested searches, one layer per search size, smallest
     # first so that both sides of every split are already evaluated.
+    # Each charged query at a level carries one search on its W side, whose
+    # charge the smaller size has already composed.
     plan = _search_plan(n, t, ceil(cfg.alpha * n / 4.0))
+    charge = {}
     for s in sorted(plan):
         k = plan[s]
         layers[s] = _search_layer(c, n, s, k, layers[k], layers[s - k])
         ledger.table_reads += (len(layers[s].opt) * comb(s, k)
                                * ((k <= t) + (s - k <= t)))
-
-    # Each charged query at a level carries one search on its W side.
-    w_chain = []
-    s = n
-    while s in plan:
-        w_chain.append(cost_model_calls(comb(s, plan[s]),
-                                        cfg.qmf_cfg.call_constant))
-        s = plan[s]
-    for calls in reversed(w_chain):
-        ledger.oracle_calls = calls * (1 + ledger.oracle_calls)
+        charge[s] = (cost_model_calls(comb(s, k), cfg.qmf_cfg.call_constant)
+                     * (1 + charge.get(k, 0)))
+    ledger.oracle_calls = charge[n]
     return Solution(_ordering(n, layers, plan), int(layers[n].opt[0])), ledger

@@ -14,6 +14,11 @@ accept improvements, stop when nothing is marked or the iteration budget
 out. Success probability is at least 1/2; oracle_calls is the number of
 Grover iterations actually performed. Padded indices beyond N are never
 marked.
+
+The budget's second term is 1.4*log2(dim), not the 1.4*lg^2(N) of the
+paper's 22.5*sqrt(N) + 1.4*lg^2(N) bound. The state-vector values pinned in
+the tests (split_recursion_golden.json, the qmf per-seed checks) were
+recorded with this budget, so changing it moves them.
 """
 
 from __future__ import annotations

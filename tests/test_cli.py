@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from oscmlab import (BipartiteInstance, CostLedger, Solution, SplitTrace,
-                     dc_node_count, dp_recurrence_count, extract_ordering,
-                     format_instance, qdc_cost_model, qdp_cost_model)
+from oscmlab import (BipartiteInstance, CostLedger, Solution, dc_node_count,
+                     dp_recurrence_count, extract_ordering, format_instance,
+                     qdc_cost_model, qdp_cost_model)
 from oscmlab.cli import main
 
 K22_TEXT = "2 2 4 1\n0 0\n0 1\n1 0\n1 1\n"
@@ -232,25 +232,83 @@ def test_solve_tlcm_rejects_subset_only_algos(tmp_path, capsys):
     assert "dp, qdp, or bruteforce" in capsys.readouterr().err
 
 
+TRACE_TEXT = """\
+{
+  "n_v": 4,
+  "base_size": 1,
+  "nodes": {
+    "0,0": [
+      0,
+      1,
+      2,
+      3
+    ],
+    "1,0": [
+      1,
+      2
+    ],
+    "1,1": [
+      0,
+      3
+    ],
+    "2,0": [
+      1
+    ],
+    "2,1": [
+      2
+    ],
+    "2,2": [
+      3
+    ],
+    "2,3": [
+      0
+    ]
+  },
+  "sizes": {
+    "0,0": 4,
+    "1,0": 2,
+    "1,1": 2,
+    "2,0": 1,
+    "2,1": 1,
+    "2,2": 1,
+    "2,3": 1
+  },
+  "leaves": {
+    "2,0": [
+      1
+    ],
+    "2,1": [
+      2
+    ],
+    "2,2": [
+      3
+    ],
+    "2,3": [
+      0
+    ]
+  }
+}"""
+
+
 def test_trace_out_writes_split_tree(tmp_path, capsys):
+    """The trace file is pinned as text, key order included, and is itself
+    what extract_ordering reads."""
     inst = write(tmp_path, "2 4 3 1\n0 1\n0 3\n1 0\n")
     trace_path = tmp_path / "trace.json"
     assert main(["solve", "--input", inst, "--algo", "qdc", "--base-size", "1",
                  "--trace-out", str(trace_path)]) == 0
     out = lines_of(capsys)
-    ordering = tuple(int(v) for v in out[1].split(": ")[1].split())
-    dumped = json.loads(trace_path.read_text())
-    assert dumped["n_v"] == 4 and dumped["base_size"] == 1
-    assert dumped["nodes"]["0,0"] == [0, 1, 2, 3]
-    rebuilt = SplitTrace(
-        dumped["n_v"], dumped["base_size"],
-        {tuple(map(int, k.split(","))): tuple(m)
-         for k, m in dumped["nodes"].items()},
-        {tuple(map(int, k.split(","))): s
-         for k, s in dumped["sizes"].items()},
-        {tuple(map(int, k.split(","))): tuple(o)
-         for k, o in dumped["leaves"].items()})
-    assert extract_ordering(rebuilt, 4) == ordering
+    assert out[1] == "ordering: 1 2 3 0"
+    assert trace_path.read_text() == TRACE_TEXT
+    assert extract_ordering(json.loads(trace_path.read_text()), 4) == (1, 2, 3, 0)
+
+
+def test_trace_out_rejects_count_only(tmp_path, capsys):
+    path = write(tmp_path, CROSS_TEXT)
+    assert main(["solve", "--input", path, "--algo", "qdc", "--count-only",
+                 "--trace-out", str(tmp_path / "t.json")]) == 2
+    assert "reconstruction" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_trace_out_requires_qdc(tmp_path, capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscmlab import (BipartiteInstance, OracleLimit, SizeLimitError,
+from oscmlab import (BipartiteInstance, OracleLimit, SizeLimitError, Solution,
                      count_crossings, count_same_color_crossings,
                      count_two_level_crossings, orderings_scanned,
                      solve_bruteforce, solve_osscm_bruteforce,
@@ -107,6 +107,12 @@ def test_tlcm_k22_and_friends():
     assert (u_ord, sol.ordering, sol.crossings) == ((0, 1), (1, 0), 0)
     u_ord, sol = solve_tlcm_bruteforce(BipartiteInstance(1, 1, ((0, 0),)))
     assert sol.crossings == 0
+
+
+def test_tlcm_empty_fixed_layer():
+    # permutations(range(0)) yields one empty ordering, so the scan runs once.
+    assert solve_tlcm_bruteforce(BipartiteInstance(0, 3)) \
+        == ((), Solution((0, 1, 2), 0))
 
 
 @pytest.mark.parametrize("seed", SEEDS[:5])

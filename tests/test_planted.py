@@ -29,7 +29,7 @@ def planted_instance(rng, n_u, n_v):
 
 
 def pairwise_bound(inst):
-    c = build_crossing_matrix(inst).counts.tolist()
+    c = build_crossing_matrix(inst).tolist()
     return sum(min(c[v][w], c[w][v])
                for v in range(inst.n_v) for w in range(v + 1, inst.n_v))
 

@@ -1,13 +1,13 @@
+import json
 import random
 from math import ceil, comb, sqrt
 
 import pytest
 
 from oscmlab import (BipartiteInstance, NodeBudgetExceeded, QdcConfig,
-                     QmfConfig, SplitTrace, count_crossings, dc_max_depth,
-                     dc_node_count, extract_ordering, qdc_cost_model,
-                     solve_bruteforce, solve_dc, solve_dp, solve_qdc,
-                     solve_qdc_with_trace, trace_json_dict)
+                     QmfConfig, count_crossings, dc_max_depth, dc_node_count,
+                     extract_ordering, qdc_cost_model, solve_bruteforce,
+                     solve_dc, solve_dp, solve_qdc, split_trace)
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 CROSS_PAIR = BipartiteInstance(2, 2, ((0, 1), (1, 0)))
@@ -30,12 +30,18 @@ def charge_recurrence(k, base, c=1.0):
                     + charge_recurrence(half, base, c) + 1)
 
 
+def trace(n_v, base_size, nodes, sizes, leaves):
+    """A trace in the JSON form that split_trace returns."""
+    return {"n_v": n_v, "base_size": base_size, "nodes": nodes,
+            "sizes": sizes, "leaves": leaves}
+
+
 def two_leaf_trace():
     # Root splits {0,1} with vertex 1 on the preceding side.
-    return SplitTrace(2, 1,
-                      nodes={(0, 0): (0, 1), (1, 0): (1,), (1, 1): (0,)},
-                      sizes={(0, 0): 2, (1, 0): 1, (1, 1): 1},
-                      leaves={(1, 0): (1,), (1, 1): (0,)})
+    return trace(2, 1,
+                 nodes={"0,0": [0, 1], "1,0": [1], "1,1": [0]},
+                 sizes={"0,0": 2, "1,0": 1, "1,1": 1},
+                 leaves={"1,0": [1], "1,1": [0]})
 
 
 @pytest.mark.parametrize("k,base,expected", [
@@ -72,20 +78,20 @@ def test_single_vertex():
 
 
 def test_empty_layer():
-    sol, ledger, trace = solve_qdc_with_trace(BipartiteInstance(2, 0))
+    sol, ledger = solve_qdc(BipartiteInstance(2, 0))
     assert (sol.ordering, sol.crossings) == ((), 0)
     assert ledger.nodes == dc_node_count(0)
-    assert extract_ordering(trace) == ()
+    assert extract_ordering(split_trace(sol.ordering, 2)) == ()
 
 
 def test_cross_pair_split_and_extract():
-    sol, ledger, trace = solve_qdc_with_trace(CROSS_PAIR,
-                                              QdcConfig(base_size=1))
+    sol, ledger = solve_qdc(CROSS_PAIR, QdcConfig(base_size=1))
     assert (sol.ordering, sol.crossings) == ((1, 0), 0)
     assert (ledger.oracle_calls, ledger.nodes) == (2, 5)
-    assert trace.nodes == {(0, 0): (0, 1), (1, 0): (1,), (1, 1): (0,)}
-    assert extract_ordering(trace) == (1, 0)
-    assert extract_ordering(trace, 2) == (1, 0)
+    split = split_trace(sol.ordering, 1)
+    assert split["nodes"] == {"0,0": [0, 1], "1,0": [1], "1,1": [0]}
+    assert extract_ordering(split) == (1, 0)
+    assert extract_ordering(split, 2) == (1, 0)
 
 
 @pytest.mark.parametrize("n_v", range(4, 11))
@@ -150,8 +156,6 @@ def test_count_only_skips_reconstruction():
     assert sol.ordering is None
     assert sol.crossings == solve_dp(inst)[0].crossings
     assert ledger.nodes == dc_node_count(8, 2)
-    with pytest.raises(ValueError):
-        solve_qdc_with_trace(inst, QdcConfig(count_only=True))
 
 
 def test_state_vector_mode_stays_exact():
@@ -169,9 +173,10 @@ def test_state_vector_mode_stays_exact():
 
 def test_solution_ordering_equals_extracted_trace():
     inst = random_instance(random.Random(77), 5, 9, 0.5)
-    sol, _, trace = solve_qdc_with_trace(inst)
-    assert extract_ordering(trace) == sol.ordering
-    assert extract_ordering(trace, 9) == sol.ordering
+    sol, _ = solve_qdc(inst)
+    dumped = json.loads(json.dumps(split_trace(sol.ordering, 2)))
+    assert extract_ordering(dumped) == sol.ordering
+    assert extract_ordering(dumped, 9) == sol.ordering
 
 
 def test_extract_two_vertex_example():
@@ -180,52 +185,51 @@ def test_extract_two_vertex_example():
 
 def test_extract_rejects_empty_side():
     # A split leaving every vertex on one side violates balance.
-    trace = SplitTrace(2, 1,
-                       nodes={(0, 0): (0, 1), (1, 0): (), (1, 1): (0, 1)},
-                       sizes={(0, 0): 2, (1, 0): 0, (1, 1): 2},
-                       leaves={(1, 0): (), (1, 1): (0, 1)})
+    unbalanced = trace(2, 1,
+                       nodes={"0,0": [0, 1], "1,0": [], "1,1": [0, 1]},
+                       sizes={"0,0": 2, "1,0": 0, "1,1": 2},
+                       leaves={"1,0": [], "1,1": [0, 1]})
     with pytest.raises(ValueError, match="unbalanced"):
-        extract_ordering(trace)
+        extract_ordering(unbalanced)
 
 
 def test_extract_rejects_missing_root():
     with pytest.raises(ValueError, match="root"):
-        extract_ordering(SplitTrace(1, 1, nodes={}, sizes={}, leaves={}))
+        extract_ordering(trace(1, 1, nodes={}, sizes={}, leaves={}))
 
 
 def test_extract_rejects_missing_child():
-    trace = SplitTrace(2, 1,
-                       nodes={(0, 0): (0, 1), (1, 0): (1,)},
-                       sizes={(0, 0): 2, (1, 0): 1},
-                       leaves={(1, 0): (1,)})
+    one_child = trace(2, 1,
+                      nodes={"0,0": [0, 1], "1,0": [1]},
+                      sizes={"0,0": 2, "1,0": 1},
+                      leaves={"1,0": [1]})
     with pytest.raises(ValueError, match="missing a child"):
-        extract_ordering(trace)
+        extract_ordering(one_child)
 
 
 def test_extract_rejects_non_partition():
-    trace = SplitTrace(2, 1,
-                       nodes={(0, 0): (0, 1), (1, 0): (1,), (1, 1): (1,)},
-                       sizes={(0, 0): 2, (1, 0): 1, (1, 1): 1},
-                       leaves={(1, 0): (1,), (1, 1): (1,)})
+    overlapping = trace(2, 1,
+                        nodes={"0,0": [0, 1], "1,0": [1], "1,1": [1]},
+                        sizes={"0,0": 2, "1,0": 1, "1,1": 1},
+                        leaves={"1,0": [1], "1,1": [1]})
     with pytest.raises(ValueError, match="partition"):
-        extract_ordering(trace)
+        extract_ordering(overlapping)
 
 
 def test_extract_rejects_leaf_member_mismatch():
-    trace = two_leaf_trace()
-    broken = SplitTrace(2, 1, nodes=trace.nodes, sizes=trace.sizes,
-                        leaves={(1, 0): (0,), (1, 1): (0,)})
+    broken = two_leaf_trace()
+    broken["leaves"] = {"1,0": [0], "1,1": [0]}
     with pytest.raises(ValueError, match="leaf"):
         extract_ordering(broken)
 
 
 def test_extract_rejects_incomplete_cover():
-    trace = SplitTrace(3, 2,
-                       nodes={(0, 0): (0, 1)},
-                       sizes={(0, 0): 2},
-                       leaves={(0, 0): (1, 0)})
+    short = trace(3, 2,
+                  nodes={"0,0": [0, 1]},
+                  sizes={"0,0": 2},
+                  leaves={"0,0": [1, 0]})
     with pytest.raises(ValueError, match="every vertex"):
-        extract_ordering(trace)
+        extract_ordering(short)
 
 
 def test_extract_rejects_wrong_size_argument():
@@ -234,9 +238,8 @@ def test_extract_rejects_wrong_size_argument():
 
 
 def test_trace_json_shape():
-    _, _, trace = solve_qdc_with_trace(CROSS_PAIR, QdcConfig(base_size=1))
-    dumped = trace_json_dict(trace)
-    assert dumped == {
+    sol, _ = solve_qdc(CROSS_PAIR, QdcConfig(base_size=1))
+    assert split_trace(sol.ordering, 1) == {
         "n_v": 2,
         "base_size": 1,
         "nodes": {"0,0": [0, 1], "1,0": [1], "1,1": [0]},

@@ -20,8 +20,7 @@ import pytest
 
 from oscmlab import (BipartiteInstance, DcConfig, NodeBudgetExceeded,
                      QdcConfig, QmfConfig, count_crossings, solve_dc,
-                     solve_dp, solve_qdc, solve_qdc_with_trace,
-                     trace_json_dict)
+                     solve_dp, solve_qdc, split_trace)
 from oscmlab.dc import split_min
 from oscmlab.ledger import CostLedger
 
@@ -43,10 +42,10 @@ def test_outputs_match_the_two_pass_recursion(case):
     assert dc_sol.crossings == case["crossings"]
     assert list(dc_sol.ordering) == case["dc_ordering"]
 
-    sol, ledger, trace = solve_qdc_with_trace(inst)
+    sol, ledger = solve_qdc(inst)
     assert sol.crossings == case["crossings"]
     assert list(sol.ordering) == case["qdc_ordering"]
-    assert trace_json_dict(trace) == case["qdc_trace"]
+    assert split_trace(sol.ordering, 2) == case["qdc_trace"]
     assert "search_missed" not in ledger.meta
 
     qmf_cfg = QmfConfig(mode="state_vector", seed=case["sv_seed"])
