@@ -20,8 +20,8 @@ from .extensions import TlcmConfig, solve_osscm, solve_tlcm, transpose_instance
 from .generate import GenSpec, random_instance
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix, gamma, ordering_cost
-from .oracle import (OracleLimit, orderings_scanned, solve_bruteforce,
-                     solve_osscm_bruteforce, solve_tlcm_bruteforce)
+from .oracle import (orderings_scanned, solve_bruteforce, solve_osscm_bruteforce,
+                     solve_tlcm_bruteforce)
 from .qdc import (QdcConfig, extract_ordering, qdc_cost_model, solve_qdc,
                   split_trace)
 from .qdp import QdpConfig, qdp_cost_model, solve_qdp, table_threshold
@@ -33,7 +33,7 @@ __all__ = [
     "GROVER_BASE",
     "BipartiteInstance", "Solution", "CostLedger",
     "DcConfig", "DpTable", "GenSpec", "InstanceParseError",
-    "NodeBudgetExceeded", "OracleLimit", "QdcConfig", "QdpConfig",
+    "NodeBudgetExceeded", "QdcConfig", "QdpConfig",
     "QmfConfig", "QmfResult", "SizeLimitError", "TlcmConfig",
     "alpha_balance_residual", "balanced_alpha", "binary_entropy",
     "build_crossing_matrix", "cost_model_calls", "count_crossings",

@@ -94,18 +94,18 @@ def _solver_config(args, seed):
             raise ValueError(f"--{name.replace('_', '-')} does not apply to "
                              f"--algo {args.algo}"
                              + (" with --objective tlcm" if tlcm else ""))
-    qmf_cfg = QmfConfig(mode=args.qmf_mode, seed=seed,
-                        **_given(args, "call_constant"))
+    call = _given(args, "call_constant")
     if args.algo in ("dc", "qdc"):
         recursion = dict(count_only=args.count_only,
                          node_budget=args.node_budget, **_given(args, "base_size"))
         if args.algo == "dc":
             return DcConfig(**recursion)
-        return QdcConfig(**recursion, qmf_cfg=qmf_cfg)
+        return QdcConfig(**recursion,
+                         qmf_cfg=QmfConfig(mode=args.qmf_mode, seed=seed, **call))
     if args.algo == "bruteforce" or (args.algo == "dp" and not tlcm):
         return None
-    qdp = QdpConfig(qmf_cfg=qmf_cfg, **_given(args, "alpha"))
-    return TlcmConfig(args.algo, qmf_cfg, qdp) if tlcm else qdp
+    qdp = QdpConfig(**_given(args, "alpha"), **call) if args.algo == "qdp" else None
+    return TlcmConfig(args.algo, qdp=qdp, **call) if tlcm else qdp
 
 
 # Per objective: the brute-force oracle (returning its Solution) and the
@@ -236,7 +236,7 @@ def cmd_bench(args) -> int:
 
 
 def _analyze_curves(call_constant):
-    qdp_cfg = QdpConfig(qmf_cfg=QmfConfig(call_constant=call_constant))
+    qdp_cfg = QdpConfig(call_constant=call_constant)
     qdc_cfg = QdcConfig(qmf_cfg=QmfConfig(call_constant=call_constant))
     return [
         ("dp_table_entries", "dp table entries (space curve)", range(12, 25),

@@ -17,31 +17,36 @@ the inner runs performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
 from .bigraph import BipartiteInstance, Solution
-from .dc import solve_dc
+from .dc import DcConfig, solve_dc
 from .dp import solve_dp
 from .errors import SizeLimitError
 from .ledger import CostLedger
-from .oracle import OracleLimit, orderings_scanned, solve_osscm_bruteforce
-from .qdc import solve_qdc
+from .oracle import MAX_NU_TLCM, orderings_scanned, solve_osscm_bruteforce
+from .qdc import QdcConfig, solve_qdc
 from .qdp import QdpConfig, solve_qdp
-from .qmf import QmfConfig, cost_model_calls
+from .qmf import cost_model_calls
+
+# The config class each solver reads; brute force and dp read none.
+_CONFIG_CLASS = {"dc": DcConfig, "qdp": QdpConfig, "qdc": QdcConfig}
 
 
-def solve_osscm(inst: BipartiteInstance, algo: str = "dp", cfg=None,
-                limit: OracleLimit = None):
+def solve_osscm(inst: BipartiteInstance, algo: str = "dp", cfg=None):
     """Minimize same-color crossings with the chosen solver.
 
     Returns (Solution, CostLedger); the ledger is the inner solver's with
     an objective tag added. ``algo="bruteforce"`` scans every ordering
-    (within ``limit``) and reports the scan size as its ledger.
+    (up to oracle.MAX_NV) and reports the scan size as its ledger. A cfg
+    of any class but the one the solver reads raises ValueError.
     """
+    if cfg is not None and type(cfg) is not _CONFIG_CLASS.get(algo):
+        raise ValueError(f"solver {algo!r} does not read a {type(cfg).__name__}")
     if algo == "bruteforce":
-        sol = solve_osscm_bruteforce(inst, limit)
+        sol = solve_osscm_bruteforce(inst)
         ledger = CostLedger(algo="bruteforce",
                             meta={"orderings_scanned": orderings_scanned(inst.n_v)})
     elif algo == "dp":
@@ -61,15 +66,16 @@ def solve_osscm(inst: BipartiteInstance, algo: str = "dp", cfg=None,
 @dataclass(frozen=True)
 class TlcmConfig:
     inner_algo: str = "dp"   # exact solver for the non-enumerated layer
-    qmf_cfg: QmfConfig = field(default_factory=QmfConfig)  # outer-search cost model
-    qdp: QdpConfig = field(default_factory=QdpConfig)  # inner config when qdp
+    call_constant: float = 1.0  # c of the outer search's charged calls
+    qdp: QdpConfig | None = None  # inner config, for inner_algo "qdp" only
 
     def __post_init__(self):
         if self.inner_algo not in ("dp", "qdp"):
             raise ValueError("inner solver must be 'dp' or 'qdp'")
-        if self.qmf_cfg.mode != "cost_model":
-            raise ValueError("the outer search is charged, never sampled; "
-                             "qmf_cfg.mode must be 'cost_model'")
+        if self.call_constant <= 0:
+            raise ValueError("call_constant must be positive")
+        if self.qdp is not None and self.inner_algo != "qdp":
+            raise ValueError("a qdp config needs inner_algo 'qdp'")
 
 
 def transpose_instance(inst: BipartiteInstance) -> BipartiteInstance:
@@ -79,8 +85,7 @@ def transpose_instance(inst: BipartiteInstance) -> BipartiteInstance:
                              inst.colors, inst.n_colors)
 
 
-def solve_tlcm(inst: BipartiteInstance, cfg: TlcmConfig = None,
-               limit: OracleLimit = None):
+def solve_tlcm(inst: BipartiteInstance, cfg: TlcmConfig = None):
     """Minimize crossings over both layer orders; colors are ignored.
 
     Returns (u_ordering, Solution, CostLedger) with Solution carrying the
@@ -89,16 +94,15 @@ def solve_tlcm(inst: BipartiteInstance, cfg: TlcmConfig = None,
     ordering is the lexicographically least one attaining the optimum.
     """
     cfg = cfg or TlcmConfig()
-    limit = limit or OracleLimit()
     if inst.n_colors > 1:
         inst = inst.uncolored()
 
     transposed = inst.n_v < inst.n_u
     base = transpose_instance(inst) if transposed else inst
     n_outer, n_inner = base.n_u, base.n_v
-    if n_outer > limit.max_nu_tlcm:
+    if n_outer > MAX_NU_TLCM:
         raise SizeLimitError(
-            f"enumerated layer has {n_outer} vertices; cap is {limit.max_nu_tlcm}")
+            f"enumerated layer has {n_outer} vertices; cap is {MAX_NU_TLCM}")
 
     ledger = CostLedger(algo="tlcm",
                         meta={"inner": cfg.inner_algo, "enumerated_side": n_outer,
@@ -119,7 +123,7 @@ def solve_tlcm(inst: BipartiteInstance, cfg: TlcmConfig = None,
 
     # Every inner solve of one size records the same cost; charge it per
     # outer search call.
-    outer_calls = cost_model_calls(factorial(n_outer), cfg.qmf_cfg.call_constant)
+    outer_calls = cost_model_calls(factorial(n_outer), cfg.call_constant)
     ledger.oracle_calls = outer_calls * (inner.recurrence_evals + inner.oracle_calls)
 
     crossings, outer, inner_order = best

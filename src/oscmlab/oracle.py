@@ -18,7 +18,6 @@ reference the vectorized path is tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -29,13 +28,11 @@ from .errors import SizeLimitError
 
 _CHUNK_ROWS = 1 << 14
 
-
-@dataclass(frozen=True)
-class OracleLimit:
-    """Hard enumeration bounds; beyond them the oracle refuses to run."""
-
-    max_nv: int = 10
-    max_nu_tlcm: int = 6
+# Enumeration caps; beyond them the oracle refuses to run. The scan keeps an
+# int8 position table of every ordering: the one for 11! orderings alone
+# takes 0.4 GB. extensions.solve_tlcm enumerates at most MAX_NU_TLCM too.
+MAX_NV = 10
+MAX_NU_TLCM = 6
 
 
 @lru_cache(maxsize=4)
@@ -101,6 +98,8 @@ def _scan_orderings(inst, upos, same_color_only):
 
 
 def _best_ordering(inst, upos=None, same_color_only=False):
+    if inst.n_v > MAX_NV:
+        raise SizeLimitError(f"n_v={inst.n_v} exceeds oracle limit {MAX_NV}")
     if upos is None:
         upos = list(range(inst.n_u))
     pos, counts = _scan_orderings(inst, upos, same_color_only)
@@ -109,39 +108,31 @@ def _best_ordering(inst, upos=None, same_color_only=False):
     return Solution(ordering, int(counts[best]))
 
 
-def solve_bruteforce(inst: BipartiteInstance, limit: OracleLimit = None) -> Solution:
+def solve_bruteforce(inst: BipartiteInstance) -> Solution:
     """Minimum crossings over all n_v! orderings, ignoring colors.
 
     Ties go to the lexicographically least ordering. Refuses n_v beyond
-    limit.max_nv (default 10).
+    MAX_NV.
     """
-    limit = limit or OracleLimit()
-    if inst.n_v > limit.max_nv:
-        raise SizeLimitError(f"n_v={inst.n_v} exceeds oracle limit {limit.max_nv}")
     return _best_ordering(inst)
 
 
-def solve_osscm_bruteforce(inst: BipartiteInstance, limit: OracleLimit = None) -> Solution:
+def solve_osscm_bruteforce(inst: BipartiteInstance) -> Solution:
     """Like solve_bruteforce, but only same-color crossings count."""
-    limit = limit or OracleLimit()
-    if inst.n_v > limit.max_nv:
-        raise SizeLimitError(f"n_v={inst.n_v} exceeds oracle limit {limit.max_nv}")
     return _best_ordering(inst, same_color_only=True)
 
 
-def solve_tlcm_bruteforce(inst: BipartiteInstance, limit: OracleLimit = None):
+def solve_tlcm_bruteforce(inst: BipartiteInstance):
     """Minimum crossings over all n_u! * n_v! layer-order pairs.
 
     Returns (u_ordering, Solution); ties go to the lexicographically least
-    (u_ordering, v_ordering) pair. Colors are ignored.
+    (u_ordering, v_ordering) pair. Colors are ignored. Refuses n_u beyond
+    MAX_NU_TLCM and n_v beyond MAX_NV.
     """
-    limit = limit or OracleLimit()
-    if inst.n_u > limit.max_nu_tlcm:
+    if inst.n_u > MAX_NU_TLCM:
         raise SizeLimitError(
-            f"n_u={inst.n_u} exceeds two-layer oracle limit {limit.max_nu_tlcm}"
+            f"n_u={inst.n_u} exceeds two-layer oracle limit {MAX_NU_TLCM}"
         )
-    if inst.n_v > limit.max_nv:
-        raise SizeLimitError(f"n_v={inst.n_v} exceeds oracle limit {limit.max_nv}")
     best = None
     for u_perm in itertools.permutations(range(inst.n_u)):
         upos = [0] * inst.n_u

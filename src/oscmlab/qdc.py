@@ -74,16 +74,23 @@ def _charge(k: int, base_size: int, call_constant: float) -> int:
 
 def extract_ordering(trace: dict, n_v: int = None) -> tuple:
     """Pre-order leaf concatenation of a split_trace dict; validates that
-    the trace is a split tree of range(n_v)."""
+    the trace is the split tree of an ordering of range(n_v) that
+    split_trace would write, sizes and leaves read from the members."""
+    if not {"n_v", "base_size", "nodes", "sizes", "leaves"} <= trace.keys():
+        raise ValueError("trace lacks one of n_v, base_size, nodes, sizes, leaves")
     nodes, sizes, leaves = trace["nodes"], trace["sizes"], trace["leaves"]
     if n_v is not None and n_v != trace["n_v"]:
         raise ValueError(f"trace covers {trace['n_v']} vertices, expected {n_v}")
-    if "0,0" not in nodes:
-        raise ValueError("trace has no root node")
+    if "0,0" not in nodes or list(nodes["0,0"]) != list(range(trace["n_v"])):
+        raise ValueError("trace root does not hold every vertex exactly once")
 
     def walk(i, j):
         key = f"{i},{j}"
         members = list(nodes[key])
+        if sizes.get(key) != len(members):
+            raise ValueError(f"size of node {key} does not match its members")
+        if (key in leaves) != (len(members) <= trace["base_size"]):
+            raise ValueError(f"node {key} is a leaf iff it has <= base_size members")
         if key in leaves:
             leaf = list(leaves[key])
             if sorted(leaf) != members:
@@ -92,16 +99,13 @@ def extract_ordering(trace: dict, n_v: int = None) -> tuple:
         left, right = f"{i + 1},{2 * j}", f"{i + 1},{2 * j + 1}"
         if left not in nodes or right not in nodes:
             raise ValueError(f"internal node {key} is missing a child")
-        if sizes[left] != ceil(sizes[key] / 2):
+        if len(nodes[left]) != ceil(len(members) / 2):
             raise ValueError(f"unbalanced split at {key}")
         if sorted(list(nodes[left]) + list(nodes[right])) != members:
             raise ValueError(f"children of {key} do not partition it")
         return walk(i + 1, 2 * j) + walk(i + 1, 2 * j + 1)
 
-    ordering = walk(0, 0)
-    if sorted(ordering) != list(range(trace["n_v"])):
-        raise ValueError("trace leaves do not cover every vertex exactly once")
-    return tuple(ordering)
+    return tuple(walk(0, 0))
 
 
 def split_trace(ordering, base_size: int) -> dict:

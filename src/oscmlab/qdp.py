@@ -55,7 +55,7 @@ which is what keeps the search depth at three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, comb
 
@@ -67,23 +67,22 @@ from .dp import (_CHUNK, _binomials, _by_chunks, _layer, _peel, _rank,
 from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix
-from .qmf import QmfConfig, cost_model_calls
+from .qmf import cost_model_calls
 
 
 @dataclass(frozen=True)
 class QdpConfig:
     alpha: float = 0.055362
     min_quantum_n: int = 8
-    qmf_cfg: QmfConfig = field(default_factory=QmfConfig)
+    call_constant: float = 1.0  # c of every charged search's ceil(c*sqrt(N))
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError("alpha must lie in (0, 0.5]")
         if self.min_quantum_n < 0:
             raise ValueError("min_quantum_n must be non-negative")
-        if self.qmf_cfg.mode != "cost_model":
-            raise ValueError("solve_qdp charges its searches and samples none; "
-                             "qmf_cfg.mode must be 'cost_model'")
+        if self.call_constant <= 0:
+            raise ValueError("call_constant must be positive")
 
 
 def table_threshold(n_v: int, alpha: float) -> int:
@@ -102,7 +101,7 @@ def qdp_cost_model(n_v: int, cfg: QdpConfig = None):
     t = table_threshold(n, cfg.alpha)
     if n < cfg.min_quantum_n or t >= n:
         return n * 2 ** (n - 1), 0
-    c = cfg.qmf_cfg.call_constant
+    c = cfg.call_constant
     classical = sum(comb(n, i) * i for i in range(1, t + 1))
 
     k1 = ceil(n / 2)
@@ -233,7 +232,7 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
         layers[s] = _search_layer(c, n, s, k, layers[k], layers[s - k])
         ledger.table_reads += (len(layers[s].opt) * comb(s, k)
                                * ((k <= t) + (s - k <= t)))
-        charge[s] = (cost_model_calls(comb(s, k), cfg.qmf_cfg.call_constant)
+        charge[s] = (cost_model_calls(comb(s, k), cfg.call_constant)
                      * (1 + charge.get(k, 0)))
     ledger.oracle_calls = charge[n]
     return Solution(_ordering(n, layers, plan), int(layers[n].opt[0])), ledger

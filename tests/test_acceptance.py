@@ -10,23 +10,18 @@ from math import ceil
 
 import pytest
 
-from oscmlab import (BipartiteInstance, DcConfig, NodeBudgetExceeded,
-                     QdcConfig, QdpConfig, QmfConfig, balanced_alpha,
-                     binary_entropy, build_crossing_matrix,
-                     count_restricted_crossings, count_two_level_crossings,
-                     dc_max_depth, dc_node_count, dp_table_entries,
-                     fit_exponent_base, fpt_crossover_k, gamma,
-                     qdc_cost_model, qdp_cost_model, qmf, solve_bruteforce,
-                     solve_dc, solve_dp, solve_osscm, solve_qdc, solve_qdp,
-                     solve_tlcm, solve_tlcm_bruteforce)
+from oscmlab import (DcConfig, NodeBudgetExceeded, QdcConfig, QdpConfig,
+                     QmfConfig, balanced_alpha, binary_entropy,
+                     build_crossing_matrix, count_restricted_crossings,
+                     count_two_level_crossings, dc_max_depth, dc_node_count,
+                     dp_table_entries, fit_exponent_base, fpt_crossover_k,
+                     gamma, qdc_cost_model, qdp_cost_model, qmf,
+                     solve_bruteforce, solve_dc, solve_dp, solve_osscm,
+                     solve_qdc, solve_qdp, solve_tlcm, solve_tlcm_bruteforce)
+
+from instances import random_instance
 
 EDGE_PROBS = (0.2, 0.5, 0.8)
-
-
-def random_instance(rng, n_u, n_v, p):
-    edges = tuple((u, v) for u in range(n_u) for v in range(n_v)
-                  if rng.random() < p)
-    return BipartiteInstance(n_u, n_v, edges)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -110,8 +105,8 @@ def test_criterion_5_ledger_exactness():
         _, qdc_ledger = solve_qdc(inst, qdc_cfg)
         assert qdc_ledger.oracle_calls == qdc_cost_model(n_v, qdc_cfg)
 
-        qdp_cfg = QdpConfig(alpha=alphas[n_v % 3], qmf_cfg=QmfConfig(
-            call_constant=constants[(n_v + 1) % 3]))
+        qdp_cfg = QdpConfig(alpha=alphas[n_v % 3],
+                            call_constant=constants[(n_v + 1) % 3])
         _, qdp_ledger = solve_qdp(inst, qdp_cfg)
         assert (qdp_ledger.recurrence_evals, qdp_ledger.oracle_calls) \
             == qdp_cost_model(n_v, qdp_cfg)

@@ -8,21 +8,12 @@ from oscmlab import (BipartiteInstance, InstanceParseError, count_crossings,
                      parse_instance_text, save_instance)
 from oscmlab.bigraph import check_ordering
 
+from instances import random_instance
+
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 CROSS_PAIR = BipartiteInstance(2, 2, ((0, 1), (1, 0)))
 
 SEEDS = [11, 23, 37, 59, 71, 97, 113, 131]
-
-
-def random_instance(rng, n_u, n_v, p, h=1):
-    edges, colors = [], []
-    for u in range(n_u):
-        for v in range(n_v):
-            for c in range(h):
-                if rng.random() < p:
-                    edges.append((u, v))
-                    colors.append(c)
-    return BipartiteInstance(n_u, n_v, tuple(edges), tuple(colors), h)
 
 
 @pytest.mark.parametrize("ordering,expected", [((0, 1), 1), ((1, 0), 1)])

@@ -7,15 +7,11 @@ from oscmlab import (BipartiteInstance, DcConfig, NodeBudgetExceeded,
                      count_crossings, dc_max_depth, dc_node_count,
                      solve_bruteforce, solve_dc, solve_dp)
 
+from instances import random_instance
+
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 SEEDS = [5, 16, 28, 39, 52, 66, 85, 99]
-
-
-def random_instance(rng, n_u, n_v, p):
-    edges = tuple((u, v) for u in range(n_u) for v in range(n_v)
-                  if rng.random() < p)
-    return BipartiteInstance(n_u, n_v, edges)
 
 
 def node_recurrence(k, base):

@@ -10,16 +10,12 @@ from oscmlab import (BipartiteInstance, SizeLimitError, count_crossings,
                      solve_dp)
 from oscmlab import dp
 
+from instances import random_instance
+
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 CROSS_PAIR = BipartiteInstance(2, 2, ((0, 1), (1, 0)))
 
 SEEDS = [2, 13, 27, 44, 58, 72, 91, 109, 125, 140]
-
-
-def random_instance(rng, n_u, n_v, p):
-    edges = tuple((u, v) for u in range(n_u) for v in range(n_v)
-                  if rng.random() < p)
-    return BipartiteInstance(n_u, n_v, edges)
 
 
 def test_k22():

@@ -3,13 +3,15 @@ from math import factorial
 
 import pytest
 
-from oscmlab import (BipartiteInstance, DcConfig, OracleLimit, QdcConfig,
-                     QdpConfig, QmfConfig, SizeLimitError, TlcmConfig,
+from oscmlab import (BipartiteInstance, DcConfig, QdcConfig, QdpConfig,
+                     SizeLimitError, TlcmConfig,
                      cost_model_calls, count_same_color_crossings,
                      count_two_level_crossings, dp_recurrence_count,
                      qdp_cost_model, solve_dp, solve_osscm,
                      solve_osscm_bruteforce, solve_qdp, solve_tlcm,
                      solve_tlcm_bruteforce, transpose_instance)
+
+from instances import random_instance
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 CROSS_PAIR = BipartiteInstance(2, 2, ((0, 1), (1, 0)))
@@ -26,17 +28,6 @@ CROSS_COLOR = BipartiteInstance(2, 2, ((0, 1), (1, 0)), (0, 1), 2)
 SEEDS = [2, 13, 26, 38, 47, 61, 79, 94]
 
 ALGOS = ["bruteforce", "dp", "dc", "qdp", "qdc"]
-
-
-def random_instance(rng, n_u, n_v, p, colors=1):
-    edges, cols = [], []
-    for u in range(n_u):
-        for v in range(n_v):
-            for color in range(colors):
-                if rng.random() < p:
-                    edges.append((u, v))
-                    cols.append(color)
-    return BipartiteInstance(n_u, n_v, tuple(edges), tuple(cols), colors)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
@@ -67,7 +58,7 @@ def test_single_color_reduces_to_plain_objective(seed):
 def test_colored_solvers_agree(seed, algo):
     rng = random.Random(seed)
     inst = random_instance(rng, rng.randint(1, 4), rng.randint(1, 6), 0.4,
-                           colors=3)
+                           h=3)
     sol, _ = solve_osscm(inst, algo)
     best = solve_osscm_bruteforce(inst)
     assert sol.crossings == best.crossings
@@ -86,6 +77,18 @@ def test_osscm_accepts_solver_configs():
     assert sol.crossings == 2
     sol, _ = solve_osscm(TWO_BLOCKS, "qdc", QdcConfig(base_size=1))
     assert sol.crossings == 2
+
+
+@pytest.mark.parametrize("algo,cfg", [
+    ("bruteforce", DcConfig()), ("dp", DcConfig(base_size=3)),
+    ("dp", QdpConfig()), ("dc", QdcConfig()), ("qdc", DcConfig()),
+    ("qdp", QdcConfig()), ("qdc", QdpConfig()),
+])
+def test_osscm_rejects_a_config_its_solver_would_not_read(algo, cfg):
+    """QdcConfig subclasses DcConfig, but dc reads none of its own fields,
+    so the check is on the exact class."""
+    with pytest.raises(ValueError, match=f"'{algo}'.*{type(cfg).__name__}"):
+        solve_osscm(TWO_BLOCKS, algo, cfg)
 
 
 def test_osscm_rejects_unknown_algo():
@@ -171,7 +174,7 @@ def test_tlcm_enumerates_smaller_layer():
     assert ledger.meta["transposed"] is True
     assert ledger.meta["enumerated_side"] == 3
     assert (len(u_order), len(sol.ordering)) == (5, 3)
-    _, brute_sol = solve_tlcm_bruteforce(inst, OracleLimit(max_nu_tlcm=6))
+    _, brute_sol = solve_tlcm_bruteforce(inst)
     assert sol.crossings == brute_sol.crossings
     assert count_two_level_crossings(inst, u_order, sol.ordering) \
         == sol.crossings
@@ -190,10 +193,12 @@ def test_tlcm_rejects_color_conflicts():
 
 
 def test_tlcm_size_limits():
-    with pytest.raises(SizeLimitError):
+    """The enumerated layer is capped at oracle.MAX_NU_TLCM = 6, whichever
+    layer it is; both refusals come before any enumeration."""
+    with pytest.raises(SizeLimitError, match="cap is 6"):
         solve_tlcm(BipartiteInstance(7, 7))
-    with pytest.raises(SizeLimitError):
-        solve_tlcm(BipartiteInstance(4, 4), limit=OracleLimit(max_nu_tlcm=3))
+    with pytest.raises(SizeLimitError, match="cap is 6"):
+        solve_tlcm(BipartiteInstance(8, 7))
 
 
 def test_tlcm_config_validation():
@@ -201,9 +206,14 @@ def test_tlcm_config_validation():
         TlcmConfig(inner_algo="dc")
 
 
-def test_tlcm_rejects_a_sampled_outer_search():
-    with pytest.raises(ValueError, match="cost_model"):
-        TlcmConfig(qmf_cfg=QmfConfig(mode="state_vector"))
+def test_tlcm_rejects_settings_it_would_not_read():
+    """The outer search is charged, never sampled, so its one setting is a
+    positive call constant; a qdp config needs a qdp inner solver."""
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="call_constant"):
+            TlcmConfig(call_constant=c)
+    with pytest.raises(ValueError, match="inner_algo 'qdp'"):
+        TlcmConfig("dp", qdp=QdpConfig())
 
 
 def test_tlcm_charges_one_inner_ledger_per_outer_call():
@@ -212,9 +222,9 @@ def test_tlcm_charges_one_inner_ledger_per_outer_call():
     search levels and a non-default call constant."""
     rng = random.Random(11)
     inst = random_instance(rng, 4, 13, 0.4)
-    qmf_cfg = QmfConfig(call_constant=2.0)
-    qdp_cfg = QdpConfig(alpha=0.4, qmf_cfg=qmf_cfg)
-    _, _, ledger = solve_tlcm(inst, TlcmConfig("qdp", qmf_cfg, qdp_cfg))
+    qdp_cfg = QdpConfig(alpha=0.4, call_constant=2.0)
+    _, _, ledger = solve_tlcm(inst, TlcmConfig("qdp", call_constant=2.0,
+                                               qdp=qdp_cfg))
     _, inner = solve_qdp(inst, qdp_cfg)
     assert inner.oracle_calls > 0
     outer = cost_model_calls(factorial(4), 2.0)

@@ -7,21 +7,12 @@ from oscmlab import (BipartiteInstance, build_crossing_matrix, count_crossings,
                      count_restricted_crossings, count_same_color_crossings,
                      gamma, ordering_cost)
 
+from instances import random_instance
+
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 CROSS_PAIR = BipartiteInstance(2, 2, ((0, 1), (1, 0)))
 
 SEEDS = [3, 17, 29, 41, 53, 67, 83, 101]
-
-
-def random_instance(rng, n_u, n_v, p, h=1):
-    edges, colors = [], []
-    for u in range(n_u):
-        for v in range(n_v):
-            for c in range(h):
-                if rng.random() < p:
-                    edges.append((u, v))
-                    colors.append(c)
-    return BipartiteInstance(n_u, n_v, tuple(edges), tuple(colors), h)
 
 
 def test_k22_entries():

@@ -7,29 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscmlab import (BipartiteInstance, OracleLimit, SizeLimitError, Solution,
+from oscmlab import (BipartiteInstance, SizeLimitError, Solution,
                      count_crossings, count_same_color_crossings,
                      count_two_level_crossings, orderings_scanned,
                      solve_bruteforce, solve_osscm_bruteforce,
                      solve_tlcm_bruteforce)
 import oscmlab
-from oscmlab.oracle import _perm_tables
+from oscmlab.oracle import MAX_NU_TLCM, MAX_NV, _perm_tables
+
+from instances import random_instance
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 CROSS_PAIR = BipartiteInstance(2, 2, ((0, 1), (1, 0)))
 
 SEEDS = [7, 19, 31, 43, 61, 79, 103, 127]
-
-
-def random_instance(rng, n_u, n_v, p, h=1):
-    edges, colors = [], []
-    for u in range(n_u):
-        for v in range(n_v):
-            for c in range(h):
-                if rng.random() < p:
-                    edges.append((u, v))
-                    colors.append(c)
-    return BipartiteInstance(n_u, n_v, tuple(edges), tuple(colors), h)
 
 
 def scalar_best(inst, counter):
@@ -76,10 +67,13 @@ def test_matches_scalar_reference(seed):
 
 
 def test_size_limit():
-    with pytest.raises(SizeLimitError):
-        solve_bruteforce(BipartiteInstance(1, 11))
-    with pytest.raises(SizeLimitError):
-        solve_bruteforce(BipartiteInstance(1, 5), OracleLimit(max_nv=4))
+    """The caps are the module constants; each scan refuses n_v = 11
+    before it enumerates anything."""
+    assert (MAX_NV, MAX_NU_TLCM) == (10, 6)
+    for solve in (solve_bruteforce, solve_osscm_bruteforce,
+                  solve_tlcm_bruteforce):
+        with pytest.raises(SizeLimitError, match="oracle limit 10"):
+            solve(BipartiteInstance(1, 11))
     assert solve_bruteforce(BipartiteInstance(1, 5)).crossings == 0
 
 

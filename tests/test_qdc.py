@@ -9,16 +9,12 @@ from oscmlab import (BipartiteInstance, NodeBudgetExceeded, QdcConfig,
                      extract_ordering, qdc_cost_model, solve_bruteforce,
                      solve_dc, solve_dp, solve_qdc, split_trace)
 
+from instances import random_instance
+
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 CROSS_PAIR = BipartiteInstance(2, 2, ((0, 1), (1, 0)))
 
 SEEDS = [7, 19, 31, 44, 58, 71, 86, 93]
-
-
-def random_instance(rng, n_u, n_v, p):
-    edges = tuple((u, v) for u in range(n_u) for v in range(n_v)
-                  if rng.random() < p)
-    return BipartiteInstance(n_u, n_v, edges)
 
 
 def charge_recurrence(k, base, c=1.0):
@@ -230,6 +226,49 @@ def test_extract_rejects_incomplete_cover():
                   leaves={"0,0": [1, 0]})
     with pytest.raises(ValueError, match="every vertex"):
         extract_ordering(short)
+
+
+def test_extract_takes_sizes_from_the_members():
+    # The "sizes" entries claim a 2 + 1 split of a root whose members split
+    # 1 + 2, so the members show the split unbalanced.
+    lying = trace(3, 1,
+                  nodes={"0,0": [0, 1, 2], "1,0": [0], "1,1": [1, 2],
+                         "2,2": [1], "2,3": [2]},
+                  sizes={"0,0": 3, "1,0": 2, "1,1": 1, "2,2": 1, "2,3": 1},
+                  leaves={"1,0": [0], "2,2": [1], "2,3": [2]})
+    with pytest.raises(ValueError, match="unbalanced split at 0,0"):
+        extract_ordering(lying)
+    miscounted = two_leaf_trace()
+    miscounted["sizes"]["0,0"] = 3
+    with pytest.raises(ValueError, match="size of node 0,0"):
+        extract_ordering(miscounted)
+
+
+def test_extract_makes_leaves_exactly_the_small_nodes():
+    # With base 1, a two-vertex leaf must be split instead.
+    big_leaf = trace(3, 1,
+                     nodes={"0,0": [0, 1, 2], "1,0": [0, 1], "1,1": [2]},
+                     sizes={"0,0": 3, "1,0": 2, "1,1": 1},
+                     leaves={"1,0": [1, 0], "1,1": [2]})
+    with pytest.raises(ValueError, match="node 1,0 is a leaf iff"):
+        extract_ordering(big_leaf)
+    # With base 2, a two-vertex node must be a leaf, not split.
+    split_small = two_leaf_trace()
+    split_small["base_size"] = 2
+    with pytest.raises(ValueError, match="node 0,0 is a leaf iff"):
+        extract_ordering(split_small)
+
+
+@pytest.mark.parametrize("field", ["n_v", "base_size", "nodes", "sizes",
+                                   "leaves", "sizes 1,1"])
+def test_extract_rejects_a_missing_entry(field):
+    broken = two_leaf_trace()
+    if field == "sizes 1,1":
+        del broken["sizes"]["1,1"]
+    else:
+        del broken[field]
+    with pytest.raises(ValueError):
+        extract_ordering(broken)
 
 
 def test_extract_rejects_wrong_size_argument():

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from oscmlab import (BipartiteInstance, QdpConfig, QmfConfig, SizeLimitError,
+from oscmlab import (BipartiteInstance, QdpConfig, SizeLimitError,
                      count_crossings, qdp_cost_model, solve_dp, solve_qdp,
                      table_threshold)
+
+from instances import random_instance
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 
@@ -16,12 +18,6 @@ SEEDS = [6, 18, 30, 42, 54, 68, 82, 96]
 # Outputs recorded from the dict-table solver with one memoized recursive
 # call per candidate split, which the layer kernels replaced.
 GOLDEN = json.loads(Path(__file__).with_name("qdp_golden.json").read_text())
-
-
-def random_instance(rng, n_u, n_v, p):
-    edges = tuple((u, v) for u in range(n_u) for v in range(n_v)
-                  if rng.random() < p)
-    return BipartiteInstance(n_u, n_v, edges)
 
 
 def test_threshold_examples():
@@ -165,9 +161,10 @@ def test_validation():
         solve_qdp(BipartiteInstance(1, 65))
 
 
-def test_rejects_a_sampled_search_mode():
-    """solve_qdp charges its searches and samples none, so a state-vector
-    qmf config would be silently ignored; it is rejected instead."""
-    with pytest.raises(ValueError, match="cost_model"):
-        QdpConfig(qmf_cfg=QmfConfig(mode="state_vector"))
-    assert QdpConfig(qmf_cfg=QmfConfig(call_constant=2.0)).qmf_cfg.call_constant == 2.0
+def test_rejects_a_nonpositive_call_constant():
+    """solve_qdp charges its searches and samples none, so its one search
+    setting is the call constant, which must be positive."""
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="call_constant"):
+            QdpConfig(call_constant=c)
+    assert QdpConfig(call_constant=2.0).call_constant == 2.0

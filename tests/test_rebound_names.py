@@ -13,17 +13,12 @@ from math import ceil, comb
 
 import pytest
 
-from oscmlab import (BipartiteInstance, QdcConfig, QmfConfig, solve_osscm,
-                     solve_qdc)
+from oscmlab import QdcConfig, QmfConfig, solve_osscm, solve_qdc
 import oscmlab.qdc
 
+from instances import random_instance
+
 SOLVERS = ("dp", "dc", "qdp", "qdc")
-
-
-def random_instance(rng, n_u, n_v, p):
-    edges = tuple((u, v) for u in range(n_u) for v in range(n_v)
-                  if rng.random() < p)
-    return BipartiteInstance(n_u, n_v, edges)
 
 
 def searches(k, base_size=2):

@@ -18,20 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscmlab import (BipartiteInstance, DcConfig, NodeBudgetExceeded,
-                     QdcConfig, QmfConfig, count_crossings, solve_dc,
-                     solve_dp, solve_qdc, split_trace)
+from oscmlab import (DcConfig, NodeBudgetExceeded, QdcConfig, QmfConfig,
+                     count_crossings, solve_dc, solve_dp, solve_qdc,
+                     split_trace)
 from oscmlab.dc import split_min
 from oscmlab.ledger import CostLedger
 
+from instances import random_instance
+
 GOLDEN = json.loads(
     Path(__file__).with_name("split_recursion_golden.json").read_text())
-
-
-def random_instance(rng, n_u, n_v, p):
-    edges = tuple((u, v) for u in range(n_u) for v in range(n_v)
-                  if rng.random() < p)
-    return BipartiteInstance(n_u, n_v, edges)
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: f"n{case['n_v']}")
