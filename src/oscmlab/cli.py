@@ -8,7 +8,8 @@ with --verify it recounts every reported ordering through bigraph and
 checks the optimum against the brute-force oracle of the objective. A
 count-only state-vector qdc solve whose sampled root search missed the
 optimum adds a warning line on stderr. bench times the same dispatch and
-takes its cost columns from the closed-form models.
+takes its cost columns from the closed-form models; a timed row whose
+measured ledger differs from them stops it with exit code 4.
 
 Exit codes: 0 ok, 2 parse/usage error, 3 size limit, 4 verification
 mismatch. The OSCM_SEED environment variable overrides the default seed
@@ -202,11 +203,13 @@ def cmd_gen(args) -> int:
 
 
 # Closed-form (classical_cost, oracle_calls) of one bench row.
+# Per algo: the closed-form (classical_cost, oracle_calls) of a bench row
+# and the ledger counter that its classical column counts.
 _BENCH_MODELS = {
-    "dp": lambda n, cfg: (dp_recurrence_count(n), 0),
-    "dc": lambda n, cfg: (dc_node_count(n, cfg.base_size), 0),
-    "qdp": qdp_cost_model,
-    "qdc": lambda n, cfg: (0, qdc_cost_model(n, cfg)),
+    "dp": (lambda n, cfg: (dp_recurrence_count(n), 0), "recurrence_evals"),
+    "dc": (lambda n, cfg: (dc_node_count(n, cfg.base_size), 0), "nodes"),
+    "qdp": (qdp_cost_model, "recurrence_evals"),
+    "qdc": (lambda n, cfg: (0, qdc_cost_model(n, cfg)), "recurrence_evals"),
 }
 
 
@@ -217,15 +220,22 @@ def cmd_bench(args) -> int:
         raise SizeLimitError("bench range exceeds the n_v <= 64 solver limit")
     seed = _resolve_seed(args.seed)
     cfg = _solver_config(args, seed)
+    model, counter = _BENCH_MODELS[args.algo]
     lines = ["algo,n,classical_cost,oracle_calls,wall_ms"]
     for n in range(args.n_min, args.n_max + 1):
-        classical, oracle = _BENCH_MODELS[args.algo](n, cfg)
+        classical, oracle = model(n, cfg)
         wall = 0.0
         if n <= _WALL_CAPS[args.algo]:
             inst = random_instance(GenSpec(5, n, 0.4, 1, seed + n))
             start = perf_counter()
-            solve_osscm(inst, args.algo, cfg)
+            _, ledger = solve_osscm(inst, args.algo, cfg)
             wall = (perf_counter() - start) * 1000.0
+            measured = (getattr(ledger, counter), ledger.oracle_calls)
+            if measured != (classical, oracle):
+                print(f"error: {args.algo} at n={n} counted (classical_cost, "
+                      f"oracle_calls) {measured}, the model {(classical, oracle)}",
+                      file=sys.stderr)
+                return 4
         lines.append(f"{args.algo},{n},{classical},{oracle},{wall:.3f}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -150,7 +150,13 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     exact value, so the ordering (W's ordering, then the rest's) comes out
     of the same pass. The charge is calls * (W's charge + the rest's
     charge + 1), with both children's charges taken from the last
-    candidate searched.
+    candidate searched. That rule is a modelling choice. Under cost-model
+    searches every candidate's children charge the same, so any candidate
+    gives the same total. Under sampled (state-vector) searches each
+    child's charge is random, and the rule takes the last candidate's as
+    the charge of every call rather than, say, averaging over the
+    candidates. tests/split_recursion_golden.json pins the sampled charges
+    this rule gives.
 
     Returns the root's tuple once its ordering recounts to the exact value
     (else AssertionError), with the SpaceMeter's peak and depth in

@@ -10,16 +10,25 @@ with OPT of singletons 0: exactly n_v * 2^(n_v - 1) - n_v recurrence
 evaluations (every (S, w) pair with |S| >= 2).
 
 The table is kept one subset-size layer at a time. A layer holds every
-subset of one size as a row of ascending members in combinatorial-number-
-system (colex) order: the subset x_0 < x_1 < ... sits in row
-sum_i C(x_i, i + 1), its rank, so reading a smaller subset's optimum is an
-array gather. Each layer is evaluated from the one below, carrying the
-column sums sum_{v in S} c[v][w] of every subset for every w. qdp's phase
-1 runs the same kernel up to its threshold.
+subset of one size by its rank in the combinatorial number system (colex
+order): the subset x_0 < x_1 < ... has rank sum_i C(x_i, i + 1), so reading
+a smaller subset's optimum is an array gather. Each layer is grown from the
+one below together with three position-major (s, C(n_v, s)) arrays, one
+column per subset: its members, the rank of the subset without each
+member, and each member's column sum sum_{v in S} c[v][x_j]. The subsets
+whose top member is x are x added to each subset of range(x) one size
+down, and those are a prefix of the layer below, in order; so a layer's
+arrays are that prefix's arrays plus x's terms. qdp's phase 1 runs the
+same kernel up to its threshold.
 
-Space: 2^n_v optimum and choice entries, plus the column sums of two
-adjacent layers (at most 2 * C(n_v, n_v / 2) * n_v values). Member rows
-depend on n_v and the size alone and are cached across solves.
+Values are kept in the narrowest of int16/int32/int64 that holds c.sum(),
+which bounds every optimum, Sym and candidate value.
+
+Space: 2^n_v optima and choices, plus the three (s, C(n_v, s)) arrays of
+two adjacent layers: members as int8, ranks as int32 and sums in the value
+dtype, 7 bytes per entry with int16 values. Nothing sized by the layers
+outlives a solve; the index arrays _gathered caches are under 0.3 MB per
+n_v.
 """
 
 from __future__ import annotations
@@ -36,11 +45,13 @@ from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix
 
-# Time and space double with each vertex: n_v = 23 takes ~5.6 s and peaks
-# at ~0.32 GB, plus ~0.1 GB of member rows cached by the first call.
+# Time and space double with each vertex: n_v = 23 (8 fixed vertices, edge
+# probability 0.5) takes ~1.4 s on a 2-vCPU Xeon VM and peaks at ~0.24 GB
+# under tracemalloc; only index arrays under 0.3 MB stay cached.
 _PRACTICAL_MAX_NV = 23
 
-_CHUNK = 1 << 14  # values per row-chunk array (128 KiB of int64)
+_CHUNK = 1 << 14  # values per candidate array
+_SLICED = 1 << 9  # rests from which a top's columns are copied as slices
 
 
 @lru_cache(maxsize=16)
@@ -48,23 +59,6 @@ def _binomials(n):
     """C(x, i) at [i, x] for 0 <= i <= n + 1 and 0 <= x < n."""
     return np.array([[comb(x, i) for x in range(n)] for i in range(n + 2)],
                     dtype=np.int64)
-
-
-@lru_cache(maxsize=64)
-def _layer(n, s):
-    """Every s-subset of range(n) as a row of ascending members; row = rank.
-
-    The subsets with top member x take rows C(x, s) on; the rest of each is
-    one of the first C(x, s - 1) rows of the layer below, in order.
-    """
-    if s == 0:
-        return np.zeros((1, 0), np.int8)
-    binom = _binomials(n)
-    top = np.repeat(np.arange(s - 1, n, dtype=np.int8), binom[s - 1, s - 1:])
-    rest = _layer(n, s - 1)[np.arange(len(top)) - binom[s, top]]
-    members = np.column_stack((rest, top))
-    members.setflags(write=False)
-    return members
 
 
 def _rank(members) -> int:
@@ -83,62 +77,104 @@ class _Layer(NamedTuple):
     choice: np.ndarray
 
 
-def _by_chunks(members, step, kernel, choice_dtype=np.int64):
-    """One _Layer from kernel(lo, rows) -> (opt, sym, choice) over chunks of
-    at most step member rows, lo being the rank of the first."""
-    count = len(members)
-    layer = _Layer(np.empty(count, np.int64), np.empty(count, np.int64),
-                   np.empty(count, choice_dtype))
+class _Rows(NamedTuple):
+    """A table layer's (s, C(n, s)) arrays, column = rank: members[j] is
+    the j-th smallest member, ranks[j] the rank of the subset without it
+    and sums[j] its column sum sum_{v in S} c[v][x_j]."""
+
+    members: np.ndarray
+    ranks: np.ndarray
+    sums: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _gathered(n, s):
+    """Index arrays for the columns _grow gathers at once: the s-subsets
+    of range(n) whose top member x has fewer than _SLICED rests (C(x, s - 1)
+    subsets one size down), which come first in rank order. Returns
+    (first, top, rest, C(top, s - 1), top * n): the first top past them,
+    then per column its top, its rest's rank and the top's terms. For n up
+    to 23 that is at most 1820 columns for one size and 11210 for all.
+    """
+    binom = _binomials(n)
+    first = next((x for x in range(s - 1, n) if comb(x, s - 1) >= _SLICED), n)
+    top = np.repeat(np.arange(first), binom[s - 1, :first])
+    arrays = (top.astype(np.int8), np.arange(len(top)) - binom[s].take(top),
+              binom[s - 1].take(top), top * n)
+    for array in arrays:
+        array.setflags(write=False)
+    return (first, *arrays)
+
+
+def _grow(pair, n, s, below, rows):
+    """Layer s and its rows from layer s - 1 and its rows.
+
+    The s-subsets with top member x take ranks C(x, s) on, in the order of
+    their rests, the first C(x, s - 1) subsets of the layer below. Adding x
+    adds C(x, s - 1) to the rank of the subset without each earlier member
+    x_j and c[x][x_j] to x_j's column sum; x's own row is the rest's rank
+    and sum_j c[x_j][x]. pair[x, v] holds (c[x][v], c[v][x]).
+    """
+    count = comb(n, s)
+    grown = _Rows(*(np.empty((s, count), a.dtype) for a in rows))
+    step = max(1, _CHUNK // s)
+
+    def pieces():
+        """(columns, top, rest ranks, rank offsets, rests, pair terms): the
+        gathered tops at once, then each later top, whose rests are a
+        prefix of the layer below, as slices."""
+        first, top, rest, offset, base = _gathered(n, s)
+        rests = _Rows(*(a.take(rest, axis=1) for a in rows))
+        yield (slice(0, len(rest)), top, rest, offset, rests,
+               pair.take(base + rests.members))
+        for x in range(first, n):
+            lo, size = comb(x, s), comb(x, s - 1)
+            for start in range(0, size, step):
+                stop = min(start + step, size)
+                rests = _Rows(*(a[:, start:stop] for a in rows))
+                yield (slice(lo + start, lo + stop), x, np.arange(start, stop),
+                       size, rests, pair[x].take(rests.members))
+
+    for at, top, rest, offset, rests, terms in pieces():
+        grown.members[:-1, at] = rests.members
+        grown.members[-1, at] = top
+        np.add(rests.ranks, offset, out=grown.ranks[:-1, at])
+        grown.ranks[-1, at] = rest
+        np.add(rests.sums, terms["row"], out=grown.sums[:-1, at])
+        terms["col"].sum(axis=0, out=grown.sums[-1, at])
+
+    layer = _Layer(np.empty(count, below.opt.dtype),
+                   grown.sums.sum(axis=0, dtype=below.opt.dtype),
+                   np.empty(count, np.int8))
     for lo in range(0, count, step):
         at = slice(lo, lo + step)
-        layer.opt[at], layer.sym[at], layer.choice[at] = kernel(lo, members[at])
-    return layer
-
-
-def _grow(c, n, s, below, below_sums):
-    """Layer s and its column sums from layer s - 1 and its column sums.
-
-    Removing the member at position j from a subset of rank r leaves the
-    rank r - C(x_j, j + 1) - sum_{i > j} (C(x_i, i + 1) - C(x_i, i)):
-    the members after it move down one position.
-    """
-    members = _layer(n, s)
-    binom = _binomials(n).ravel()  # C(x, i) at i * n + x
-    row_start = np.arange(0, s * n, n)
-    sums = np.empty((len(members), n), below_sums.dtype)
-
-    def kernel(lo, rows):
-        rank = np.arange(lo, lo + len(rows))
-        top = rows[:, -1]
-        np.add(below_sums[rank - binom[s * n:].take(top)], c[top],
-               out=sums[lo:lo + len(rows)])
-        into = sums.take(rows + rank[:, None] * n)  # includes c[w][w] = 0
-        index = rows + row_start
-        own = binom[n:].take(index)
-        removal = (own - binom.take(index)).cumsum(axis=1)
-        removal += (rank - removal[:, -1])[:, None] - own
-        vals = below.opt.take(removal)
-        vals += into
-        choice = vals.argmin(axis=1)
-        opt = vals.take(np.arange(0, vals.size, s) + choice)
-        return opt, into.sum(axis=1), choice
-
-    return _by_chunks(members, max(1, _CHUNK // n), kernel, np.int8), sums
+        vals = below.opt.take(grown.ranks[:, at])
+        vals += grown.sums[:, at]
+        layer.choice[at] = vals.argmin(axis=0)
+        layer.opt[at] = vals.min(axis=0)
+    return layer, grown
 
 
 def subset_layers(c, n, top):
     """Yield the table layers of sizes 0..top for the n x n crossing matrix
     c: OPT(S) = min_w OPT(S \\ w) + sum_{v in S} c[v][w] for every s-subset
     S, the choice being w's position among the members (ties keep the
-    smallest w). A subset's column sums are those of S without its top
-    member plus that member's row of c; only the newest layer's are kept."""
-    c = c.astype(np.int64 if int(c.sum()) * n >= 2 ** 31 else np.int32)
-    yield _Layer(*np.zeros((3, 1), np.int64))  # the empty set
-    if top:  # a singleton costs 0, and its column sums are its row of c
-        layer, sums = _Layer(*np.zeros((3, n), np.int64)), c
+    smallest w). Values are in the narrowest of int16/int32/int64 that
+    holds c.sum(), a bound on every value computed."""
+    total = int(c.sum())
+    dtype = next(t for t in (np.int16, np.int32, np.int64)
+                 if total <= np.iinfo(t).max)
+    pair = np.empty((n, n), [("row", dtype), ("col", dtype)])
+    pair["row"], pair["col"] = c, c.T
+    ranks = np.int32 if comb(n, n // 2) < 2 ** 31 else np.int64
+    yield _Layer(np.zeros(1, dtype), np.zeros(1, dtype), np.zeros(1, np.int8))
+    if top:  # a singleton costs 0; its rest is the empty set, rank 0
+        layer = _Layer(np.zeros(n, dtype), np.zeros(n, dtype), np.zeros(n, np.int8))
+        rows = _Rows(np.arange(n, dtype=np.int8)[None], np.zeros((1, n), ranks),
+                     np.zeros((1, n), dtype))
         yield layer
     for s in range(2, top + 1):
-        layer, sums = _grow(c, n, s, layer, sums)
+        layer, rows = _grow(pair, n, s, layer, rows)
         yield layer
 
 

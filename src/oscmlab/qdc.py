@@ -79,6 +79,15 @@ def extract_ordering(trace: dict, n_v: int = None) -> tuple:
     if not {"n_v", "base_size", "nodes", "sizes", "leaves"} <= trace.keys():
         raise ValueError("trace lacks one of n_v, base_size, nodes, sizes, leaves")
     nodes, sizes, leaves = trace["nodes"], trace["sizes"], trace["leaves"]
+    if not all(type(trace[key]) is int for key in ("n_v", "base_size")):
+        raise ValueError("trace n_v and base_size must be integers")
+    if not all(isinstance(table, dict) for table in (nodes, sizes, leaves)):
+        raise ValueError("trace nodes, sizes and leaves must be objects")
+    for kind, table in (("node", nodes), ("leaf", leaves)):
+        for key, entry in table.items():
+            if (not isinstance(entry, (list, tuple))
+                    or not all(type(v) is int for v in entry)):
+                raise ValueError(f"{kind} {key} is not a list of vertices")
     if n_v is not None and n_v != trace["n_v"]:
         raise ValueError(f"trace covers {trace['n_v']} vertices, expected {n_v}")
     if "0,0" not in nodes or list(nodes["0,0"]) != list(range(trace["n_v"])):

@@ -62,8 +62,7 @@ from math import ceil, comb
 import numpy as np
 
 from .bigraph import BipartiteInstance, Solution
-from .dp import (_CHUNK, _binomials, _by_chunks, _layer, _peel, _rank,
-                 subset_layers)
+from .dp import _CHUNK, _Layer, _binomials, _peel, _rank, subset_layers
 from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix
@@ -120,6 +119,23 @@ def qdp_cost_model(n_v: int, cfg: QdpConfig = None):
 
 
 @lru_cache(maxsize=64)
+def _layer(n, s):
+    """Every s-subset of range(n) as a row of ascending members; row = rank.
+
+    The subsets with top member x take rows C(x, s) on; the rest of each is
+    one of the first C(x, s - 1) rows of the layer below, in order.
+    """
+    if s == 0:
+        return np.zeros((1, 0), np.int8)
+    binom = _binomials(n)
+    top = np.repeat(np.arange(s - 1, n, dtype=np.int8), binom[s - 1, s - 1:])
+    rest = _layer(n, s - 1)[np.arange(len(top)) - binom[s, top]]
+    members = np.column_stack((rest, top))
+    members.setflags(write=False)
+    return members
+
+
+@lru_cache(maxsize=64)
 def _splits(s, k):
     """Member positions of W and of the rest for every split of an s-subset,
     W running over the k-combinations of range(s) in lexicographic order
@@ -142,22 +158,37 @@ def _sum_at(tables, positions):
     return total
 
 
+def _by_chunks(members, step, kernel, dtype):
+    """One _Layer from kernel(rows) -> (opt, sym, choice) over chunks of at
+    most step member rows, values in dtype."""
+    count = len(members)
+    layer = _Layer(np.empty(count, dtype), np.empty(count, dtype),
+                   np.empty(count, np.int64))
+    for lo in range(0, count, step):
+        at = slice(lo, lo + step)
+        layer.opt[at], layer.sym[at], layer.choice[at] = kernel(members[at])
+    return layer
+
+
 def _search_layer(c, n, s, k, w_side, rest_side):
     """Best split of every s-subset into a k-subset W and the rest; ties
-    keep the first split."""
+    keep the first split. c is the flattened crossing matrix in the
+    tables' value dtype, which holds every value of a split."""
     picks, rest = _splits(s, k)
     binom = _binomials(n)[1:max(k, s - k) + 1]
     w_value = w_side.opt - w_side.sym
 
-    def kernel(lo, rows):
-        rho = c[rows[:, :, None], rows[:, None, :]].sum(axis=2)
+    def kernel(rows):
+        pairs = rows[:, :, None] * np.intp(n) + rows[:, None, :]
+        rho = c.take(pairs).sum(axis=2, dtype=c.dtype)
         terms = [column[rows] for column in binom]  # C(member, i + 1)
         vals = _sum_at([rho] * k, picks)
         vals += w_value[_sum_at(terms, picks)]
         vals += rest_side.opt[_sum_at(terms, rest)]
         return vals.min(axis=1), rho.sum(axis=1), vals.argmin(axis=1)
 
-    return _by_chunks(_layer(n, s), max(1, _CHUNK // picks.shape[1]), kernel)
+    return _by_chunks(_layer(n, s), max(1, _CHUNK // picks.shape[1]), kernel,
+                      c.dtype)
 
 
 def _search_plan(n, t, k3):
@@ -226,10 +257,11 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
     # Each charged query at a level carries one search on its W side, whose
     # charge the smaller size has already composed.
     plan = _search_plan(n, t, ceil(cfg.alpha * n / 4.0))
+    flat = c.astype(layers[0].opt.dtype).ravel()
     charge = {}
     for s in sorted(plan):
         k = plan[s]
-        layers[s] = _search_layer(c, n, s, k, layers[k], layers[s - k])
+        layers[s] = _search_layer(flat, n, s, k, layers[k], layers[s - k])
         ledger.table_reads += (len(layers[s].opt) * comb(s, k)
                                * ((k <= t) + (s - k <= t)))
         charge[s] = (cost_model_calls(comb(s, k), cfg.call_constant)

@@ -437,6 +437,28 @@ def test_bench_qdp_beyond_wall_cap(capsys):
     assert [r[4] for r in rows[1:]] == ["0.000", "0.000"]
 
 
+@pytest.mark.parametrize("algo,counter", [("dp", "recurrence_evals"),
+                                         ("dc", "nodes"),
+                                         ("qdp", "oracle_calls"),
+                                         ("qdc", "oracle_calls")])
+def test_bench_exits_four_when_a_ledger_leaves_its_model(capsys, monkeypatch,
+                                                        algo, counter):
+    from oscmlab import cli
+
+    def miscounting(inst, algo, cfg=None):
+        sol, ledger = solve(inst, algo, cfg)
+        if inst.n_v == 9:
+            setattr(ledger, counter, getattr(ledger, counter) + 1)
+        return sol, ledger
+
+    solve = cli.solve_osscm
+    monkeypatch.setattr("oscmlab.cli.solve_osscm", miscounting)
+    assert main(["bench", "--algo", algo, "--n-min", "8", "--n-max", "10"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{algo} at n=9" in captured.err
+
+
 def test_bench_rejects_bad_ranges(capsys):
     assert main(["bench", "--algo", "dp", "--n-min", "0"]) == 2
     assert main(["bench", "--algo", "dp", "--n-min", "9", "--n-max", "8"]) == 2

@@ -1,8 +1,10 @@
 import json
 import random
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oscmlab import (BipartiteInstance, SizeLimitError, count_crossings,
@@ -174,3 +176,61 @@ def test_peak_memory_at_twenty():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 10 ** 6, (call, peak)
+
+
+def reference_layers(c, n):
+    """(opt, sym, choice) per size by the plain recurrence over Python ints,
+    subsets in colex order (lexicographic in their reversed members)."""
+    opt, layers = {(): 0}, []
+    for s in range(n + 1):
+        subsets = sorted(combinations(range(n), s), key=lambda m: m[::-1])
+        layer = ([], [], [])
+        for members in subsets:
+            vals = [opt[members[:j] + members[j + 1:]]
+                    + sum(c[v][w] for v in members) for j, w in enumerate(members)]
+            best = min(vals) if vals else 0
+            opt[members] = best
+            layer[0].append(best)
+            layer[1].append(sum(c[v][w] for v in members for w in members))
+            layer[2].append(vals.index(best) if vals else 0)
+        layers.append(layer)
+    return layers
+
+
+@pytest.mark.parametrize("total,dtype", [
+    (2 ** 15 - 1, "int16"), (2 ** 15, "int32"),
+    (2 ** 31 - 1, "int32"), (2 ** 31, "int64")])
+@pytest.mark.parametrize("n", [5, 8])
+def test_layers_at_the_value_dtype_bounds(n, total, dtype):
+    """A matrix summing to just below or just at a dtype's limit: the
+    layers take the narrowest dtype that holds the sum and agree with
+    the plain recurrence everywhere, so nothing wraps."""
+    rng = np.random.default_rng(n + total)
+    c = rng.integers(0, 1000, size=(n, n))
+    np.fill_diagonal(c, 0)
+    c = c * (total // c.sum())
+    c[0, 1] += total - c.sum()
+    assert c.sum() == total
+    got = list(dp.subset_layers(c, n, n))
+    assert {layer.opt.dtype.name for layer in got} == {dtype}
+    want = reference_layers(c.tolist(), n)
+    for layer, (opt, sym, choice) in zip(got, want, strict=True):
+        assert layer.opt.tolist() == opt
+        assert layer.sym.tolist() == sym
+        assert layer.choice.tolist() == choice
+
+
+def test_a_solve_keeps_no_memory():
+    """A cold solve at n_v = 20 leaves under 1 MB allocated once its result
+    is dropped: no member rows or other tables outlive the solve."""
+    inst = random_instance(random.Random(200), 6, 20, 0.5)
+    for cached in vars(dp).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    tracemalloc.start()
+    try:
+        solve_dp(inst)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 10 ** 6

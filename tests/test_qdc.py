@@ -271,6 +271,22 @@ def test_extract_rejects_a_missing_entry(field):
         extract_ordering(broken)
 
 
+@pytest.mark.parametrize("field", ["base_size", "n_v", "leaf", "node member",
+                                   "nodes"])
+def test_extract_rejects_a_wrong_typed_entry(field):
+    broken = two_leaf_trace()
+    if field == "leaf":
+        broken["leaves"]["1,0"] = 1
+    elif field == "node member":
+        broken["nodes"]["1,1"] = ["0"]
+    elif field == "nodes":
+        broken["nodes"] = [[0, 1]]
+    else:
+        broken[field] = str(broken[field])
+    with pytest.raises(ValueError):
+        extract_ordering(broken)
+
+
 def test_extract_rejects_wrong_size_argument():
     with pytest.raises(ValueError, match="expected 3"):
         extract_ordering(two_leaf_trace(), 3)
