@@ -9,7 +9,8 @@ checks the optimum against the brute-force oracle of the objective. A
 count-only state-vector qdc solve whose sampled root search missed the
 optimum adds a warning line on stderr. bench times the same dispatch and
 takes its cost columns from the closed-form models; a timed row whose
-measured ledger differs from them stops it with exit code 4.
+measured ledger differs from them, or for qdc whose node count differs from
+dc_node_count, stops it with exit code 4.
 
 Exit codes: 0 ok, 2 parse/usage error, 3 size limit, 4 verification
 mismatch. The OSCM_SEED environment variable overrides the default seed
@@ -202,14 +203,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# Closed-form (classical_cost, oracle_calls) of one bench row.
-# Per algo: the closed-form (classical_cost, oracle_calls) of a bench row
-# and the ledger counter that its classical column counts.
+# Per algo: the closed-form ledger counts a timed bench solve must show, by
+# counter. The first two are the row's classical_cost and oracle_calls
+# columns; qdc's classical column is its zero recurrence_evals, and its
+# node count is checked beside them.
 _BENCH_MODELS = {
-    "dp": (lambda n, cfg: (dp_recurrence_count(n), 0), "recurrence_evals"),
-    "dc": (lambda n, cfg: (dc_node_count(n, cfg.base_size), 0), "nodes"),
-    "qdp": (qdp_cost_model, "recurrence_evals"),
-    "qdc": (lambda n, cfg: (0, qdc_cost_model(n, cfg)), "recurrence_evals"),
+    "dp": lambda n, cfg: {"recurrence_evals": dp_recurrence_count(n),
+                          "oracle_calls": 0},
+    "dc": lambda n, cfg: {"nodes": dc_node_count(n, cfg.base_size),
+                          "oracle_calls": 0},
+    "qdp": lambda n, cfg: dict(zip(("recurrence_evals", "oracle_calls"),
+                                   qdp_cost_model(n, cfg))),
+    "qdc": lambda n, cfg: {"recurrence_evals": 0,
+                           "oracle_calls": qdc_cost_model(n, cfg),
+                           "nodes": dc_node_count(n, cfg.base_size)},
 }
 
 
@@ -220,21 +227,20 @@ def cmd_bench(args) -> int:
         raise SizeLimitError("bench range exceeds the n_v <= 64 solver limit")
     seed = _resolve_seed(args.seed)
     cfg = _solver_config(args, seed)
-    model, counter = _BENCH_MODELS[args.algo]
     lines = ["algo,n,classical_cost,oracle_calls,wall_ms"]
     for n in range(args.n_min, args.n_max + 1):
-        classical, oracle = model(n, cfg)
+        model = _BENCH_MODELS[args.algo](n, cfg)
+        classical, oracle = list(model.values())[:2]
         wall = 0.0
         if n <= _WALL_CAPS[args.algo]:
             inst = random_instance(GenSpec(5, n, 0.4, 1, seed + n))
             start = perf_counter()
             _, ledger = solve_osscm(inst, args.algo, cfg)
             wall = (perf_counter() - start) * 1000.0
-            measured = (getattr(ledger, counter), ledger.oracle_calls)
-            if measured != (classical, oracle):
-                print(f"error: {args.algo} at n={n} counted (classical_cost, "
-                      f"oracle_calls) {measured}, the model {(classical, oracle)}",
-                      file=sys.stderr)
+            measured = {name: getattr(ledger, name) for name in model}
+            if measured != model:
+                print(f"error: {args.algo} at n={n} counted {measured}, the "
+                      f"model {model}", file=sys.stderr)
                 return 4
         lines.append(f"{args.algo},{n},{classical},{oracle},{wall:.3f}")
     text = "\n".join(lines) + "\n"

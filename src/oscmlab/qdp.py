@@ -44,8 +44,18 @@ of search layers that ran. The ordering is rebuilt at the end by
 concatenating the winning splits' orders down to table leaves.
 
 Space: sum_{i<=t} C(n, i) table entries plus C(n, s) per search size s,
-and at most _CHUNK candidate values at a time. Member and split tables
-depend on n and the sizes alone and are cached across solves.
+and at most _CHUNK split values at a time. A search layer is laid out
+position-major, as dp's kernel is: the members of every s-subset are one
+cached (s, C(n, s)) int8 array, one column per subset in rank order, and a
+chunk of m subsets is an (s, m) block of it. rho, the colex rank terms
+C(x, i + 1) and the (C(s, k), m) split values are sums of row takes, one
+per member position of _splits' position rows; ranks are int16 while both
+side layers have at most 32767 entries and int32 past that. Each subset's
+first best split is the least key value * C(s, k) + j down its column,
+split back with one divmod: values are never negative and at most c.sum(),
+so keys are int32 while (c.sum() + 1) * C(s, k) < 2^31 and int64 beyond.
+Member and split tables depend on n and the sizes alone and are cached
+across solves.
 
 Alpha is capped at 0.5: with alpha <= 1 - alpha the third level's split
 size ceil(alpha*n/4) and its complement both fit the table (ceilings are
@@ -67,6 +77,13 @@ from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix
 from .qmf import cost_model_calls
+
+# The search layer of size ceil(n/2) evaluates C(n, ceil(n/2)) *
+# C(ceil(n/2), ceil(n/4)) split values, ~4x more per vertex: n_v = 22 (8
+# fixed vertices, edge probability 0.5) is 326 M of them, 7-8 s on a 2-vCPU
+# Xeon VM with a 62 MB tracemalloc peak; n_v = 23 is 1.25 G, ~40 s. Past the
+# cap a solve raises SizeLimitError before it allocates anything.
+_PRACTICAL_MAX_NV = 22
 
 
 @dataclass(frozen=True)
@@ -120,17 +137,22 @@ def qdp_cost_model(n_v: int, cfg: QdpConfig = None):
 
 @lru_cache(maxsize=64)
 def _layer(n, s):
-    """Every s-subset of range(n) as a row of ascending members; row = rank.
+    """Every s-subset of range(n) as a column of ascending members, column =
+    rank: an (s, C(n, s)) int8 array.
 
-    The subsets with top member x take rows C(x, s) on; the rest of each is
-    one of the first C(x, s - 1) rows of the layer below, in order.
+    The subsets with top member x take columns C(x, s) on; the rest of each
+    is one of the first C(x, s - 1) columns of the layer below, in order.
+    Sizes 0 and n have one subset each, so the top search of range(n)
+    builds no layer above ceil(n/2).
     """
-    if s == 0:
-        return np.zeros((1, 0), np.int8)
+    if s in (0, n):
+        members = np.arange(s, dtype=np.int8)[:, None]
+        members.setflags(write=False)
+        return members
     binom = _binomials(n)
     top = np.repeat(np.arange(s - 1, n, dtype=np.int8), binom[s - 1, s - 1:])
-    rest = _layer(n, s - 1)[np.arange(len(top)) - binom[s, top]]
-    members = np.column_stack((rest, top))
+    rest = _layer(n, s - 1)[:, np.arange(len(top)) - binom[s, top]]
+    members = np.vstack((rest, top))
     members.setflags(write=False)
     return members
 
@@ -139,56 +161,66 @@ def _layer(n, s):
 def _splits(s, k):
     """Member positions of W and of the rest for every split of an s-subset,
     W running over the k-combinations of range(s) in lexicographic order
-    (their complements then run in reverse lexicographic order). Entry
-    [i, j] is the position of the i-th member of that side in split j.
-    Mapping x to s - 1 - x turns colex order with ascending rows into
-    reverse lexicographic order with descending rows."""
-    picks = np.ascontiguousarray((s - 1 - _layer(s, k))[::-1, ::-1].T)
-    rest = np.ascontiguousarray((s - 1 - _layer(s, s - k))[:, ::-1].T)
+    (their complements then run in reverse lexicographic order): a (k,
+    C(s, k)) and an (s - k, C(s, k)) int8 array whose row i holds the
+    position of the i-th member of that side, one column per split.
+    Mapping x to s - 1 - x turns colex order with ascending members into
+    reverse lexicographic order with descending members."""
+    picks = np.ascontiguousarray((s - 1 - _layer(s, k))[::-1, ::-1])
+    rest = np.ascontiguousarray((s - 1 - _layer(s, s - k))[::-1])
     picks.setflags(write=False)
     rest.setflags(write=False)
     return picks, rest
 
 
-def _sum_at(tables, positions):
-    """sum_i tables[i][:, positions[i]]: one column per split."""
-    total = tables[0][:, positions[0]]
+def _sum_rows(tables, positions):
+    """sum_i tables[i][positions[i]]: one row per split, one column per
+    subset."""
+    total = tables[0].take(positions[0], axis=0)
     for table, at in zip(tables[1:], positions[1:]):
-        total += table[:, at]
+        total += table.take(at, axis=0)
     return total
-
-
-def _by_chunks(members, step, kernel, dtype):
-    """One _Layer from kernel(rows) -> (opt, sym, choice) over chunks of at
-    most step member rows, values in dtype."""
-    count = len(members)
-    layer = _Layer(np.empty(count, dtype), np.empty(count, dtype),
-                   np.empty(count, np.int64))
-    for lo in range(0, count, step):
-        at = slice(lo, lo + step)
-        layer.opt[at], layer.sym[at], layer.choice[at] = kernel(members[at])
-    return layer
 
 
 def _search_layer(c, n, s, k, w_side, rest_side):
     """Best split of every s-subset into a k-subset W and the rest; ties
     keep the first split. c is the flattened crossing matrix in the
-    tables' value dtype, which holds every value of a split."""
+    tables' value dtype, which holds every value of a split. Chunks of
+    subsets are (s, m) member blocks, and a subset's choice is its least
+    packed key value * C(s, k) + j (module docstring, Space)."""
     picks, rest = _splits(s, k)
-    binom = _binomials(n)[1:max(k, s - k) + 1]
+    splits = picks.shape[1]
+    ranks = (np.int16 if max(len(w_side.opt), len(rest_side.opt)) < 2 ** 15
+             else np.int32)
+    # C(x, i) for x < n and i up to either side's size is at most the
+    # larger side layer's length, so the cast is exact
+    binom = _binomials(n)[1:max(k, s - k) + 1].astype(ranks)
+    keys = (np.int32 if (int(c.sum(dtype=np.int64)) + 1) * splits < 2 ** 31
+            else np.int64)
+    index = np.arange(splits, dtype=keys)[:, None]
     w_value = w_side.opt - w_side.sym
 
-    def kernel(rows):
-        pairs = rows[:, :, None] * np.intp(n) + rows[:, None, :]
-        rho = c.take(pairs).sum(axis=2, dtype=c.dtype)
-        terms = [column[rows] for column in binom]  # C(member, i + 1)
-        vals = _sum_at([rho] * k, picks)
-        vals += w_value[_sum_at(terms, picks)]
-        vals += rest_side.opt[_sum_at(terms, rest)]
-        return vals.min(axis=1), rho.sum(axis=1), vals.argmin(axis=1)
-
-    return _by_chunks(_layer(n, s), max(1, _CHUNK // picks.shape[1]), kernel,
-                      c.dtype)
+    members = _layer(n, s)
+    count = members.shape[1]
+    layer = _Layer(np.empty(count, c.dtype), np.empty(count, c.dtype),
+                   np.empty(count, np.int16))
+    step = max(1, _CHUNK // splits)
+    for lo in range(0, count, step):
+        at = slice(lo, lo + step)
+        block = members[:, at]
+        base = block * np.intp(n)
+        rho = c.take(base + block[0])
+        for row in block[1:]:
+            rho += c.take(base + row)
+        terms = [column.take(block) for column in binom]  # C(member, i + 1)
+        key = _sum_rows([rho.astype(keys)] * k, picks)
+        key += w_value.take(_sum_rows(terms, picks))
+        key += rest_side.opt.take(_sum_rows(terms, rest))
+        key *= splits
+        key += index
+        layer.opt[at], layer.choice[at] = np.divmod(key.min(axis=0), splits)
+        layer.sym[at] = rho.sum(axis=0, dtype=c.dtype)
+    return layer
 
 
 def _search_plan(n, t, k3):
@@ -234,6 +266,11 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
     n = inst.n_v
     if n > 64:
         raise SizeLimitError(f"subset solvers support n_v <= 64, got {n}")
+    if n > _PRACTICAL_MAX_NV:
+        raise SizeLimitError(
+            f"n_v={n}: qdp's search layers would exceed practical time and "
+            f"memory (limit {_PRACTICAL_MAX_NV})"
+        )
     ledger = CostLedger(algo="qdp", meta={"alpha": cfg.alpha, "n_v": n})
     if n == 0:
         return Solution((), 0), ledger

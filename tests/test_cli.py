@@ -335,6 +335,14 @@ def test_bruteforce_size_limit_exit(tmp_path, capsys):
     assert "exceeds oracle limit" in capsys.readouterr().err
 
 
+def test_qdp_size_limit_exit(tmp_path, capsys):
+    """n_v = 30 would ask qdp for a 2.3 GB member table: exit 3, not a
+    MemoryError."""
+    path = write(tmp_path, "1 30 0 1\n")
+    assert main(["solve", "--input", path, "--algo", "qdp"]) == 3
+    assert "n_v=30" in capsys.readouterr().err
+
+
 def test_node_budget_exit(tmp_path, capsys):
     path = write(tmp_path, "1 10 0 1\n")
     assert main(["solve", "--input", path, "--algo", "dc",
@@ -440,7 +448,8 @@ def test_bench_qdp_beyond_wall_cap(capsys):
 @pytest.mark.parametrize("algo,counter", [("dp", "recurrence_evals"),
                                          ("dc", "nodes"),
                                          ("qdp", "oracle_calls"),
-                                         ("qdc", "oracle_calls")])
+                                         ("qdc", "oracle_calls"),
+                                         ("qdc", "nodes")])
 def test_bench_exits_four_when_a_ledger_leaves_its_model(capsys, monkeypatch,
                                                         algo, counter):
     from oscmlab import cli

@@ -1,13 +1,16 @@
 import json
 import random
+from itertools import combinations
 from math import ceil, comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oscmlab import (BipartiteInstance, QdpConfig, SizeLimitError,
-                     count_crossings, qdp_cost_model, solve_dp, solve_qdp,
-                     table_threshold)
+                     build_crossing_matrix, count_crossings, qdp_cost_model,
+                     solve_dp, solve_qdp, table_threshold)
+from oscmlab import dp, qdp
 
 from instances import random_instance
 
@@ -161,6 +164,17 @@ def test_validation():
         solve_qdp(BipartiteInstance(1, 65))
 
 
+@pytest.mark.parametrize("n", [23, 30, 64])
+@pytest.mark.parametrize("min_quantum_n", [8, 64])
+def test_practical_size_cap(n, min_quantum_n):
+    """Past n_v = 22 a solve raises SizeLimitError, on the search path and
+    on the dp fallback alike, before it builds a matrix or a member table."""
+    before = qdp._layer.cache_info()
+    with pytest.raises(SizeLimitError, match="limit 22"):
+        solve_qdp(BipartiteInstance(1, n), QdpConfig(min_quantum_n=min_quantum_n))
+    assert qdp._layer.cache_info() == before
+
+
 def test_rejects_a_nonpositive_call_constant():
     """solve_qdp charges its searches and samples none, so its one search
     setting is the call constant, which must be positive."""
@@ -168,3 +182,115 @@ def test_rejects_a_nonpositive_call_constant():
         with pytest.raises(ValueError, match="call_constant"):
             QdpConfig(call_constant=c)
     assert QdpConfig(call_constant=2.0).call_constant == 2.0
+
+
+# Wide-valued instances, recorded from the row-major search kernel that
+# the position-major one replaced: (seed, n_u, n_v, p, alpha) -> ordering,
+# crossings and ledger (classical_evals, table_reads, oracle_calls). The
+# first keeps int32 values and int32 search keys, the second's c.sum() of
+# 2630439656 takes int64 values, the last two keep int32 values but their
+# top layer's (c.sum() + 1) * C(n, ceil(n/2)) passes 2^31, so its keys are
+# int64; the third runs all three search levels.
+WIDE = [
+    ((1201, 60, 10, 0.9, 0.055362), [4, 8, 0, 1, 5, 3, 7, 2, 9, 6], 60803,
+     (460, 5040, 80)),
+    ((1202, 9000, 9, 0.95, 0.055362), [5, 3, 7, 8, 2, 0, 1, 4, 6], 1313002785,
+     (333, 4032, 60)),
+    ((1203, 240, 12, 0.9, 0.4), [9, 6, 0, 3, 11, 7, 2, 1, 5, 10, 8, 4],
+     1531864, (144, 1320, 496)),
+    ((1204, 70, 16, 0.9, 0.055362),
+     [1, 11, 15, 6, 0, 14, 13, 9, 3, 8, 12, 2, 5, 4, 7, 10], 223536,
+     (9216, 1801800, 1140)),
+]
+
+
+@pytest.mark.parametrize("spec,ordering,crossings,counts", WIDE,
+                         ids=[f"seed{case[0][0]}" for case in WIDE])
+def test_outputs_at_wide_values(spec, ordering, crossings, counts):
+    seed, n_u, n_v, p, alpha = spec
+    inst = random_instance(random.Random(seed), n_u, n_v, p)
+    sol, ledger = solve_qdp(inst, QdpConfig(alpha=alpha))
+    assert list(sol.ordering) == ordering
+    assert sol.crossings == crossings
+    assert (ledger.recurrence_evals, ledger.table_reads,
+            ledger.oracle_calls) == counts
+
+
+def reference_layers(c, n, t, plan):
+    """{s: [(opt, sym, choice)] in colex order} for every table size s <= t
+    and every search size of plan, by plain Python over
+    itertools.combinations. A table subset's choice is the position of its
+    best last vertex, a search subset's the index of its best split among
+    the lexicographic k-combinations of member positions; ties keep the
+    first."""
+    opt, sym, layers = {}, {}, {}
+    for s in [*range(t + 1), *sorted(plan)]:
+        layer = []
+        for members in sorted(combinations(range(n), s), key=lambda m: m[::-1]):
+            rho = [sum(c[v][u] for u in members) for v in members]
+            if s in plan:
+                vals = []
+                for picks in combinations(range(s), plan[s]):
+                    w = tuple(members[i] for i in picks)
+                    rest = tuple(v for v in members if v not in w)
+                    vals.append(opt[w] + opt[rest] - sym[w]
+                                + sum(rho[i] for i in picks))
+            else:
+                vals = [opt[members[:j] + members[j + 1:]]
+                        + sum(c[v][w] for v in members)
+                        for j, w in enumerate(members)] or [0]
+            opt[members], sym[members] = min(vals), sum(rho)
+            layer.append((min(vals), sum(rho), vals.index(min(vals))))
+        layers[s] = layer
+    return layers
+
+
+def search_layers(c, n, t, plan):
+    """The layers solve_qdp evaluates for the crossing matrix c."""
+    layers = dict(enumerate(dp.subset_layers(c, n, t)))
+    flat = c.astype(layers[0].opt.dtype).ravel()
+    for s in sorted(plan):
+        k = plan[s]
+        layers[s] = qdp._search_layer(flat, n, s, k, layers[k], layers[s - k])
+    return {s: list(zip(layer.opt.tolist(), layer.sym.tolist(),
+                        layer.choice.tolist()))
+            for s, layer in layers.items()}
+
+
+def complete(n_u, n_v):
+    return BipartiteInstance(n_u, n_v, tuple((u, v) for u in range(n_u)
+                                             for v in range(n_v)))
+
+
+@pytest.mark.parametrize("kind", ["random", "edgeless", "complete"])
+@pytest.mark.parametrize("alpha", [0.055362, 0.4])
+@pytest.mark.parametrize("n", range(8, 13))
+def test_search_layers_match_a_plain_loop(n, alpha, kind):
+    """Every table and search layer, subset by subset: optimum, Sym and
+    first best split. Edgeless and complete bipartite instances tie every
+    split of a subset, so each keeps split 0."""
+    inst = {"random": lambda: random_instance(random.Random(n), 5, n, 0.5),
+            "edgeless": lambda: BipartiteInstance(3, n),
+            "complete": lambda: complete(3, n)}[kind]()
+    c = build_crossing_matrix(inst)
+    t = table_threshold(n, alpha)
+    plan = qdp._search_plan(n, t, ceil(alpha * n / 4.0))
+    assert (ceil(n / 4) > t) == (alpha == 0.4 and n > 8)  # level 3 live
+    got = search_layers(c, n, t, plan)
+    assert got == reference_layers(c.tolist(), n, t, plan)
+    if kind != "random":
+        assert all(choice == 0 for s in plan for _, _, choice in got[s])
+
+
+@pytest.mark.parametrize("weight", [2 ** 30 - 2, 2 ** 30, 2 ** 31 - 1])
+@pytest.mark.parametrize("row", [0, 1])
+def test_search_keys_at_the_int32_bound(weight, row):
+    """Two vertices, c.sum() = weight = c[row][1 - row]: the split whose W
+    is {row} is worth c.sum(), so its key value * 2 + j passes 2^31 - 1
+    from weight 2^30 on, which the int64 keys hold; the other split, worth
+    0, wins."""
+    c = np.zeros((2, 2), np.int64)
+    c[row, 1 - row] = weight
+    got = search_layers(c, 2, 1, {2: 1})
+    assert got == reference_layers(c.tolist(), 2, 1, {2: 1})
+    assert got[2] == [(0, weight, 1 - row)]
