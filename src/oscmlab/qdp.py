@@ -49,11 +49,11 @@ position-major, as dp's kernel is: the members of every s-subset are one
 cached (s, C(n, s)) int8 array, one column per subset in rank order, and a
 chunk of m subsets is an (s, m) block of it. rho, the colex rank terms
 C(x, i + 1) and the (C(s, k), m) split values are sums of row takes, one
-per member position of _splits' position rows; ranks are int16 while both
-side layers have at most 32767 entries and int32 past that. Each subset's
-first best split is the least key value * C(s, k) + j down its column,
-split back with one divmod: values are never negative and at most c.sum(),
-so keys are int32 while (c.sum() + 1) * C(s, k) < 2^31 and int64 beyond.
+per member position of _splits' position rows. Each subset's first best
+split is the least key value * C(s, k) + j down its column, split back
+with one divmod: values are never negative and at most c.sum(), so keys
+are int32 while (c.sum() + 1) * C(s, k) < 2^31 and int64 beyond. Ranks
+and choices are int32, which holds C(22, 11) = 705432 at the size cap.
 Member and split tables depend on n and the sizes alone and are cached
 across solves.
 
@@ -73,6 +73,7 @@ import numpy as np
 
 from .bigraph import BipartiteInstance, Solution
 from .dp import _CHUNK, _Layer, _binomials, _peel, _rank, subset_layers
+from .dp import _PRACTICAL_MAX_NV as _DP_MAX_NV
 from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix
@@ -82,7 +83,8 @@ from .qmf import cost_model_calls
 # C(ceil(n/2), ceil(n/4)) split values, ~4x more per vertex: n_v = 22 (8
 # fixed vertices, edge probability 0.5) is 326 M of them, 7-8 s on a 2-vCPU
 # Xeon VM with a 62 MB tracemalloc peak; n_v = 23 is 1.25 G, ~40 s. Past the
-# cap a solve raises SizeLimitError before it allocates anything.
+# cap a search solve raises SizeLimitError before it allocates anything; the
+# dp fallback path is held to dp's own cap instead.
 _PRACTICAL_MAX_NV = 22
 
 
@@ -190,11 +192,9 @@ def _search_layer(c, n, s, k, w_side, rest_side):
     packed key value * C(s, k) + j (module docstring, Space)."""
     picks, rest = _splits(s, k)
     splits = picks.shape[1]
-    ranks = (np.int16 if max(len(w_side.opt), len(rest_side.opt)) < 2 ** 15
-             else np.int32)
     # C(x, i) for x < n and i up to either side's size is at most the
-    # larger side layer's length, so the cast is exact
-    binom = _binomials(n)[1:max(k, s - k) + 1].astype(ranks)
+    # larger side layer's length, so the int32 cast is exact
+    binom = _binomials(n)[1:max(k, s - k) + 1].astype(np.int32)
     keys = (np.int32 if (int(c.sum(dtype=np.int64)) + 1) * splits < 2 ** 31
             else np.int64)
     index = np.arange(splits, dtype=keys)[:, None]
@@ -203,7 +203,7 @@ def _search_layer(c, n, s, k, w_side, rest_side):
     members = _layer(n, s)
     count = members.shape[1]
     layer = _Layer(np.empty(count, c.dtype), np.empty(count, c.dtype),
-                   np.empty(count, np.int16))
+                   np.empty(count, np.int32))
     step = max(1, _CHUNK // splits)
     for lo in range(0, count, step):
         at = slice(lo, lo + step)
@@ -266,18 +266,20 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
     n = inst.n_v
     if n > 64:
         raise SizeLimitError(f"subset solvers support n_v <= 64, got {n}")
-    if n > _PRACTICAL_MAX_NV:
+    t = table_threshold(n, cfg.alpha)
+    fallback = n < cfg.min_quantum_n or t >= n
+    # The fallback path is dp's solve and takes dp's cap.
+    limit = _DP_MAX_NV if fallback else _PRACTICAL_MAX_NV
+    if n > limit:
+        what = "dense table" if fallback else "search layers"
         raise SizeLimitError(
-            f"n_v={n}: qdp's search layers would exceed practical time and "
-            f"memory (limit {_PRACTICAL_MAX_NV})"
+            f"n_v={n}: qdp's {what} would exceed practical time and memory "
+            f"(limit {limit})"
         )
     ledger = CostLedger(algo="qdp", meta={"alpha": cfg.alpha, "n_v": n})
     if n == 0:
         return Solution((), 0), ledger
     c = build_crossing_matrix(inst)
-
-    t = table_threshold(n, cfg.alpha)
-    fallback = n < cfg.min_quantum_n or t >= n
 
     # Phase 1: dp's table layers over all subsets of size <= t (all of
     # them on the fallback path).

@@ -123,6 +123,19 @@ def test_matches_dp_at_eighteen():
     inst = random_instance(random.Random(180), 5, 18, 0.4)
     sol, _ = solve_qdp(inst)
     assert sol.crossings == solve_dp(inst)[0].crossings
+    assert count_crossings(inst, sol.ordering) == sol.crossings
+
+
+def test_top_split_index_past_int16():
+    """The top search of n_v = 18 picks among C(18, 9) = 48620 splits; this
+    instance's winner is split 37437, past int16, and the ordering rebuilt
+    from it still has the optimum's crossing count."""
+    inst = random_instance(random.Random(181), 5, 18, 0.4)
+    sol, _ = solve_qdp(inst)
+    top = list(combinations(range(18), 9)).index(tuple(sorted(sol.ordering[:9])))
+    assert top == 37437
+    assert sol.crossings == solve_dp(inst)[0].crossings
+    assert count_crossings(inst, sol.ordering) == sol.crossings
 
 
 def test_matches_dp_at_seventeen():
@@ -164,15 +177,26 @@ def test_validation():
         solve_qdp(BipartiteInstance(1, 65))
 
 
-@pytest.mark.parametrize("n", [23, 30, 64])
-@pytest.mark.parametrize("min_quantum_n", [8, 64])
-def test_practical_size_cap(n, min_quantum_n):
-    """Past n_v = 22 a solve raises SizeLimitError, on the search path and
-    on the dp fallback alike, before it builds a matrix or a member table."""
+@pytest.mark.parametrize("n,min_quantum_n,limit", [
+    (23, 8, 22), (30, 8, 22), (64, 8, 22), (24, 64, 23), (30, 64, 23), (40, 64, 23)])
+def test_practical_size_cap(n, min_quantum_n, limit):
+    """Past n_v = 22 a search solve raises SizeLimitError, and past dp's n_v
+    = 23 so does the dp fallback, before either builds a matrix or a member
+    table."""
     before = qdp._layer.cache_info()
-    with pytest.raises(SizeLimitError, match="limit 22"):
+    with pytest.raises(SizeLimitError, match=f"limit {limit}"):
         solve_qdp(BipartiteInstance(1, n), QdpConfig(min_quantum_n=min_quantum_n))
     assert qdp._layer.cache_info() == before
+
+
+def test_fallback_solves_past_the_search_cap():
+    """n_v = 23 is past the search layers' cap but within dp's, so the dp
+    fallback still solves it."""
+    inst = random_instance(random.Random(230), 4, 23, 0.3)
+    sol, ledger = solve_qdp(inst, QdpConfig(min_quantum_n=64))
+    want, _ = solve_dp(inst)
+    assert (sol.ordering, sol.crossings) == (want.ordering, want.crossings)
+    assert (ledger.recurrence_evals, ledger.oracle_calls) == (23 * 2 ** 22, 0)
 
 
 def test_rejects_a_nonpositive_call_constant():
