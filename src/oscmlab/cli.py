@@ -30,7 +30,7 @@ from .analysis import (balanced_alpha, binary_entropy, fit_exponent_base,
                        fpt_crossover_k, fpt_crossover_k_tight)
 from .bigraph import (count_crossings, count_same_color_crossings,
                       count_two_level_crossings, format_instance, load_instance)
-from .dc import DcConfig, dc_node_count
+from .dc import DcConfig, dc_gamma_count, dc_node_count
 from .dp import dp_recurrence_count, dp_table_entries
 from .errors import InstanceParseError, NodeBudgetExceeded, SizeLimitError
 from .extensions import TlcmConfig, solve_osscm, solve_tlcm
@@ -206,17 +206,19 @@ def cmd_gen(args) -> int:
 # Per algo: the closed-form ledger counts a timed bench solve must show, by
 # counter. The first two are the row's classical_cost and oracle_calls
 # columns; qdc's classical column is its zero recurrence_evals, and its
-# node count is checked beside them.
+# node count and dc's and qdc's gamma counts are checked beside them.
 _BENCH_MODELS = {
     "dp": lambda n, cfg: {"recurrence_evals": dp_recurrence_count(n),
                           "oracle_calls": 0},
     "dc": lambda n, cfg: {"nodes": dc_node_count(n, cfg.base_size),
-                          "oracle_calls": 0},
+                          "oracle_calls": 0,
+                          "gamma_evals": dc_gamma_count(n, cfg.base_size)},
     "qdp": lambda n, cfg: dict(zip(("recurrence_evals", "oracle_calls"),
                                    qdp_cost_model(n, cfg))),
     "qdc": lambda n, cfg: {"recurrence_evals": 0,
                            "oracle_calls": qdc_cost_model(n, cfg),
-                           "nodes": dc_node_count(n, cfg.base_size)},
+                           "nodes": dc_node_count(n, cfg.base_size),
+                           "gamma_evals": dc_gamma_count(n, cfg.base_size)},
 }
 
 

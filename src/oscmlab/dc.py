@@ -110,6 +110,21 @@ def dc_node_count(k: int, base_size: int = 2) -> int:
                                 + dc_node_count(half, base_size))
 
 
+@lru_cache(maxsize=None)
+def dc_gamma_count(k: int, base_size: int = 2) -> int:
+    """Gamma evaluations for a subset of k vertices: one per split candidate
+    of every internal node (instance independent)."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if base_size < 1:
+        raise ValueError("base_size must be >= 1")
+    if k <= base_size:
+        return 0
+    half = ceil(k / 2)
+    return comb(k, half) * (1 + dc_gamma_count(k - half, base_size)
+                            + dc_gamma_count(half, base_size))
+
+
 def dc_max_depth(k: int, base_size: int = 2) -> int:
     """Deepest live frame chain: the ceil-half spine of the recursion."""
     depth = 1

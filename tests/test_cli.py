@@ -447,9 +447,11 @@ def test_bench_qdp_beyond_wall_cap(capsys):
 
 @pytest.mark.parametrize("algo,counter", [("dp", "recurrence_evals"),
                                          ("dc", "nodes"),
+                                         ("dc", "gamma_evals"),
                                          ("qdp", "oracle_calls"),
                                          ("qdc", "oracle_calls"),
-                                         ("qdc", "nodes")])
+                                         ("qdc", "nodes"),
+                                         ("qdc", "gamma_evals")])
 def test_bench_exits_four_when_a_ledger_leaves_its_model(capsys, monkeypatch,
                                                         algo, counter):
     from oscmlab import cli

@@ -6,6 +6,7 @@ import pytest
 from oscmlab import (BipartiteInstance, DcConfig, NodeBudgetExceeded,
                      count_crossings, dc_max_depth, dc_node_count,
                      solve_bruteforce, solve_dc, solve_dp)
+from oscmlab.dc import dc_gamma_count
 
 from instances import random_instance
 
@@ -53,6 +54,12 @@ def test_node_count_pinned_values(k, base, expected):
 @pytest.mark.parametrize("base", [1, 2, 3])
 def test_node_count_matches_recurrence(k, base):
     assert dc_node_count(k, base) == node_recurrence(k, base)
+
+
+@pytest.mark.parametrize("k", range(12))
+@pytest.mark.parametrize("base", [1, 2, 3])
+def test_gamma_count_matches_recurrence(k, base):
+    assert dc_gamma_count(k, base) == gamma_recurrence(k, base)
 
 
 def test_four_vertices_base_one_is_61_nodes():

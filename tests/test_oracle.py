@@ -10,10 +10,13 @@ import pytest
 from oscmlab import (BipartiteInstance, SizeLimitError, Solution,
                      count_crossings, count_same_color_crossings,
                      count_two_level_crossings, orderings_scanned,
-                     solve_bruteforce, solve_osscm_bruteforce,
+                     solve_bruteforce, solve_dc, solve_dp,
+                     solve_osscm_bruteforce, solve_qdc, solve_qdp,
                      solve_tlcm_bruteforce)
 import oscmlab
-from oscmlab.oracle import MAX_NU_TLCM, MAX_NV, _perm_tables
+from oscmlab.bigraph import _edge_pairs
+from oscmlab.oracle import (MAX_NU_TLCM, MAX_NV, _pair_weights, _perm_tables,
+                            _scan_orderings, _unrank)
 
 from instances import random_instance
 
@@ -34,11 +37,49 @@ def scalar_best(inst, counter):
 
 
 @pytest.mark.parametrize("n", range(8))
-def test_perm_tables_are_lexicographic_with_inverses(n):
-    pos = _perm_tables(n)
-    assert pos.dtype == np.int8
-    orderings = np.argsort(pos, axis=1)
-    assert [tuple(p) for p in orderings.tolist()] == list(permutations(range(n)))
+def test_prefix_tree_levels_code_the_lexicographic_prefixes(n):
+    """Level i codes every (i + 1)-vertex prefix, in itertools order, as
+    its last vertex shifted above the mask of the vertices it leaves."""
+    levels = _perm_tables(n)
+    assert len(levels) == max(n - 1, 0)
+    full = (1 << n) - 1
+    for i, level in enumerate(levels):
+        assert len(level) == factorial(n) // factorial(n - i - 1)
+        assert level.dtype == np.int16
+        assert not level.flags.writeable
+        prefixes = list(permutations(range(n), i + 1))
+        assert level.tolist() == [
+            p[-1] << n | full ^ sum(1 << v for v in p) for p in prefixes]
+    orderings = list(permutations(range(n)))
+    assert [_unrank(n, r) for r in range(len(orderings))] == orderings
+
+
+@pytest.mark.parametrize("n_v", range(8))
+def test_scan_counts_every_ordering(n_v):
+    """The full count array equals the scalar counters on every ordering:
+    plain, same-color, and under a non-identity fixed-layer order."""
+    rng = random.Random(500 + n_v)
+    inst = random_instance(rng, 4, n_v, 0.4, h=2)
+    u_perm = (2, 0, 3, 1)
+    upos = [u_perm.index(u) for u in range(4)]
+    orderings = list(permutations(range(n_v)))
+    for same_color, fixed, counter in (
+            (False, range(4), count_crossings),
+            (True, range(4), count_same_color_crossings),
+            (False, upos, lambda inst, perm:
+                count_two_level_crossings(inst, u_perm, perm))):
+        w = _pair_weights(n_v, _edge_pairs(inst, same_color), fixed)
+        counts = _scan_orderings(n_v, w)
+        assert counts.tolist() == [counter(inst, perm) for perm in orderings]
+
+
+def test_scan_widens_past_int32():
+    """Pair weights summing past 2**31 are counted without wrapping."""
+    w = [[0, 2**31, 5], [1, 0, 2**30], [2**31, 7, 0]]
+    counts = _scan_orderings(3, w)
+    assert counts.tolist() == [
+        sum(w[p[i]][p[j]] for i in range(3) for j in range(i + 1, 3))
+        for p in permutations(range(3))]
 
 
 def test_k22():
@@ -64,6 +105,18 @@ def test_matches_scalar_reference(seed):
     sol = solve_bruteforce(inst)
     assert sol.crossings == ref_val
     assert sol.ordering == ref_ord
+
+
+@pytest.mark.parametrize("seed", [1010, 1021, 1032])
+def test_solvers_equal_brute_force_at_the_cap(seed):
+    """Brute force reaches n_v = MAX_NV, and all four solvers equal it."""
+    rng = random.Random(seed)
+    inst = random_instance(rng, rng.randint(2, 6), MAX_NV,
+                           (0.2, 0.5, 0.8)[seed % 3])
+    want = solve_bruteforce(inst).crossings
+    got = (solve_dp(inst)[0].crossings, solve_dc(inst)[0].crossings,
+           solve_qdp(inst)[0].crossings, solve_qdc(inst)[0].crossings)
+    assert got == (want, want, want, want)
 
 
 def test_size_limit():

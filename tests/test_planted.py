@@ -34,7 +34,7 @@ def pairwise_bound(inst):
                for v in range(inst.n_v) for w in range(v + 1, inst.n_v))
 
 
-@pytest.mark.parametrize("n_v", range(2, 10))
+@pytest.mark.parametrize("n_v", range(2, 11))
 def test_brute_force_optimum_equals_the_bound(n_v):
     rng = random.Random(900 + n_v)
     for _ in range(5):
