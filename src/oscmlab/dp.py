@@ -18,17 +18,20 @@ column per subset: its members, the rank of the subset without each
 member, and each member's column sum sum_{v in S} c[v][x_j]. The subsets
 whose top member is x are x added to each subset of range(x) one size
 down, and those are a prefix of the layer below, in order; so a layer's
-arrays are that prefix's arrays plus x's terms. qdp's phase 1 runs the
-same kernel up to its threshold.
+arrays are that prefix's arrays plus x's terms. The next layer reads only
+the columns whose top member is below n_v - 1, the first C(n_v - 1, s),
+so only those are stored; the rest are reduced as they are built. qdp's
+phase 1 runs the same kernel up to its threshold.
 
 Values are kept in the narrowest of int16/int32/int64 that holds c.sum(),
 which bounds every optimum, Sym and candidate value.
 
-Space: 2^n_v optima and choices, plus the three (s, C(n_v, s)) arrays of
-two adjacent layers: members as int8, ranks as int32 and sums in the value
-dtype, 7 bytes per entry with int16 values. Nothing sized by the layers
-outlives a solve; the index arrays _gathered caches are under 0.3 MB per
-n_v.
+Space: 2^n_v choices (and optima, when the table is kept), plus the
+stored (s, C(n_v - 1, s)) arrays of two adjacent layers: members as int8,
+ranks as int32 and sums in the value dtype, 7 bytes per entry with int16
+values, so 7 B * max_s [s C(n_v - 1, s) + (s + 1) C(n_v - 1, s + 1)] in
+all. Nothing sized by the layers outlives a solve; the index arrays
+_gathered caches are under 0.3 MB per n_v.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .ledger import CostLedger
 from .matrix import build_crossing_matrix
 
 # Time and space double with each vertex: n_v = 23 (8 fixed vertices, edge
-# probability 0.5) takes ~1.4 s on a 2-vCPU Xeon VM and peaks at ~0.24 GB
+# probability 0.5) takes ~1.7 s on a 2-vCPU Xeon VM and peaks at ~0.13 GB
 # under tracemalloc; only index arrays under 0.3 MB stay cached.
 _PRACTICAL_MAX_NV = 23
 
@@ -78,9 +81,9 @@ class _Layer(NamedTuple):
 
 
 class _Rows(NamedTuple):
-    """A table layer's (s, C(n, s)) arrays, column = rank: members[j] is
-    the j-th smallest member, ranks[j] the rank of the subset without it
-    and sums[j] its column sum sum_{v in S} c[v][x_j]."""
+    """A table layer's (s, ·) arrays over its first columns, column =
+    rank: members[j] is the j-th smallest member, ranks[j] the rank of the
+    subset without it and sums[j] its column sum sum_{v in S} c[v][x_j]."""
 
     members: np.ndarray
     ranks: np.ndarray
@@ -106,24 +109,37 @@ def _gathered(n, s):
     return (first, *arrays)
 
 
-def _grow(pair, n, s, below, rows):
-    """Layer s and its rows from layer s - 1 and its rows.
+def _grow(pair, n, s, below, rows, keep):
+    """Layer s from layer s - 1 and its rows, and the rows of layer s that
+    layer s + 1 reads (None unless keep).
 
     The s-subsets with top member x take ranks C(x, s) on, in the order of
     their rests, the first C(x, s - 1) subsets of the layer below. Adding x
     adds C(x, s - 1) to the rank of the subset without each earlier member
     x_j and c[x][x_j] to x_j's column sum; x's own row is the rest's rank
     and sum_j c[x_j][x]. pair[x, v] holds (c[x][v], c[v][x]).
+
+    Each piece of columns is reduced as soon as it is built. Layer s + 1
+    reads only the first C(n - 1, s) columns (top below n - 1), so only
+    those rows are stored, and none when not keep; later pieces are built
+    in one scratch piece. A layer built as one gathered piece is stored
+    whole.
     """
     count = comb(n, s)
-    grown = _Rows(*(np.empty((s, count), a.dtype) for a in rows))
+    dtype = below.opt.dtype
+    layer = _Layer(np.empty(count, dtype), np.empty(count, dtype),
+                   np.empty(count, np.int8))
+    first, *gathered = _gathered(n, s)
+    stored = count if first == n else comb(n - 1, s) if keep else 0
+    grown = _Rows(*(np.empty((s, stored), a.dtype) for a in rows))
     step = max(1, _CHUNK // s)
+    scratch = None
 
     def pieces():
         """(columns, top, rest ranks, rank offsets, rests, pair terms): the
         gathered tops at once, then each later top, whose rests are a
         prefix of the layer below, as slices."""
-        first, top, rest, offset, base = _gathered(n, s)
+        top, rest, offset, base = gathered
         rests = _Rows(*(a.take(rest, axis=1) for a in rows))
         yield (slice(0, len(rest)), top, rest, offset, rests,
                pair.take(base + rests.members))
@@ -136,23 +152,26 @@ def _grow(pair, n, s, below, rows):
                        size, rests, pair[x].take(rests.members))
 
     for at, top, rest, offset, rests, terms in pieces():
-        grown.members[:-1, at] = rests.members
-        grown.members[-1, at] = top
-        np.add(rests.ranks, offset, out=grown.ranks[:-1, at])
-        grown.ranks[-1, at] = rest
-        np.add(rests.sums, terms["row"], out=grown.sums[:-1, at])
-        terms["col"].sum(axis=0, out=grown.sums[-1, at])
-
-    layer = _Layer(np.empty(count, below.opt.dtype),
-                   grown.sums.sum(axis=0, dtype=below.opt.dtype),
-                   np.empty(count, np.int8))
-    for lo in range(0, count, step):
-        at = slice(lo, lo + step)
-        vals = below.opt.take(grown.ranks[:, at])
-        vals += grown.sums[:, at]
+        if at.stop > stored:  # top n - 1, or a layer that is not kept
+            if scratch is None:
+                scratch = _Rows(*(np.empty((s, step), a.dtype) for a in rows))
+            piece = _Rows(*(a[:, :at.stop - at.start] for a in scratch))
+        elif at == slice(0, stored):  # one gathered piece: no views
+            piece = grown
+        else:
+            piece = _Rows(*(a[:, at] for a in grown))
+        piece.members[:-1] = rests.members
+        piece.members[-1] = top
+        np.add(rests.ranks, offset, out=piece.ranks[:-1])
+        piece.ranks[-1] = rest
+        np.add(rests.sums, terms["row"], out=piece.sums[:-1])
+        terms["col"].sum(axis=0, out=piece.sums[-1])
+        vals = below.opt.take(piece.ranks)
+        vals += piece.sums
         layer.choice[at] = vals.argmin(axis=0)
         layer.opt[at] = vals.min(axis=0)
-    return layer, grown
+        piece.sums.sum(axis=0, dtype=dtype, out=layer.sym[at])
+    return layer, grown if keep else None
 
 
 def subset_layers(c, n, top):
@@ -174,7 +193,7 @@ def subset_layers(c, n, top):
                      np.zeros((1, n), dtype))
         yield layer
     for s in range(2, top + 1):
-        layer, rows = _grow(pair, n, s, layer, rows)
+        layer, rows = _grow(pair, n, s, layer, rows, s < top)
         yield layer
 
 
@@ -247,16 +266,19 @@ def solve_dp(inst: BipartiteInstance, keep_table: bool = False):
     ledger = CostLedger(algo="dp", meta={"n_v": n})
     c = build_crossing_matrix(inst)
 
+    # Only the choices outlive the loop, and the optima too for a kept
+    # table; the kernel holds the layer below while it reads it.
     table = DpTable(n, [], [])
     for s, layer in enumerate(subset_layers(c, n, n)):
-        table.opt.append(layer.opt)
+        if keep_table:
+            table.opt.append(layer.opt)
         table.choice.append(layer.choice)
         if s >= 2:
             ledger.recurrence_evals += len(layer.opt) * s
             ledger.gamma_evals += len(layer.opt) * s
 
-    full = range(n)
-    solution = Solution(table.order_of(full), table.opt_of(full))
+    solution = Solution(tuple(_peel(table.choice, list(range(n)))),
+                        int(layer.opt[0]))
     if keep_table:
         return solution, ledger, table
     return solution, ledger
