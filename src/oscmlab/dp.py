@@ -24,7 +24,15 @@ so only those are stored; the rest are reduced as they are built. qdp's
 phase 1 runs the same kernel up to its threshold.
 
 Values are kept in the narrowest of int16/int32/int64 that holds c.sum(),
-which bounds every optimum, Sym and candidate value.
+which bounds every optimum and candidate value. A layer holds optima and
+choices only; Sym, which qdp's searches read, is computed there.
+
+A piece of at least _WIDE columns picks each column's first best candidate
+as its least key value * s + j, split back with one divmod: keys are int32
+while (c.sum() + 1) * s < 2^31 and int64 beyond. A narrower piece takes
+argmin and min, which cost fewer NumPy calls; NumPy's argmin down the
+columns of a wide piece reads it through a transposed copy, several times
+slower than one min.
 
 Space: 2^n_v choices (and optima, when the table is kept), plus the
 stored (s, C(n_v - 1, s)) arrays of two adjacent layers: members as int8,
@@ -49,12 +57,13 @@ from .ledger import CostLedger
 from .matrix import build_crossing_matrix
 
 # Time and space double with each vertex: n_v = 23 (8 fixed vertices, edge
-# probability 0.5) takes ~1.7 s on a 2-vCPU Xeon VM and peaks at ~0.13 GB
+# probability 0.5) takes ~1.1 s on a 2-vCPU Xeon VM and peaks at ~0.12 GB
 # under tracemalloc; only index arrays under 0.3 MB stay cached.
 _PRACTICAL_MAX_NV = 23
 
-_CHUNK = 1 << 14  # values per candidate array
+_PIECE = 1 << 16  # candidate values per piece of a layer
 _SLICED = 1 << 9  # rests from which a top's columns are copied as slices
+_WIDE = 1 << 8  # columns from which packed keys beat argmin + min (measured)
 
 
 @lru_cache(maxsize=16)
@@ -69,14 +78,26 @@ def _rank(members) -> int:
     return sum(comb(x, i + 1) for i, x in enumerate(members))
 
 
+def _key_dtype(bound, width):
+    """Dtype of the keys value * width + j for values in 0..bound and j in
+    0..width - 1: int32 while (bound + 1) * width < 2^31, int64 beyond."""
+    return np.int32 if (bound + 1) * width < 2 ** 31 else np.int64
+
+
+@lru_cache(maxsize=128)
+def _positions(s, keys):
+    """The key term j of a layer's candidate positions: an (s, 1) column."""
+    column = np.arange(s, dtype=keys)[:, None]
+    column.setflags(write=False)
+    return column
+
+
 class _Layer(NamedTuple):
-    """Optimum, Sym and winning candidate of every subset of one size, by
-    rank. Sym(S) = sum_{v,u in S} c[v][u]. The candidate is the position of
-    the last vertex in a table layer and the index of the split in one of
-    qdp's search layers."""
+    """Optimum and winning candidate of every subset of one size, by rank.
+    The candidate is the position of the last vertex in a table layer and
+    the index of the split in one of qdp's search layers."""
 
     opt: np.ndarray
-    sym: np.ndarray
     choice: np.ndarray
 
 
@@ -109,9 +130,10 @@ def _gathered(n, s):
     return (first, *arrays)
 
 
-def _grow(pair, n, s, below, rows, keep):
+def _grow(pair, n, s, below, rows, keep, positions):
     """Layer s from layer s - 1 and its rows, and the rows of layer s that
-    layer s + 1 reads (None unless keep).
+    layer s + 1 reads (None unless keep). positions is the key term j in
+    the key dtype (module docstring).
 
     The s-subsets with top member x take ranks C(x, s) on, in the order of
     their rests, the first C(x, s - 1) subsets of the layer below. Adding x
@@ -119,20 +141,19 @@ def _grow(pair, n, s, below, rows, keep):
     x_j and c[x][x_j] to x_j's column sum; x's own row is the rest's rank
     and sum_j c[x_j][x]. pair[x, v] holds (c[x][v], c[v][x]).
 
-    Each piece of columns is reduced as soon as it is built. Layer s + 1
-    reads only the first C(n - 1, s) columns (top below n - 1), so only
-    those rows are stored, and none when not keep; later pieces are built
-    in one scratch piece. A layer built as one gathered piece is stored
-    whole.
+    Each piece of columns is reduced as soon as it is built, by its packed
+    keys when it is at least _WIDE columns wide. Layer s + 1 reads only the
+    first C(n - 1, s) columns (top below n - 1), so only those rows are
+    stored, and none when not keep; later pieces are built in one scratch
+    piece. A layer built as one gathered piece is stored whole.
     """
     count = comb(n, s)
     dtype = below.opt.dtype
-    layer = _Layer(np.empty(count, dtype), np.empty(count, dtype),
-                   np.empty(count, np.int8))
+    layer = _Layer(np.empty(count, dtype), np.empty(count, np.int8))
     first, *gathered = _gathered(n, s)
     stored = count if first == n else comb(n - 1, s) if keep else 0
     grown = _Rows(*(np.empty((s, stored), a.dtype) for a in rows))
-    step = max(1, _CHUNK // s)
+    step = max(1, _PIECE // s)
     scratch = None
 
     def pieces():
@@ -153,8 +174,9 @@ def _grow(pair, n, s, below, rows, keep):
 
     for at, top, rest, offset, rests, terms in pieces():
         if at.stop > stored:  # top n - 1, or a layer that is not kept
-            if scratch is None:
-                scratch = _Rows(*(np.empty((s, step), a.dtype) for a in rows))
+            if scratch is None:  # the gathered piece may be the widest
+                width = max(step, at.stop - at.start)
+                scratch = _Rows(*(np.empty((s, width), a.dtype) for a in rows))
             piece = _Rows(*(a[:, :at.stop - at.start] for a in scratch))
         elif at == slice(0, stored):  # one gathered piece: no views
             piece = grown
@@ -167,10 +189,15 @@ def _grow(pair, n, s, below, rows, keep):
         np.add(rests.sums, terms["row"], out=piece.sums[:-1])
         terms["col"].sum(axis=0, out=piece.sums[-1])
         vals = below.opt.take(piece.ranks)
-        vals += piece.sums
-        layer.choice[at] = vals.argmin(axis=0)
-        layer.opt[at] = vals.min(axis=0)
-        piece.sums.sum(axis=0, dtype=dtype, out=layer.sym[at])
+        if at.stop - at.start < _WIDE:
+            vals += piece.sums
+            layer.choice[at] = vals.argmin(axis=0)
+            layer.opt[at] = vals.min(axis=0)
+        else:
+            key = np.add(vals, piece.sums, dtype=positions.dtype)
+            key *= s
+            key += positions
+            np.divmod(key.min(axis=0), s, out=(layer.opt[at], layer.choice[at]))
     return layer, grown if keep else None
 
 
@@ -179,21 +206,22 @@ def subset_layers(c, n, top):
     c: OPT(S) = min_w OPT(S \\ w) + sum_{v in S} c[v][w] for every s-subset
     S, the choice being w's position among the members (ties keep the
     smallest w). Values are in the narrowest of int16/int32/int64 that
-    holds c.sum(), a bound on every value computed."""
+    holds c.sum(), a bound on every value computed; layers hold no Sym."""
     total = int(c.sum())
     dtype = next(t for t in (np.int16, np.int32, np.int64)
                  if total <= np.iinfo(t).max)
     pair = np.empty((n, n), [("row", dtype), ("col", dtype)])
     pair["row"], pair["col"] = c, c.T
     ranks = np.int32 if comb(n, n // 2) < 2 ** 31 else np.int64
-    yield _Layer(np.zeros(1, dtype), np.zeros(1, dtype), np.zeros(1, np.int8))
+    yield _Layer(np.zeros(1, dtype), np.zeros(1, np.int8))
     if top:  # a singleton costs 0; its rest is the empty set, rank 0
-        layer = _Layer(np.zeros(n, dtype), np.zeros(n, dtype), np.zeros(n, np.int8))
+        layer = _Layer(np.zeros(n, dtype), np.zeros(n, np.int8))
         rows = _Rows(np.arange(n, dtype=np.int8)[None], np.zeros((1, n), ranks),
                      np.zeros((1, n), dtype))
         yield layer
     for s in range(2, top + 1):
-        layer, rows = _grow(pair, n, s, layer, rows, s < top)
+        layer, rows = _grow(pair, n, s, layer, rows, s < top,
+                            _positions(s, _key_dtype(total, s)))
         yield layer
 
 

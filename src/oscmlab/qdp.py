@@ -25,8 +25,8 @@ The simulation evaluates both phases one subset-size layer at a time in
 NumPy, on dp's table format: a layer holds every subset of one size by its
 combinatorial-number-system (colex) rank, so reading a smaller subset's
 optimum is an array gather. Phase 1 is dp's kernel (dp.subset_layers) run
-up to size t, keeping for each subset its optimum, its Sym and its chosen
-last vertex (ties keep the smallest vertex). Phase 2 rests on the searches
+up to size t, keeping for each subset its optimum and its chosen last
+vertex (ties keep the smallest vertex). Phase 2 rests on the searches
 reaching every subset of each search size: level 1 enumerates all
 ceil(n/2)-subsets and their complements, and so on down. So each search
 size is one layer too, evaluated bottom-up after the sizes it splits into.
@@ -34,8 +34,11 @@ A split (W, S\\W) of a subset S costs
 
     OPT(W) + OPT(S\\W) + sum_{v in W} rho_S(v) - Sym(W),
 
-with rho_S(v) = sum_{u in S} c[v][u] and Sym(W) = sum_{v,u in W} c[v][u]
-kept per subset beside its optimum. Splits are enumerated lexicographically
+with rho_S(v) = sum_{u in S} c[v][u] and Sym(W) = sum_{v,u in W} c[v][u].
+A search layer keeps Sym per subset beside its optimum; the Sym of a table
+size that a search reads as its W side is summed before the searches run,
+from the same row takes as a search layer's rho (dp's table layers carry
+none). Splits are enumerated lexicographically
 over the ascending member positions (the order of dc.split_min) and a
 subset keeps its first strictly-best split. The optimum of a subset does
 not depend on which search reached it, so one value per subset stands for
@@ -72,7 +75,7 @@ from math import ceil, comb
 import numpy as np
 
 from .bigraph import BipartiteInstance, Solution
-from .dp import _CHUNK, _Layer, _binomials, _peel, _rank, subset_layers
+from .dp import _Layer, _binomials, _key_dtype, _peel, _rank, subset_layers
 from .dp import _PRACTICAL_MAX_NV as _DP_MAX_NV
 from .errors import SizeLimitError
 from .ledger import CostLedger
@@ -86,6 +89,8 @@ from .qmf import cost_model_calls
 # cap a search solve raises SizeLimitError before it allocates anything; the
 # dp fallback path is held to dp's own cap instead.
 _PRACTICAL_MAX_NV = 22
+
+_CHUNK = 1 << 14  # split values per chunk of a search layer
 
 
 @dataclass(frozen=True)
@@ -184,43 +189,63 @@ def _sum_rows(tables, positions):
     return total
 
 
-def _search_layer(c, n, s, k, w_side, rest_side):
-    """Best split of every s-subset into a k-subset W and the rest; ties
-    keep the first split. c is the flattened crossing matrix in the
-    tables' value dtype, which holds every value of a split. Chunks of
-    subsets are (s, m) member blocks, and a subset's choice is its least
-    packed key value * C(s, k) + j (module docstring, Space)."""
+def _rho(c, n, block):
+    """rho_S(v) = sum_{u in S} c[v][u] for each member v of each subset of
+    an (s, m) member block, as an (s, m) array: s row takes of the
+    flattened crossing matrix c."""
+    base = block * np.intp(n)
+    rho = c.take(base + block[0])
+    for row in block[1:]:
+        rho += c.take(base + row)
+    return rho
+
+
+def _sym(c, n, s):
+    """Sym(S) = sum_{v in S} rho_S(v) of every s-subset, by rank, from
+    chunks of at most _CHUNK rho values."""
+    members = _layer(n, s)
+    sym = np.empty(members.shape[1], c.dtype)
+    step = max(1, _CHUNK // s)
+    for lo in range(0, len(sym), step):
+        at = slice(lo, lo + step)
+        _rho(c, n, members[:, at]).sum(axis=0, dtype=c.dtype, out=sym[at])
+    return sym
+
+
+def _search_layer(c, n, s, k, w_value, rest_opt):
+    """Best split of every s-subset into a k-subset W and the rest, and
+    the Sym of every s-subset; ties keep the first split. c is the
+    flattened crossing matrix in the tables' value dtype, which holds
+    every value of a split; w_value is OPT - Sym of the k-subsets and
+    rest_opt OPT of the (s - k)-subsets. Chunks of subsets are (s, m)
+    member blocks, and a subset's choice is its least packed key value *
+    C(s, k) + j (module docstring, Space)."""
     picks, rest = _splits(s, k)
     splits = picks.shape[1]
     # C(x, i) for x < n and i up to either side's size is at most the
     # larger side layer's length, so the int32 cast is exact
     binom = _binomials(n)[1:max(k, s - k) + 1].astype(np.int32)
-    keys = (np.int32 if (int(c.sum(dtype=np.int64)) + 1) * splits < 2 ** 31
-            else np.int64)
+    keys = _key_dtype(int(c.sum(dtype=np.int64)), splits)
     index = np.arange(splits, dtype=keys)[:, None]
-    w_value = w_side.opt - w_side.sym
 
     members = _layer(n, s)
     count = members.shape[1]
-    layer = _Layer(np.empty(count, c.dtype), np.empty(count, c.dtype),
-                   np.empty(count, np.int32))
+    layer = _Layer(np.empty(count, c.dtype), np.empty(count, np.int32))
+    sym = np.empty(count, c.dtype)
     step = max(1, _CHUNK // splits)
     for lo in range(0, count, step):
         at = slice(lo, lo + step)
         block = members[:, at]
-        base = block * np.intp(n)
-        rho = c.take(base + block[0])
-        for row in block[1:]:
-            rho += c.take(base + row)
+        rho = _rho(c, n, block)
         terms = [column.take(block) for column in binom]  # C(member, i + 1)
         key = _sum_rows([rho.astype(keys)] * k, picks)
         key += w_value.take(_sum_rows(terms, picks))
-        key += rest_side.opt.take(_sum_rows(terms, rest))
+        key += rest_opt.take(_sum_rows(terms, rest))
         key *= splits
         key += index
         layer.opt[at], layer.choice[at] = np.divmod(key.min(axis=0), splits)
-        layer.sym[at] = rho.sum(axis=0, dtype=c.dtype)
-    return layer
+        rho.sum(axis=0, dtype=c.dtype, out=sym[at])
+    return layer, sym
 
 
 def _search_plan(n, t, k3):
@@ -297,10 +322,12 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
     # charge the smaller size has already composed.
     plan = _search_plan(n, t, ceil(cfg.alpha * n / 4.0))
     flat = c.astype(layers[0].opt.dtype).ravel()
+    sym = {k: _sym(flat, n, k) for k in set(plan.values()) if k <= t}
     charge = {}
     for s in sorted(plan):
         k = plan[s]
-        layers[s] = _search_layer(flat, n, s, k, layers[k], layers[s - k])
+        layers[s], sym[s] = _search_layer(flat, n, s, k, layers[k].opt - sym[k],
+                                          layers[s - k].opt)
         ledger.table_reads += (len(layers[s].opt) * comb(s, k)
                                * ((k <= t) + (s - k <= t)))
         charge[s] = (cost_model_calls(comb(s, k), cfg.call_constant)

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -182,53 +183,76 @@ def test_peak_memory_at_twenty():
 
 
 def reference_layers(c, n):
-    """(opt, sym, choice) per size by the plain recurrence over Python ints,
+    """(opt, choice) per size by the plain recurrence over Python ints,
     subsets in colex order (lexicographic in their reversed members)."""
     opt, layers = {(): 0}, []
     for s in range(n + 1):
         subsets = sorted(combinations(range(n), s), key=lambda m: m[::-1])
-        layer = ([], [], [])
+        layer = ([], [])
         for members in subsets:
             vals = [opt[members[:j] + members[j + 1:]]
                     + sum(c[v][w] for v in members) for j, w in enumerate(members)]
             best = min(vals) if vals else 0
             opt[members] = best
             layer[0].append(best)
-            layer[1].append(sum(c[v][w] for v in members for w in members))
-            layer[2].append(vals.index(best) if vals else 0)
+            layer[1].append(vals.index(best) if vals else 0)
         layers.append(layer)
     return layers
 
 
+# The first c.sum() at which the keys of a 5-subset's candidates, value * 5
+# + position, may pass 2^31 - 1 and are int64.
+KEYS_WIDEN_AT = 2 ** 31 // 5
+
+
 @pytest.mark.parametrize("total,dtype", [
     (2 ** 15 - 1, "int16"), (2 ** 15, "int32"),
+    (KEYS_WIDEN_AT - 1, "int32"), (KEYS_WIDEN_AT, "int32"),
     (2 ** 31 - 1, "int32"), (2 ** 31, "int64"), (0, "int16")])
-@pytest.mark.parametrize("n", [5, 8, 13])
-def test_layers_at_the_value_dtype_bounds(n, total, dtype):
+@pytest.mark.parametrize("n,pieces", [
+    *(pytest.param(n, None, id=str(n)) for n in (5, 8, 13)),
+    pytest.param(13, {"_SLICED": 1 << 6, "_PIECE": 1 << 8, "_WIDE": 32},
+                 id="13-small-pieces")])
+def test_layers_at_the_value_dtype_bounds(monkeypatch, n, pieces, total, dtype):
     """A matrix summing to just below or just at a dtype's limit, or to 0:
     the layers up to top n, n // 2 and qdp's table threshold take the
     narrowest dtype that holds the sum and agree with the plain recurrence
     everywhere, so nothing wraps, and on the all-zero matrix every choice
     is position 0. At n = 13 the subsets of sizes 6 and 7 whose top member
     is 12 have C(12, s - 1) >= 792 rests, so they are built as slices in
-    the scratch piece, as the top layer's columns are when top < n."""
-    rng = np.random.default_rng(n + total)
-    c = rng.integers(0, 1000, size=(n, n))
-    np.fill_diagonal(c, 0)
-    c = c * (total // c.sum())
-    c[0, 1] += total - c.sum()
+    the scratch piece, as the top layer's columns are when top < n.
+
+    With small pieces, tops with 64 rests or more are sliced into pieces
+    of 256 values: most of them span several pieces, stored or in the
+    scratch piece, and pieces on both sides of 32 columns take both
+    reductions. At c.sum() = KEYS_WIDEN_AT - 1 and KEYS_WIDEN_AT all the
+    weight is on c[v][n - 1] for v < 4, so the 5-subset {0, 1, 2, 3,
+    n - 1} has a candidate worth c.sum() at position 4; at n = 13 it is
+    reduced in a piece at least _WIDE columns wide, whose int32 keys would
+    pass 2^31 - 1 at KEYS_WIDEN_AT."""
+    for name, value in (pieces or {}).items():
+        monkeypatch.setattr(dp, name, value)
+    if pieces:  # a cache of its own for the patched piece sizes
+        monkeypatch.setattr(dp, "_gathered", lru_cache(dp._gathered.__wrapped__))
+    if total in (KEYS_WIDEN_AT - 1, KEYS_WIDEN_AT):
+        c = np.zeros((n, n), np.int64)
+        c[:4, n - 1] = total // 4
+        c[0, n - 1] += total % 4
+    else:
+        c = np.random.default_rng(n + total).integers(0, 1000, size=(n, n))
+        np.fill_diagonal(c, 0)
+        c = c * (total // c.sum())
+        c[0, 1] += total - c.sum()
     assert c.sum() == total
-    if n == 13:
+    if n == 13 and not pieces:
         assert dp._gathered(n, 6)[0] == dp._gathered(n, 7)[0] == 12
     want = reference_layers(c.tolist(), n)
     for top in {n, n // 2, qdp.table_threshold(n, qdp.QdpConfig().alpha)}:
         got = list(dp.subset_layers(c, n, top))
-        assert {(layer.opt.dtype.name, layer.sym.dtype.name,
-                 layer.choice.dtype.name) for layer in got} == {
-                     (dtype, dtype, "int8")}
-        for layer, (opt, sym, choice) in zip(got, want[:top + 1], strict=True):
+        assert {(layer.opt.dtype.name, layer.choice.dtype.name)
+                for layer in got} == {(dtype, "int8")}
+        for layer, (opt, choice) in zip(got, want[:top + 1], strict=True):
             assert layer.opt.tolist() == opt
-            assert layer.sym.tolist() == sym
             assert layer.choice.tolist() == choice
             assert not (total == 0 and layer.choice.any())
 

@@ -246,7 +246,8 @@ def reference_layers(c, n, t, plan):
     itertools.combinations. A table subset's choice is the position of its
     best last vertex, a search subset's the index of its best split among
     the lexicographic k-combinations of member positions; ties keep the
-    first."""
+    first. sym is None for a table size that no search reads as its W
+    side."""
     opt, sym, layers = {}, {}, {}
     for s in [*range(t + 1), *sorted(plan)]:
         layer = []
@@ -264,19 +265,26 @@ def reference_layers(c, n, t, plan):
                         + sum(c[v][w] for v in members)
                         for j, w in enumerate(members)] or [0]
             opt[members], sym[members] = min(vals), sum(rho)
-            layer.append((min(vals), sum(rho), vals.index(min(vals))))
+            read = s in plan or s in plan.values()
+            layer.append((min(vals), sum(rho) if read else None,
+                          vals.index(min(vals))))
         layers[s] = layer
     return layers
 
 
 def search_layers(c, n, t, plan):
-    """The layers solve_qdp evaluates for the crossing matrix c."""
+    """The layers and Sym arrays solve_qdp evaluates for the crossing
+    matrix c, as {s: [(opt, sym, choice)]}; sym is None where qdp computes
+    none."""
     layers = dict(enumerate(dp.subset_layers(c, n, t)))
     flat = c.astype(layers[0].opt.dtype).ravel()
+    sym = {k: qdp._sym(flat, n, k) for k in set(plan.values()) if k <= t}
     for s in sorted(plan):
         k = plan[s]
-        layers[s] = qdp._search_layer(flat, n, s, k, layers[k], layers[s - k])
-    return {s: list(zip(layer.opt.tolist(), layer.sym.tolist(),
+        layers[s], sym[s] = qdp._search_layer(
+            flat, n, s, k, layers[k].opt - sym[k], layers[s - k].opt)
+    return {s: list(zip(layer.opt.tolist(),
+                        sym[s].tolist() if s in sym else [None] * len(layer.opt),
                         layer.choice.tolist()))
             for s, layer in layers.items()}
 
@@ -290,9 +298,10 @@ def complete(n_u, n_v):
 @pytest.mark.parametrize("alpha", [0.055362, 0.4])
 @pytest.mark.parametrize("n", range(8, 13))
 def test_search_layers_match_a_plain_loop(n, alpha, kind):
-    """Every table and search layer, subset by subset: optimum, Sym and
-    first best split. Edgeless and complete bipartite instances tie every
-    split of a subset, so each keeps split 0."""
+    """Every table and search layer, subset by subset: optimum and first
+    best split, and Sym for every search size and every table size a
+    search reads as its W side. Edgeless and complete bipartite instances
+    tie every split of a subset, so each keeps split 0."""
     inst = {"random": lambda: random_instance(random.Random(n), 5, n, 0.5),
             "edgeless": lambda: BipartiteInstance(3, n),
             "complete": lambda: complete(3, n)}[kind]()
