@@ -14,9 +14,11 @@ decompose over subset splits.
 
 build_crossing_matrix returns the matrix itself: a read-only n_v x n_v
 int64 array. Subsets are sequences of members. cross_sum (gamma) and
-order_sum (the cost of an ordering) are the only pair sums; they read the
-matrix as nested lists (c.tolist()), which dc's pure-Python recursion
-indexes far faster than NumPy elements.
+order_sum (the cost of an ordering) are the scalar pair sums; they read
+the matrix as nested lists (c.tolist()), which Python loops index far
+faster than NumPy elements. dc's tail frames sum the same pairs in bulk
+from index tables over a local submatrix (dc._TailPlan), and the brute-
+force oracle keeps its own route (bigraph._edge_pairs).
 """
 
 from __future__ import annotations

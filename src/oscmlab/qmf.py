@@ -5,33 +5,37 @@ returns the exact argmin (smallest index on ties) and charges
 ceil(call_constant * sqrt(N)) oracle calls — the query complexity a
 Durr-Hoyer search would spend, attached to an exact answer.
 
-state_vector mode actually runs the Durr-Hoyer loop on a simulated
-amplitude vector of dimension 2^ceil(log2 N): pick a random threshold,
-Grover-search the strictly-better indices (iteration count
-ceil(pi/4 * sqrt(dim / t)) with t the current marked count), measure,
-accept improvements, stop when nothing is marked or the iteration budget
-(22.5*sqrt(dim) + 1.4*log2(dim), the classic expected-time constant) runs
-out. Success probability is at least 1/2; oracle_calls is the number of
-Grover iterations actually performed. Padded indices beyond N are never
-marked.
-
-The budget's second term is 1.4*log2(dim), not the 1.4*lg^2(N) of the
-paper's 22.5*sqrt(N) + 1.4*lg^2(N) bound. The state-vector values pinned in
-the tests (split_recursion_golden.json, the qmf per-seed checks) were
-recorded with this budget, so changing it moves them.
+state_vector mode samples the Durr-Hoyer loop (quant-ph/9607014) on a
+register of dim = 2^ceil(log2 N) indices, the padding never marked: from a
+uniform start y it Grover-searches the t indices strictly better than y.
+Grover rounds keep one amplitude on the marked set and one on the rest,
+so after r rounds the marked mass is exactly sin^2((2r + 1) theta) with
+sin^2 theta = t / dim; an attempt samples the class from it, then a
+uniform marked index. Rounds follow the BBHT schedule for unknown t
+(quant-ph/9605034): r uniform in [0, m), m from 1 growing to
+min(6/5 m, sqrt(dim)) after each attempt that finds nothing better; an
+improvement moves y and restarts the schedule. The search stops when
+nothing is marked or the budget is spent. oracle_calls counts each
+attempt's r rounds plus one query reading the measured index. The budget,
+22.5 sqrt(dim) + 1.4 lg^2(dim), is the paper's: Durr and Hoyer bound the
+expected total by half of it, so by Markov's inequality a search given
+the budget finds the minimum with probability at least 1/2. norm_drift is
+the largest |sin^2 + cos^2 - 1| of an attempt's angle, the only rounding
+left. Uniforms come from ``rng`` in blocks of _BLOCK.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import ceil, log2, pi, sqrt
+from math import asin, ceil, cos, log2, sin, sqrt
 
 import numpy as np
 
 from .errors import SizeLimitError
 
-# Largest domain a state-vector search simulates (a 1024-amplitude vector).
+# Largest domain a state-vector search simulates (a 1024-amplitude register).
 MAX_STATEVECTOR_DOMAIN = 1024
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -85,53 +89,47 @@ def qmf(n_values: int, value_fn, cfg: QmfConfig = None, rng=None) -> QmfResult:
     return _state_vector_qmf(n_values, value_fn, cfg, rng)
 
 
-def _grover_iteration(psi, marked):
-    psi[marked] *= -1.0
-    psi[:] = 2.0 * psi.mean() - psi
-
-
 def _state_vector_qmf(n_values, value_fn, cfg, rng):
     if n_values > MAX_STATEVECTOR_DOMAIN:
         raise SizeLimitError(
             f"state-vector domain {n_values} exceeds cap {MAX_STATEVECTOR_DOMAIN}"
         )
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    values = [value_fn(i) for i in range(n_values)]
-    dim = 1 << max(0, (n_values - 1).bit_length())
-    budget = ceil(22.5 * sqrt(dim) + 1.4 * log2(dim)) if dim > 1 else 1
+    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+    values = list(map(value_fn, range(n_values)))
+    dim = 1 << (n_values - 1).bit_length()
+    budget = ceil(22.5 * sqrt(dim) + 1.4 * log2(dim) ** 2) if dim > 1 else 1
+    draws = rng.random(_BLOCK).tolist()
 
-    y = int(rng.integers(n_values))
-    thresholds = [values[y]]
-    iterations = 0
-    drift = 0.0
-
-    while iterations < budget:
-        marked = [i for i in range(n_values) if values[i] < values[y]]
+    found = values[int(draws[0] * n_values)]
+    thresholds = [found]
+    calls, drift, at = 0, 0.0, 1
+    while calls < budget:
+        marked = [v for v in values if v < found]
         if not marked:
             break
-        rounds = ceil((pi / 4.0) * sqrt(dim / max(1, len(marked))))
-        psi = np.full(dim, 1.0 / sqrt(dim))
-        for _ in range(rounds):
-            _grover_iteration(psi, marked)
-            iterations += 1
-            drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
-            if iterations >= budget:
+        theta = asin(sqrt(len(marked) / dim))
+        m = 1.0
+        while calls < budget:
+            if at + 3 > len(draws):
+                draws += rng.random(_BLOCK).tolist()
+            u_rounds, u_class, u_member = draws[at:at + 3]
+            at += 3
+            rounds = min(int(u_rounds * ceil(m)), budget - calls - 1)
+            calls += rounds + 1
+            angle = (2 * rounds + 1) * theta
+            hit = sin(angle) ** 2
+            drift = max(drift, abs(hit + cos(angle) ** 2 - 1.0))
+            if u_class < hit:
+                found = marked[int(u_member * len(marked))]
+                thresholds.append(found)
                 break
-        probs = psi * psi
-        probs /= probs.sum()
-        sample = int(rng.choice(dim, p=probs))
-        if sample < n_values and values[sample] < values[y]:
-            y = sample
-            thresholds.append(values[y])
+            m = min(6 / 5 * m, sqrt(dim))
 
-    true_min = min(values)
-    found = values[y]
     return QmfResult(
         argmin_index=values.index(found),
         min_value=found,
-        oracle_calls=max(1, iterations),
-        success_flag=found == true_min,
+        oracle_calls=max(1, calls),
+        success_flag=found == min(values),
         norm_drift=drift,
         thresholds=tuple(thresholds),
     )

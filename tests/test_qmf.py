@@ -1,5 +1,7 @@
 import random
+from math import asin, isqrt, sin, sqrt
 
+import numpy as np
 import pytest
 
 from oscmlab import (QmfConfig, SizeLimitError, cost_model_calls, qmf,
@@ -95,3 +97,20 @@ def test_success_rate_trivial_domain():
 def test_bounded_error_minimum_finding(n_values):
     rate = qmf_success_rate(100, n_values)
     assert rate >= 0.5
+
+
+@pytest.mark.parametrize("dim", [1 << k for k in range(11)])
+def test_closed_form_matches_dense_grover_rounds(dim):
+    """The marked mass the state-vector search samples, sin^2((2r+1) theta)
+    with sin^2 theta = t / dim, equals that of r dense Grover rounds (flip
+    the marked amplitudes, reflect about the mean), for every t and every
+    r up to sqrt(dim). Row t of psi marks its first t indices."""
+    marked = np.arange(dim) < np.arange(dim + 1)[:, None]
+    theta = np.array([asin(sqrt(t / dim)) for t in range(dim + 1)])
+    psi = np.full((dim + 1, dim), 1 / sqrt(dim))
+    for r in range(isqrt(dim) + 1):
+        mass = np.where(marked, psi * psi, 0.0).sum(axis=1)
+        closed = np.array([sin((2 * r + 1) * a) ** 2 for a in theta])
+        assert np.abs(mass - closed).max() < 1e-12, r
+        psi = np.where(marked, -psi, psi)
+        psi = 2 * psi.mean(axis=1, keepdims=True) - psi

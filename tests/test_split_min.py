@@ -2,12 +2,15 @@
 
 Outputs are pinned from the two-pass recursion it replaced (a value pass,
 then a second pass re-deriving the winning splits), recorded before the
-switch in split_recursion_golden.json. The peak test measures real
-allocation at criterion 7's configuration, and the agreement test checks
-the engine against dp where brute force no longer reaches. The golden test
-also checks qdc's miss flag, and the last tests cover what else the shared
-solve adds around the recursion: the recount of the kept ordering and one
-gamma count per candidate.
+switch in split_recursion_golden.json; its sampled (sv_*) figures are
+those of the BBHT schedule in qmf. The peak test measures real allocation
+at criterion 7's configuration, and the agreement test checks the engine
+against dp where brute force no longer reaches. The golden test also
+checks qdc's miss flag. The tail test checks that tail frames, solved from
+one gather, report what frame-by-frame recursion (TAIL = 0) reports, and
+the last tests cover what else the shared solve adds around the
+recursion: the recount of the kept ordering and one gamma count per
+candidate.
 """
 
 import json
@@ -19,8 +22,9 @@ import numpy as np
 import pytest
 
 from oscmlab import (DcConfig, NodeBudgetExceeded, QdcConfig, QmfConfig,
-                     count_crossings, solve_dc, solve_dp, solve_qdc,
-                     split_trace)
+                     count_crossings, dc_node_count, solve_dc, solve_dp,
+                     solve_qdc, split_trace)
+import oscmlab.dc
 from oscmlab.dc import split_min
 from oscmlab.ledger import CostLedger
 
@@ -49,8 +53,8 @@ def test_outputs_match_the_two_pass_recursion(case):
     assert ledger.oracle_calls == case["sv_oracle_calls"]
     assert list(sampled.ordering) == case["sv_ordering"]
     assert sampled.crossings == case["crossings"]
-    # A count-only run reports what the sampled searches found, which
-    # misses the optimum on the n=8 case; both runs flag that root search.
+    # A count-only run reports what the sampled searches found; both runs
+    # flag a root search that missed the optimum (none of these cases do).
     missed = case["sv_count_only_crossings"] != case["crossings"]
     assert ledger.meta["search_missed"] is missed
     counted, ledger = solve_qdc(inst, QdcConfig(count_only=True, qmf_cfg=qmf_cfg))
@@ -75,13 +79,46 @@ def test_measured_peak_stays_polynomial(solve, cfg):
     assert info.value.peak_state_bytes < peak
 
 
-@pytest.mark.parametrize("n_v,seed", [(11, 1), (11, 2), (12, 1), (12, 2)])
+@pytest.mark.parametrize("n_v,seed", [(11, 1), (11, 2), (12, 1), (12, 2),
+                                      (13, 1)])
 def test_dc_qdc_and_dp_agree_past_brute_force(n_v, seed):
     inst = random_instance(random.Random(n_v * 100 + seed), 5, n_v, 0.5)
     want = solve_dp(inst)[0].crossings
     for sol, _ in (solve_dc(inst), solve_qdc(inst)):
         assert sol.crossings == want
         assert count_crossings(inst, sol.ordering) == want
+
+
+def outcome(solve, inst, cfg):
+    """What a solve reports, or where its node budget ran out."""
+    try:
+        sol, ledger = solve(inst, cfg)
+    except NodeBudgetExceeded as err:
+        return ("raised", err.ledger.nodes, err.ledger.gamma_evals,
+                err.peak_state_bytes, err.max_depth)
+    return (sol.crossings, sol.ordering, ledger.nodes, ledger.gamma_evals,
+            ledger.oracle_calls, ledger.meta)
+
+
+@pytest.mark.parametrize("base", [1, 2, 3])
+@pytest.mark.parametrize("solve,config", [(solve_dc, DcConfig),
+                                          (solve_qdc, QdcConfig)],
+                         ids=["dc", "qdc"])
+def test_tail_frames_report_what_scalar_frames_report(monkeypatch, solve,
+                                                      config, base):
+    """Budgets of a few nodes, of a third and of all but one of the tree
+    stop inside a tail (the whole tree is one up to n_v = TAIL, and at
+    n_v = 9 and 10 all but its top frames are)."""
+    for n_v in range(1, 11):
+        inst = random_instance(random.Random(1000 + n_v), 5, n_v, 0.5)
+        total = dc_node_count(n_v, base)
+        for budget in sorted({None, 1, 2, 5, total // 3 + 1, total - 1} - {0},
+                             key=lambda b: b or 0):
+            cfg = config(base_size=base, node_budget=budget)
+            tails = outcome(solve, inst, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(oscmlab.dc, "TAIL", 0)
+                assert outcome(solve, inst, cfg) == tails, (n_v, budget)
 
 
 def test_charge_takes_both_siblings_from_the_last_candidate():
@@ -110,8 +147,12 @@ def test_charge_takes_both_siblings_from_the_last_candidate():
 ], ids=["dc", "qdc"])
 def test_an_ordering_that_does_not_recount_raises(solve, cfg, monkeypatch):
     """With gamma summed as 0 every value is 0 at base size 1, while the
-    kept ordering of a dense instance crosses: the recount catches it."""
+    kept ordering of a dense instance crosses: the recount catches it.
+    Tail frames sum gamma from their local matrix, zeroed here too."""
     monkeypatch.setattr("oscmlab.dc.cross_sum", lambda rows, first, second: 0)
+    monkeypatch.setattr("oscmlab.dc.local_matrix",
+                        lambda c, members: np.zeros((len(members),) * 2,
+                                                    dtype=np.int64))
     inst = random_instance(random.Random(5), 4, 6, 0.7)
     assert solve_dp(inst)[0].crossings > 0
     with pytest.raises(AssertionError, match="recounts"):
