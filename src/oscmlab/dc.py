@@ -14,26 +14,35 @@ node's splits (min here). Each frame keeps only its best split's value and
 ordering, so one pass yields both the optimum and an ordering, recounted
 before it is returned, and the ledger equals dc_node_count on every run.
 
-Frames of at most TAIL members are tails: their subtrees read every
-base-case value and gamma from one NumPy gather over index tables cached
-per frame size, while Python still visits each internal node, so searches
-and counts are those of the frame-by-frame recursion (split_min). TAIL is
-set by measurement: raising it from 6 to 8 made the roots of n_v = 7 and
-8 tails and their dc + qdc solves 3.5x faster, and a frame's tables stay
-under 12k indices at any base size up to 8, while a 9-member tail with
-base size 5 would enumerate 120 orderings per base case (244k indices).
+Frames of more than base_size and at most TAIL members are tails. A tail
+whose whole subtree fits in the node budget is counted whole: the ledger
+adds its dc_node_count nodes and dc_gamma_count gammas in one step, and
+the meter records the peak and depth its frames would reach. One NumPy
+gather over index tables cached per frame size gives every base-case
+ordering's crossings and every split's gamma, a few whole-array steps per
+node size then give every node's exact value and first best split,
+bottom-up, and the tail's ordering is rebuilt once along those splits. dc
+reads the exact value and enters no tail node; qdc walks the internal
+nodes only, to run their searches. A tail that the budget would run out
+inside runs frame by frame, the path that TAIL = 0 runs everywhere, so it
+raises where that path raises. TAIL is set by measurement: raising it
+from 6 to 8 made the roots of n_v = 7 and 8 tails and their dc + qdc
+solves 3.5x faster, and a frame's tables stay under 12k indices at any
+base size up to 8, while a 9-member tail with base size 5 would enumerate
+120 orderings per base case (244k indices).
 
 A SpaceMeter tracks live algorithm state in bytes under a fixed accounting
 model, and an optional node budget lets instrumented runs at sizes too big
 to finish still observe the peak (it stabilizes once the first descent
-reaches maximum depth). Tails charge the meter exactly as entered frames.
+reaches maximum depth). A tail counted whole charges the meter the peak
+and depth its entered frames would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, groupby, permutations
 from math import comb, ceil, factorial
 
 import numpy as np
@@ -69,7 +78,9 @@ class SpaceMeter:
     holds its kept best ordering, 32 bytes plus one per member, until it
     returns. Deterministic by construction — the point is a reproducible
     "no exponential structure is ever live" witness, not an
-    allocator-accurate profile.
+    allocator-accurate profile. A tail frame counted whole enters no
+    frame: ``reach`` records the peak and depth its frames would reach
+    (the same for every tail of a size and base size).
     """
 
     def __init__(self):
@@ -173,103 +184,133 @@ def local_matrix(c: np.ndarray, members) -> np.ndarray:
     return c.take(members, 0).take(members, 1)
 
 
-_BASE, _BOTTOM, _SPLIT = range(3)
-
-
 class _TailPlan:
     """Index tables of a tail frame of s members (base_size < s <= TAIL).
 
-    A node of the frame's subtree is the bitmask of its positions in the
-    frame's sorted members, and nodes[mask] describes it:
+    A node of the frame's subtree is a sorted tuple of positions in the
+    frame's sorted members. Nodes are numbered base cases first, then
+    internal nodes by size, smallest first, so every child is numbered
+    before its parent and the root last. ``inner`` holds each internal
+    node's split count m, first split row ``at`` and the numbers of its
+    splits' W and rest sides, splits in lexicographic order of W. A solve
+    fills an array of values laid out as
 
-    - (_BASE, size, slot, frame bytes): a base case. Its orderings are
-      block ``slot`` of ``orders``: every permutation of its positions in
-      lexicographic order, the last repeated to fill ``per`` rows.
-    - (_BOTTOM, size, offset, slots, peak bytes): an internal node whose
-      children are all base cases. Its splits are bottom gamma rows
-      offset, offset + 1, ..., and slots holds each split's (W slot,
-      rest slot).
-    - (_SPLIT, size, offset, W masks, rest masks): any other internal
-      node. Its splits are split gamma rows offset, offset + 1, ...
+    - split gammas, gamma(W, rest), one row per split of every internal
+      node, nodes in number order (n_splits rows);
+    - split values, W's exact value + the rest's + gamma (n_splits rows,
+      a node's from n_splits + at);
+    - node exact values, node x at ``values_at`` + x;
+    - base-case orderings' crossings, ``per`` rows per base case: its
+      permutations in lexicographic order, the last repeated.
 
-    An ordering row sums the local matrix over the ordering's pairs, a
-    gamma row over its split's W x rest. ``idx`` holds their flat indices
-    into the s x s local matrix and ``row`` the row of each, so one take
-    and one bincount give every row sum. Rows run base orderings, split
-    gammas, then bottom gammas.
+    ``idx`` holds the flat index into the s x s local matrix of every pair
+    term of a gamma or an ordering, and ``row`` its row, so one take and
+    one bincount sum them all. The base cases' minima, then each size's
+    split values and minima, follow in a few whole-array steps per size.
     """
 
     def __init__(self, s, base_size):
-        self.root = (1 << s) - 1
-        self.nodes = [None] * (1 << s)
-        base, split_rows, bottom_rows, bottom_slots = [], [], [], []
+        self.n_nodes = dc_node_count(s, base_size)
+        self.n_gammas = dc_gamma_count(s, base_size)
+        # The deepest descent runs down the ceil halves; each internal frame
+        # on it holds a best ordering, as its first candidate set one.
+        self.depth, self.peak, k = dc_max_depth(s, base_size), 0, s
+        while k > base_size:
+            self.peak += SpaceMeter.frame_bytes(k) + SpaceMeter.trace_bytes(k)
+            k = ceil(k / 2)
+        self.peak += SpaceMeter.frame_bytes(k)
 
-        def visit(mask):
-            if self.nodes[mask] is not None:
-                return self.nodes[mask]
-            pos = tuple(i for i in range(s) if mask >> i & 1)
-            size = len(pos)
-            if size <= base_size:
-                self.nodes[mask] = (_BASE, size, len(base),
-                                    SpaceMeter.frame_bytes(size))
-                base.append(pos)
-                return self.nodes[mask]
-            k = ceil(size / 2)
-            parts = [(w, tuple(v for v in pos if v not in w))
-                     for w in combinations(pos, k)]
-            w_masks = tuple(sum(1 << v for v in w) for w, _ in parts)
-            r_masks = tuple(mask ^ w for w in w_masks)
-            if k <= base_size:
-                slots = tuple((visit(w)[2], visit(r)[2])
-                              for w, r in zip(w_masks, r_masks))
-                peak = (SpaceMeter.frame_bytes(size) + SpaceMeter.trace_bytes(size)
-                        + SpaceMeter.frame_bytes(k))
-                self.nodes[mask] = (_BOTTOM, size, len(bottom_rows), slots, peak)
-                bottom_rows.extend(parts)
-                bottom_slots.extend(slots)
-                return self.nodes[mask]
-            self.nodes[mask] = (_SPLIT, size, len(split_rows), w_masks, r_masks)
-            split_rows.extend(parts)
-            for w, r in zip(w_masks, r_masks):
-                visit(w)
-                visit(r)
-            return self.nodes[mask]
+        def halves(pos):            # as _scalar_splits enumerates them
+            return [(w, tuple([v for v in pos if v not in w]))
+                    for w in combinations(pos, ceil(len(pos) / 2))]
 
-        visit(self.root)
+        seen = {}
+
+        def visit(pos):
+            if pos not in seen:
+                seen[pos] = halves(pos) if len(pos) > base_size else None
+                for w, rest in seen[pos] or ():
+                    visit(w)
+                    visit(rest)
+
+        visit(tuple(range(s)))
+        base = [pos for pos, parts in seen.items() if parts is None]
+        inner = sorted((pos for pos, parts in seen.items() if parts), key=len)
+        number = {pos: x for x, pos in enumerate(base + inner)}
+        self.n_base, self.root = len(base), len(seen) - 1
+        self.inner, splits = [], []
+        for pos in inner:
+            parts = seen[pos]
+            self.inner.append((len(parts), len(splits),
+                               tuple([number[w] for w, _ in parts]),
+                               tuple([number[r] for _, r in parts])))
+            splits += parts
+        g = self.n_splits = len(splits)
+        self.values_at = 2 * g
         self.per = factorial(max(map(len, base)))
         self.orders = []
         for pos in base:
             perms = list(permutations(pos))
             self.orders += perms + perms[-1:] * (self.per - len(perms))
-        rows = [[a * s + b for i, a in enumerate(order) for b in order[i + 1:]]
-                for order in self.orders]
-        rows += [[a * s + b for a in w for b in r]
-                 for w, r in split_rows + bottom_rows]
-        self.idx = np.array([t for terms in rows for t in terms], dtype=np.intp)
-        self.row = np.array([i for i, terms in enumerate(rows) for _ in terms],
+        orders_at = self.values_at + len(seen)
+        self.size = orders_at + len(self.orders)
+        terms = [[a * s + b for a in w for b in r] for w, r in splits]
+        terms += [[a * s + b for i, a in enumerate(order) for b in order[i + 1:]]
+                  for order in self.orders]
+        rows = [*range(g), *range(orders_at, self.size)]
+        self.idx = np.array([t for ts in terms for t in ts], dtype=np.intp)
+        self.row = np.array([r for r, ts in zip(rows, terms) for _ in ts],
                             dtype=np.intp)
-        self.n_rows, self.n_split = len(rows), len(split_rows)
-        self.w_slots = np.array([w for w, _ in bottom_slots], dtype=np.intp)
-        self.r_slots = np.array([r for _, r in bottom_slots], dtype=np.intp)
+        self.head = slice(0, orders_at)
+        self.base_level = (slice(orders_at, self.size), (len(base), self.per),
+                           slice(self.values_at, self.values_at + len(base)),
+                           slice(0, len(base)))
+        # Per size (its nodes share their split count m): the value rows
+        # each split value sums (W's, the rest's, its gamma), then, as for
+        # the base cases, the rows of its split values, their (nodes, m)
+        # shape, and its nodes' value rows and picks.
+        self.levels, x = [], len(base)
+        for m, group in groupby(self.inner, key=lambda node: node[0]):
+            nodes = list(group)
+            at, n = nodes[0][1], len(nodes)
+            sums = [[self.values_at + w for _, _, ws, _ in nodes for w in ws],
+                    [self.values_at + r for _, _, _, rs in nodes for r in rs],
+                    list(range(at, at + n * m))]
+            self.levels.append((np.array(sums, dtype=np.intp),
+                                slice(g + at, g + at + n * m), (n, m),
+                                slice(self.values_at + x, self.values_at + x + n),
+                                slice(x, x + n)))
+            x += n
 
-    def gather(self, sub: np.ndarray) -> tuple:
-        """From the local matrix ``sub``: split gammas, bottom split values
-        (W's value + the rest's + gamma), base values and each base case's
-        first best ordering row, as lists. bincount sums in float64, exact
-        while crossing counts stay below 2^53."""
-        sums = np.bincount(self.row, sub.take(self.idx),
-                           self.n_rows).astype(np.int64)
-        base = sums[:len(self.orders)].reshape(-1, self.per)
-        values = base.min(axis=1)
-        gammas = sums[len(self.orders):]
-        bottom = (values.take(self.w_slots) + values.take(self.r_slots)
-                  + gammas[self.n_split:])
-        return (gammas[:self.n_split].tolist(), bottom.tolist(),
-                values.tolist(), base.argmin(axis=1).tolist())
+    def solve(self, sub: np.ndarray) -> tuple:
+        """The value array from the local matrix ``sub``, in float64 (exact
+        while crossing counts stay below 2^53), and the positions of the
+        root's first best ordering. Each node picks its first best
+        ordering row (a base case) or split (an internal node). The terms
+        are taken from a float64 copy of ``sub``, so bincount, which sums
+        in float64, holds no cast copy of them next to its output."""
+        vals = np.bincount(self.row, sub.astype(np.float64).take(self.idx),
+                           self.size)
+        picks = np.empty(self.root + 1, dtype=np.intp)
+        rows, shape, values, chosen = self.base_level
+        block = vals[rows].reshape(shape)
+        np.minimum.reduce(block, 1, out=vals[values])
+        block.argmin(1, out=picks[chosen])
+        for sums, rows, shape, values, chosen in self.levels:
+            block = vals[rows]
+            np.add.reduce(vals.take(sums), 0, out=block)
+            block = block.reshape(shape)
+            np.minimum.reduce(block, 1, out=vals[values])
+            block.argmin(1, out=picks[chosen])
+        return vals, self.order(picks.tolist(), self.root)
 
-    def order(self, data, slot):
-        """The first best ordering of base case ``slot``."""
-        return self.orders[slot * self.per + data[3][slot]]
+    def order(self, picks, x) -> tuple:
+        """Positions of node x in its first best ordering, down its picks."""
+        if x < self.n_base:
+            return self.orders[x * self.per + picks[x]]
+        _, _, w_ids, r_ids = self.inner[x - self.n_base]
+        return (self.order(picks, w_ids[picks[x]])
+                + self.order(picks, r_ids[picks[x]]))
 
 
 _tail_plan = lru_cache(maxsize=None)(_TailPlan)   # <= 28 (s, base_size) keys
@@ -283,6 +324,10 @@ def _scalar_splits(rows, members):
         yield w, rest, cross_sum(rows, w, rest)
 
 
+def _exact_min(n_values, value_fn):
+    return min(map(value_fn, range(n_values))), 0
+
+
 def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     """The dc and qdc solve: minimum over balanced splits of the matrix ``c``.
 
@@ -292,22 +337,22 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     in lexicographic order. ``search`` must call value_fn once per index
     in ascending order and return (searched minimum, oracle calls).
     value_fn(i) solves W and then S minus W, counts one gamma evaluation,
-    and returns their searched values plus gamma(W, S minus W).
+    and returns their searched values plus gamma(W, S minus W). With
+    ``search`` None, each node takes the exact minimum and charges 0 (dc).
 
     A frame of more than base_size and at most TAIL members is a tail
-    (_TailPlan): one gather over its local crossing submatrix gives every
-    base-case value and ordering of its subtree and every split's gamma,
-    and each bottom node (an internal node whose children are all base
-    cases) gets its split values from that gather too. The recursion
-    still visits every internal node of a tail in the same pre-order and
-    hands its search the same values, but a tail's base cases, and a
-    bottom node with its 2m base-case children, are counted without
-    entering frames: the meter records the peak and depth those frames
-    reach (SpaceMeter.reach), the ledger their node and gamma counts, and
-    a node budget that runs out among them raises with the counts and
-    readings the frame-by-frame recursion has at that node. Every output,
-    ledger field, meter reading and raise point equals that recursion's,
-    which TAIL = 0 runs.
+    (_TailPlan). When its dc_node_count nodes fit in the node budget, it
+    is counted whole: the ledger adds its node and gamma counts, and the
+    meter the peak and depth its frames reach (SpaceMeter.reach). One
+    gather over its local crossing submatrix then gives every node's
+    exact value and first best split, and its ordering follows those
+    splits. With ``search`` None that is all; otherwise its internal
+    nodes are walked in the frame-by-frame pre-order, each node's search
+    reading base-case values and searching internal sides, so every
+    search sees the values, and returns the calls, that it sees and
+    returns frame by frame. A tail whose nodes do not fit runs frame by
+    frame, as TAIL = 0 runs every frame, so every output, ledger field,
+    meter reading and raise point equals that recursion's.
 
     Every frame returns (searched value, exact value, oracle charge,
     ordering). The frame keeps only its first strictly best candidate by
@@ -332,6 +377,7 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
         raise SizeLimitError(f"subset solvers support n_v <= 64, got {n}")
     rows, meter = c.tolist(), SpaceMeter()
     base_size, node_budget, tail = cfg.base_size, cfg.node_budget, TAIL
+    minimize = search or _exact_min
 
     def enter(nbytes):
         meter.enter(nbytes)
@@ -362,67 +408,58 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
             return w_searched + r_searched + g
 
         try:
-            searched, calls = search(comb(s, ceil(s / 2)), value_fn)
+            searched, calls = minimize(comb(s, ceil(s / 2)), value_fn)
         finally:
             if held:
                 meter.release(held)
         return searched, best[0], calls * (child_charge + 1), best[1] + best[2]
 
-    def overrun(s, m):
-        """Raise where the frame-by-frame recursion raises when the budget
-        runs out inside a tail node of s members with m base-case splits
-        (m = 0 for a base case), whose frames the fast path skips."""
-        enter(SpaceMeter.frame_bytes(s))
-        done = node_budget - ledger.nodes       # children that return
-        ledger.nodes = node_budget
-        ledger.gamma_evals += done // 2
-        if done >= 2:
-            meter.hold(SpaceMeter.trace_bytes(s))
-        enter(SpaceMeter.frame_bytes(ceil(s / 2)))   # W's bytes bound the rest's
+    def walk(plan, v, x):
+        """Search internal tail node x over the gathered values ``v``:
+        (searched value, charge). Base-case sides are read, internal ones
+        searched."""
+        m, at, w_ids, r_ids = plan.inner[x - plan.n_base]
+        n_base = plan.n_base
+        if w_ids[0] < n_base:               # W, the larger side, is a base case
+            at += plan.n_splits
+            return search(m, v[at:at + m].__getitem__)
+        values_at = plan.values_at
+        child_charge = 0                    # both sides', last candidate
 
-    def count(s, m, peak, levels):
-        """Count a tail node of s members and its m splits' 2m base-case
-        children without entering their frames."""
-        if node_budget is not None and ledger.nodes + 1 + 2 * m > node_budget:
-            overrun(s, m)
-        ledger.nodes += 1 + 2 * m
-        ledger.gamma_evals += m
-        meter.reach(peak, levels)
+        def value_fn(i):
+            nonlocal child_charge
+            w_searched, child_charge = walk(plan, v, w_ids[i])
+            r = r_ids[i]
+            if r < n_base:
+                r_searched = v[values_at + r]
+            else:
+                r_searched, r_charge = walk(plan, v, r)
+                child_charge += r_charge
+            return w_searched + r_searched + v[at + i]
 
-    def in_tail(plan, data, mask):
-        node = plan.nodes[mask]
-        if node[0] == _BASE:
-            _, s, slot, nbytes = node
-            count(s, 0, nbytes, 1)
-            value = data[2][slot]
-            return value, value, 0, plan.order(data, slot)
-        if node[0] == _BOTTOM:
-            _, s, offset, slots, peak = node
-            m = len(slots)
-            count(s, m, peak, 2)
-            values = data[1][offset:offset + m]
-            searched, calls = search(m, values.__getitem__)
-            first = values.index(min(values))
-            w, rest = slots[first]
-            return (searched, values[first], calls,
-                    plan.order(data, w) + plan.order(data, rest))
-        _, s, offset, w_masks, r_masks = node
-        nbytes = SpaceMeter.frame_bytes(s)
-        enter(nbytes)
-        try:
-            return internal(s, zip(w_masks, r_masks,
-                                   data[0][offset:offset + len(w_masks)]),
-                            partial(in_tail, plan, data))
-        finally:
-            meter.exit(nbytes)
+        searched, calls = search(m, value_fn)
+        return searched, calls * (child_charge + 1)
+
+    def whole(plan, members):
+        """Count, solve and search a tail frame without entering frames."""
+        ledger.nodes += plan.n_nodes
+        ledger.gamma_evals += plan.n_gammas
+        meter.reach(plan.peak, plan.depth)
+        values, order = plan.solve(local_matrix(c, members))
+        exact = int(values[plan.values_at + plan.root])
+        order = tuple([members[p] for p in order])
+        if search is None:
+            return exact, exact, 0, order
+        values = values[plan.head].astype(np.int64).tolist()   # frees the array
+        searched, charge = walk(plan, values, plan.root)
+        return searched, exact, charge, order
 
     def frame(members):
         s = len(members)
         if base_size < s <= tail:
             plan = _tail_plan(s, base_size)
-            searched, exact, charge, order = in_tail(
-                plan, plan.gather(local_matrix(c, members)), plan.root)
-            return searched, exact, charge, tuple([members[p] for p in order])
+            if node_budget is None or ledger.nodes + plan.n_nodes <= node_budget:
+                return whole(plan, members)
         nbytes = SpaceMeter.frame_bytes(s)
         enter(nbytes)
         try:
@@ -451,7 +488,6 @@ def solve_dc(inst: BipartiteInstance, cfg: DcConfig = None):
     cfg = cfg or DcConfig()
     ledger = CostLedger(algo="dc",
                         meta={"n_v": inst.n_v, "base_size": cfg.base_size})
-    _, total, _, ordering = split_min(
-        build_crossing_matrix(inst), cfg,
-        lambda n_values, value_fn: (min(map(value_fn, range(n_values))), 0), ledger)
+    _, total, _, ordering = split_min(build_crossing_matrix(inst), cfg, None,
+                                      ledger)
     return Solution(None if cfg.count_only else ordering, total), ledger

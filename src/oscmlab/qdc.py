@@ -147,10 +147,11 @@ def solve_qdc(inst: BipartiteInstance, cfg: QdcConfig = None):
     ledger = CostLedger(algo="qdc",
                         meta={"n_v": inst.n_v, "base_size": cfg.base_size,
                               "qmf_mode": cfg.qmf_cfg.mode})
-    rng = np.random.default_rng(cfg.qmf_cfg.seed) if sampled else None
+    qmf_cfg = cfg.qmf_cfg
+    rng = np.random.default_rng(qmf_cfg.seed) if sampled else None
 
     def search(n_values, value_fn):
-        res = qmf(n_values, value_fn, cfg.qmf_cfg, rng)
+        res = qmf(n_values, value_fn, qmf_cfg, rng)
         return res.min_value, res.oracle_calls
 
     searched, exact, ledger.oracle_calls, ordering = split_min(

@@ -26,7 +26,8 @@ left. Uniforms come from ``rng`` in blocks of _BLOCK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from math import asin, ceil, cos, log2, sin, sqrt
 
 import numpy as np
@@ -51,18 +52,44 @@ class QmfConfig:
             raise ValueError("call_constant must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QmfResult:
     argmin_index: int
     min_value: int
     oracle_calls: int
     success_flag: bool
     norm_drift: float = 0.0
-    thresholds: tuple = field(default_factory=tuple)
+    thresholds: tuple = ()
+
+    def __init__(self, argmin_index, min_value, oracle_calls, success_flag,
+                 norm_drift=0.0, thresholds=()):
+        # Slot setters, where a generated frozen __init__ would call
+        # object.__setattr__ per field at twice the cost: a search builds
+        # one result, and qdc runs one search per recursion node.
+        put = _RESULT_SLOTS
+        put[0](self, argmin_index)
+        put[1](self, min_value)
+        put[2](self, oracle_calls)
+        put[3](self, success_flag)
+        put[4](self, norm_drift)
+        put[5](self, thresholds)
 
 
+_RESULT_SLOTS = tuple(getattr(QmfResult, f.name).__set__ for f in fields(QmfResult))
+
+
+@lru_cache(maxsize=1024)
 def cost_model_calls(n_values: int, call_constant: float = 1.0) -> int:
     return max(1, ceil(call_constant * sqrt(n_values)))
+
+
+@lru_cache(maxsize=None)
+def _register(n_values):
+    """A state-vector search's register size dim, its oracle-call budget
+    and sqrt(dim), the cap of the BBHT schedule."""
+    dim = 1 << (n_values - 1).bit_length()
+    budget = ceil(22.5 * sqrt(dim) + 1.4 * log2(dim) ** 2) if dim > 1 else 1
+    return dim, budget, sqrt(dim)
 
 
 def qmf(n_values: int, value_fn, cfg: QmfConfig = None, rng=None) -> QmfResult:
@@ -80,12 +107,8 @@ def qmf(n_values: int, value_fn, cfg: QmfConfig = None, rng=None) -> QmfResult:
             v = value_fn(i)
             if best_v is None or v < best_v:
                 best_i, best_v = i, v
-        return QmfResult(
-            argmin_index=best_i,
-            min_value=best_v,
-            oracle_calls=cost_model_calls(n_values, cfg.call_constant),
-            success_flag=True,
-        )
+        return QmfResult(best_i, best_v,
+                         cost_model_calls(n_values, cfg.call_constant), True)
     return _state_vector_qmf(n_values, value_fn, cfg, rng)
 
 
@@ -96,8 +119,7 @@ def _state_vector_qmf(n_values, value_fn, cfg, rng):
         )
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     values = list(map(value_fn, range(n_values)))
-    dim = 1 << (n_values - 1).bit_length()
-    budget = ceil(22.5 * sqrt(dim) + 1.4 * log2(dim) ** 2) if dim > 1 else 1
+    dim, budget, root = _register(n_values)
     draws = rng.random(_BLOCK).tolist()
 
     found = values[int(draws[0] * n_values)]
@@ -123,7 +145,7 @@ def _state_vector_qmf(n_values, value_fn, cfg, rng):
                 found = marked[int(u_member * len(marked))]
                 thresholds.append(found)
                 break
-            m = min(6 / 5 * m, sqrt(dim))
+            m = min(6 / 5 * m, root)
 
     return QmfResult(
         argmin_index=values.index(found),

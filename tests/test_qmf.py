@@ -1,11 +1,12 @@
 import random
+from dataclasses import FrozenInstanceError
 from math import asin, isqrt, sin, sqrt
 
 import numpy as np
 import pytest
 
-from oscmlab import (QmfConfig, SizeLimitError, cost_model_calls, qmf,
-                     qmf_success_rate)
+from oscmlab import (QmfConfig, QmfResult, SizeLimitError, cost_model_calls,
+                     qmf, qmf_success_rate)
 
 SEEDS = [1, 14, 26, 38, 50, 62, 74, 86]
 
@@ -19,6 +20,16 @@ def test_cost_model_example():
     res = qmf(len(values), values_fn(values))
     assert (res.argmin_index, res.min_value, res.oracle_calls) == (5, 0, 3)
     assert res.success_flag
+
+
+def test_result_is_frozen_and_compares_by_fields():
+    res = qmf(3, values_fn([4, 1, 6]))
+    assert res == QmfResult(argmin_index=1, min_value=1, oracle_calls=2,
+                            success_flag=True, norm_drift=0.0, thresholds=())
+    assert hash(res) == hash(QmfResult(1, 1, 2, True))
+    assert res != QmfResult(1, 1, 3, True)
+    with pytest.raises(FrozenInstanceError):
+        res.min_value = 0
 
 
 def test_single_value_still_charges_a_call():

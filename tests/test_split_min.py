@@ -8,7 +8,8 @@ at criterion 7's configuration, and the agreement test checks the engine
 against dp where brute force no longer reaches. The golden test also
 checks qdc's miss flag. The tail test checks that tail frames, solved from
 one gather, report what frame-by-frame recursion (TAIL = 0) reports, and
-the last tests cover what else the shared solve adds around the
+the search test that a tail's searches see what those frames' searches
+see. The last tests cover what else the shared solve adds around the
 recursion: the recount of the kept ordering and one gamma count per
 candidate.
 """
@@ -80,7 +81,7 @@ def test_measured_peak_stays_polynomial(solve, cfg):
 
 
 @pytest.mark.parametrize("n_v,seed", [(11, 1), (11, 2), (12, 1), (12, 2),
-                                      (13, 1)])
+                                      (13, 1), (14, 1)])
 def test_dc_qdc_and_dp_agree_past_brute_force(n_v, seed):
     inst = random_instance(random.Random(n_v * 100 + seed), 5, n_v, 0.5)
     want = solve_dp(inst)[0].crossings
@@ -119,6 +120,45 @@ def test_tail_frames_report_what_scalar_frames_report(monkeypatch, solve,
             with monkeypatch.context() as patch:
                 patch.setattr(oscmlab.dc, "TAIL", 0)
                 assert outcome(solve, inst, cfg) == tails, (n_v, budget)
+
+
+def search_log(monkeypatch, inst, cfg):
+    """Every search of a qdc solve in the order entered: its domain, the
+    values it saw and the oracle calls it returned."""
+    original, log = oscmlab.qdc.qmf, []
+
+    def recording(n_values, value_fn, qmf_cfg, rng):
+        entry, seen = [n_values], []
+        log.append(entry)
+
+        def recorded(i):
+            seen.append(value_fn(i))
+            return seen[-1]
+
+        res = original(n_values, recorded, qmf_cfg, rng)
+        entry += [seen, res.oracle_calls]
+        return res
+
+    monkeypatch.setattr(oscmlab.qdc, "qmf", recording)
+    solve_qdc(inst, cfg)
+    return log
+
+
+@pytest.mark.parametrize("mode", ["cost_model", "state_vector"])
+@pytest.mark.parametrize("base", [1, 2, 3])
+def test_tail_searches_see_what_scalar_searches_see(monkeypatch, mode, base):
+    """A tail walks only its internal nodes and reads base-case values, yet
+    its searches are entered in the same order, see the same values and
+    return the same calls as frame-by-frame recursion's (TAIL = 0), so
+    sampled searches draw the same stream."""
+    cfg = QdcConfig(base_size=base, qmf_cfg=QmfConfig(mode=mode, seed=base))
+    for n_v in range(1, 11):
+        inst = random_instance(random.Random(2000 + n_v), 5, n_v, 0.5)
+        with monkeypatch.context() as patch:
+            tails = search_log(patch, inst, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(oscmlab.dc, "TAIL", 0)
+            assert search_log(patch, inst, cfg) == tails, n_v
 
 
 def test_charge_takes_both_siblings_from_the_last_candidate():
