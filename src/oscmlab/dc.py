@@ -17,24 +17,42 @@ before it is returned, and the ledger equals dc_node_count on every run.
 Frames of more than base_size and at most TAIL members are tails. A tail
 whose whole subtree fits in the node budget is counted whole: the ledger
 adds its dc_node_count nodes and dc_gamma_count gammas in one step, and
-the meter records the peak and depth its frames would reach. One NumPy
-gather over index tables cached per frame size gives every base-case
-ordering's crossings and every split's gamma, a few whole-array steps per
-node size then give every node's exact value and first best split,
-bottom-up, and the tail's ordering is rebuilt once along those splits. dc
-reads the exact value and enters no tail node; qdc walks the internal
-nodes only, to run their searches. A tail that the budget would run out
-inside runs frame by frame, the path that TAIL = 0 runs everywhere, so it
-raises where that path raises. TAIL is set by measurement: raising it
-from 6 to 8 made the roots of n_v = 7 and 8 tails and their dc + qdc
-solves 3.5x faster, and a frame's tables stay under 12k indices at any
+the meter records the peak and depth its frames would reach. One product
+of its flattened local crossing submatrix with a 0/1 count map cached per
+(size, base size) gives every base-case ordering's crossings and every
+split's gamma; a few whole-array steps per node size then give every
+node's exact value and first best split, bottom-up, and the tail's
+ordering is rebuilt once along those splits. dc reads the exact value and
+enters no tail node; qdc walks the internal nodes only, to run their
+searches.
+
+A frame whose W and rest are both tails (more than TAIL members) is
+counted whole in the same way when its subtree fits. Its candidates' W
+and rest local matrices are stacked in row batches of at most BATCH_BYTES
+of float32 values, so one product per side size and the same steps along
+the batch axis solve every tail of a batch. A candidate's exact value is
+W's root value + the rest's + its gamma; the first least one is kept, and
+only that candidate's two tails are solved again, for their orderings. dc
+enters no candidate; qdc runs the frame's search over the batches,
+walking each candidate's two tails from its rows.
+
+A frame that the budget would run out inside runs frame by frame, the
+path that TAIL = 0 runs everywhere, so it raises where that path raises.
+Values are summed in float32 while the crossing matrix sums below 2^24,
+where every sum is exact, else in float64. TAIL is set by measurement:
+raising it from 6 to 8 made the roots of n_v = 7 and 8 tails and their
+dc + qdc solves 3.5x faster, and a count map stays under 500 KB at any
 base size up to 8, while a 9-member tail with base size 5 would enumerate
-120 orderings per base case (244k indices).
+120 orderings per base case (a 10 MB map). BATCH_BYTES is set by
+measurement too: at n_v = 10, 4 KB (3 candidates a batch) keeps the
+traced peak of a sampled qdc solve at ~18.6 KB, where solving one tail
+at a time read 17.5-22.5 KB, while 8 KB (7 candidates) raises it to
+~27 KB.
 
 A SpaceMeter tracks live algorithm state in bytes under a fixed accounting
 model, and an optional node budget lets instrumented runs at sizes too big
 to finish still observe the peak (it stabilizes once the first descent
-reaches maximum depth). A tail counted whole charges the meter the peak
+reaches maximum depth). A frame counted whole charges the meter the peak
 and depth its entered frames would.
 """
 
@@ -42,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, groupby, permutations
+from itertools import chain, combinations, groupby, permutations
 from math import comb, ceil, factorial
 
 import numpy as np
@@ -54,6 +72,9 @@ from .matrix import build_crossing_matrix, cross_sum, order_sum
 
 # Frames of more than base_size and at most TAIL members are tails.
 TAIL = 8
+# The bytes of float32 value rows that one batch of a _Halves frame fills.
+BATCH_BYTES = 4096
+_F32 = np.dtype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -78,9 +99,10 @@ class SpaceMeter:
     holds its kept best ordering, 32 bytes plus one per member, until it
     returns. Deterministic by construction — the point is a reproducible
     "no exponential structure is ever live" witness, not an
-    allocator-accurate profile. A tail frame counted whole enters no
-    frame: ``reach`` records the peak and depth its frames would reach
-    (the same for every tail of a size and base size).
+    allocator-accurate profile. A frame counted whole (a tail, or a frame
+    whose halves are tails) enters no frame: ``reach`` records the peak
+    and depth its frames would reach (the same for every such frame of a
+    size and base size).
     """
 
     def __init__(self):
@@ -180,45 +202,59 @@ def base_case(rows, members) -> tuple:
 
 
 def local_matrix(c: np.ndarray, members) -> np.ndarray:
-    """The crossing matrix restricted to ``members``, in member order."""
+    """The crossing matrix restricted to the sorted ``members``, in member
+    order: c itself when they are all of its rows."""
+    if len(members) == len(c):
+        return c
     return c.take(members, 0).take(members, 1)
 
 
+@lru_cache(maxsize=None)
+def _descent(s, base_size) -> tuple:
+    """The peak bytes and depth that a frame of s members and its subtree
+    reach above the state they are entered in. The deepest descent runs
+    down the ceil halves, and each internal frame on it holds a best
+    ordering, as its first candidate set one."""
+    peak, k = 0, s
+    while k > base_size:
+        peak += SpaceMeter.frame_bytes(k) + SpaceMeter.trace_bytes(k)
+        k = ceil(k / 2)
+    return peak + SpaceMeter.frame_bytes(k), dc_max_depth(s, base_size)
+
+
 class _TailPlan:
-    """Index tables of a tail frame of s members (base_size < s <= TAIL).
+    """Tables of a tail frame of s members (base_size < s <= TAIL).
 
     A node of the frame's subtree is a sorted tuple of positions in the
     frame's sorted members. Nodes are numbered base cases first, then
     internal nodes by size, smallest first, so every child is numbered
     before its parent and the root last. ``inner`` holds each internal
     node's split count m, first split row ``at`` and the numbers of its
-    splits' W and rest sides, splits in lexicographic order of W. A solve
-    fills an array of values laid out as
+    splits' W and rest sides, splits in lexicographic order of W. ``fill``
+    gives one row of values per local matrix, laid out as
 
-    - split gammas, gamma(W, rest), one row per split of every internal
-      node, nodes in number order (n_splits rows);
-    - split values, W's exact value + the rest's + gamma (n_splits rows,
-      a node's from n_splits + at);
-    - node exact values, node x at ``values_at`` + x;
-    - base-case orderings' crossings, ``per`` rows per base case: its
-      permutations in lexicographic order, the last repeated.
+    - base-case orderings' crossings, ``per`` columns per base case: its
+      permutations in lexicographic order, the last repeated;
+    - then the ``head`` that a search walks, offsets counted from its
+      start: split gammas, gamma(W, rest),
+      one per split of every internal node, nodes in number order
+      (n_splits columns); split values, W's exact value + the rest's +
+      gamma (a node's from n_splits + at); node exact values, node x at
+      values_at + x.
 
-    ``idx`` holds the flat index into the s x s local matrix of every pair
-    term of a gamma or an ordering, and ``row`` its row, so one take and
-    one bincount sum them all. The base cases' minima, then each size's
-    split values and minima, follow in a few whole-array steps per size.
+    The orderings' crossings and the gammas are sums of local-matrix
+    entries, so one product of the flattened s x s local matrices with
+    the dense (s^2, size) 0/1 map ``counts`` gives them all, in the row
+    it fills (the map's split and node value columns are zero). Per node
+    size, bottom-up from the base cases, a take and a sum give the size's
+    split values, and a min each node's exact value (an argmin its first
+    best ordering row or split, when asked for).
     """
 
     def __init__(self, s, base_size):
         self.n_nodes = dc_node_count(s, base_size)
         self.n_gammas = dc_gamma_count(s, base_size)
-        # The deepest descent runs down the ceil halves; each internal frame
-        # on it holds a best ordering, as its first candidate set one.
-        self.depth, self.peak, k = dc_max_depth(s, base_size), 0, s
-        while k > base_size:
-            self.peak += SpaceMeter.frame_bytes(k) + SpaceMeter.trace_bytes(k)
-            k = ceil(k / 2)
-        self.peak += SpaceMeter.frame_bytes(k)
+        self.peak, self.depth = _descent(s, base_size)
 
         def halves(pos):            # as _scalar_splits enumerates them
             return [(w, tuple([v for v in pos if v not in w]))
@@ -246,63 +282,75 @@ class _TailPlan:
                                tuple([number[r] for _, r in parts])))
             splits += parts
         g = self.n_splits = len(splits)
-        self.values_at = 2 * g
         self.per = factorial(max(map(len, base)))
         self.orders = []
         for pos in base:
             perms = list(permutations(pos))
             self.orders += perms + perms[-1:] * (self.per - len(perms))
-        orders_at = self.values_at + len(seen)
-        self.size = orders_at + len(self.orders)
-        terms = [[a * s + b for a in w for b in r] for w, r in splits]
-        terms += [[a * s + b for i, a in enumerate(order) for b in order[i + 1:]]
-                  for order in self.orders]
-        rows = [*range(g), *range(orders_at, self.size)]
-        self.idx = np.array([t for ts in terms for t in ts], dtype=np.intp)
-        self.row = np.array([r for r, ts in zip(rows, terms) for _ in ts],
-                            dtype=np.intp)
-        self.head = slice(0, orders_at)
-        self.base_level = (slice(orders_at, self.size), (len(base), self.per),
-                           slice(self.values_at, self.values_at + len(base)),
-                           slice(0, len(base)))
-        # Per size (its nodes share their split count m): the value rows
-        # each split value sums (W's, the rest's, its gamma), then, as for
-        # the base cases, the rows of its split values, their (nodes, m)
-        # shape, and its nodes' value rows and picks.
-        self.levels, x = [], len(base)
+        o = len(self.orders)
+        self.values_at = 2 * g
+        self.size = o + 2 * g + len(seen)
+        self.head = slice(o, self.size)
+        self.exact = o + 2 * g + self.root      # the root's exact value
+        terms = chain(([(a, b) for i, a in enumerate(order)
+                        for b in order[i + 1:]] for order in self.orders),
+                      ([(a, b) for a in w for b in r] for w, r in splits))
+        counts = np.zeros((s * s, self.size), dtype=_F32)
+        counts.ravel()[np.fromiter(((a * s + b) * self.size + col
+                                    for col, pairs in enumerate(terms)
+                                    for a, b in pairs), np.intp)] = 1
+        self.counts = {_F32: counts}
+        # Per size, base cases first: the value columns each split value
+        # sums (W's, the rest's, its gamma; none for base cases, whose
+        # ordering rows the product fills), the columns of its split
+        # values or ordering rows and their (nodes, m) shape, and its
+        # nodes' value columns and picks.
+        nodes_at = o + 2 * g
+        self.levels = [(None, slice(0, o), (len(base), self.per),
+                        slice(nodes_at, nodes_at + len(base)),
+                        slice(0, len(base)))]
+        x = len(base)
         for m, group in groupby(self.inner, key=lambda node: node[0]):
             nodes = list(group)
             at, n = nodes[0][1], len(nodes)
-            sums = [[self.values_at + w for _, _, ws, _ in nodes for w in ws],
-                    [self.values_at + r for _, _, _, rs in nodes for r in rs],
-                    list(range(at, at + n * m))]
+            sums = [[nodes_at + w for _, _, ws, _ in nodes for w in ws],
+                    [nodes_at + r for _, _, _, rs in nodes for r in rs],
+                    list(range(o + at, o + at + n * m))]
             self.levels.append((np.array(sums, dtype=np.intp),
-                                slice(g + at, g + at + n * m), (n, m),
-                                slice(self.values_at + x, self.values_at + x + n),
+                                slice(o + g + at, o + g + at + n * m), (n, m),
+                                slice(nodes_at + x, nodes_at + x + n),
                                 slice(x, x + n)))
             x += n
 
-    def solve(self, sub: np.ndarray) -> tuple:
-        """The value array from the local matrix ``sub``, in float64 (exact
-        while crossing counts stay below 2^53), and the positions of the
-        root's first best ordering. Each node picks its first best
-        ordering row (a base case) or split (an internal node). The terms
-        are taken from a float64 copy of ``sub``, so bincount, which sums
-        in float64, holds no cast copy of them next to its output."""
-        vals = np.bincount(self.row, sub.astype(np.float64).take(self.idx),
-                           self.size)
+    def fill(self, x: np.ndarray, picks: np.ndarray = None) -> np.ndarray:
+        """The values of the flattened local matrix ``x``, or one row of
+        values per row of a 2-D ``x``, in x's dtype: float32 or float64,
+        exact while the matrix sums below 2^24 or 2^53. With ``picks``
+        (root + 1 intp, per row), each node's first best ordering row (a
+        base case) or split (an internal node)."""
+        counts = self.counts.get(x.dtype)
+        if counts is None:                  # float64, built on first use
+            counts = self.counts[x.dtype] = self.counts[_F32].astype(x.dtype)
+        lead = x.shape[:-1]
+        v = np.dot(x, counts)
+        for sums, cols, shape, values, chosen in self.levels:
+            block = v[..., cols]
+            if sums is not None:
+                np.add.reduce(v.take(sums, -1), -2, out=block)
+            block = block.reshape(lead + shape)
+            np.minimum.reduce(block, -1, out=v[..., values])
+            if picks is not None:
+                block.argmin(-1, out=picks[..., chosen])
+        return v
+
+    def solve(self, sub: np.ndarray, members) -> tuple:
+        """The values of the local matrix ``sub`` of the sorted ``members``,
+        the root's exact value and its first best ordering of members."""
         picks = np.empty(self.root + 1, dtype=np.intp)
-        rows, shape, values, chosen = self.base_level
-        block = vals[rows].reshape(shape)
-        np.minimum.reduce(block, 1, out=vals[values])
-        block.argmin(1, out=picks[chosen])
-        for sums, rows, shape, values, chosen in self.levels:
-            block = vals[rows]
-            np.add.reduce(vals.take(sums), 0, out=block)
-            block = block.reshape(shape)
-            np.minimum.reduce(block, 1, out=vals[values])
-            block.argmin(1, out=picks[chosen])
-        return vals, self.order(picks.tolist(), self.root)
+        values = self.fill(sub.ravel(), picks)
+        order = self.order(picks.tolist(), self.root)
+        return (values, int(values[self.exact]),
+                tuple([members[p] for p in order]))
 
     def order(self, picks, x) -> tuple:
         """Positions of node x in its first best ordering, down its picks."""
@@ -314,6 +362,60 @@ class _TailPlan:
 
 
 _tail_plan = lru_cache(maxsize=None)(_TailPlan)   # <= 28 (s, base_size) keys
+
+
+class _Halves:
+    """A frame of s members whose W and rest sides are both tails (s >
+    TAIL, ceil(s/2) <= TAIL, floor(s/2) > base_size), solved in batches
+    of candidates.
+
+    ``pos`` holds each candidate's W positions, then its rest's, in the
+    frame's sorted members, candidates in lexicographic order of W; each
+    batch derives its gathers from these rows. A batch stacks its
+    candidates' W and rest local matrices and fills their value rows
+    (_TailPlan.fill), both sides through one product when they are of one
+    size, and sums each candidate's gamma as the W rows' totals less W's
+    local matrix. A batch holds at most BATCH_BYTES of float32 value rows,
+    or one candidate's.
+    """
+
+    def __init__(self, s, base_size):
+        self.h = ceil(s / 2)
+        self.w = _tail_plan(self.h, base_size)
+        self.r = _tail_plan(s - self.h, base_size)
+        self.n_nodes = dc_node_count(s, base_size)
+        self.n_gammas = dc_gamma_count(s, base_size)
+        self.peak, self.depth = _descent(s, base_size)
+        # The rests of the Ws in lexicographic order are the (s - h)-sets
+        # in reverse lexicographic order.
+        n, h = comb(s, self.h), self.h
+        self.pos = np.concatenate(
+            [np.fromiter(chain.from_iterable(combinations(range(s), k)),
+                         np.int8, n * k).reshape(n, k)[::step]
+             for k, step in ((h, 1), (s - h, -1))], 1)
+        self.rows = max(1, BATCH_BYTES // (_F32.itemsize
+                                           * (self.w.size + self.r.size)))
+
+    def batch(self, sub: np.ndarray, totals: np.ndarray, lo: int) -> tuple:
+        """W's value rows, the rest's and the gammas of the batch of
+        candidates from lo, over the frame's local matrix ``sub`` and its
+        row totals."""
+        h, w, r = self.h, self.w, self.r
+        pos = self.pos[lo:lo + self.rows].astype(np.intp)
+        if w is r:                      # rows W, rest, W, rest, ...
+            both = pos.reshape(-1, h)
+            x = sub[both[:, :, None], both[:, None]].reshape(len(both), -1)
+            v = w.fill(x)
+            x_w, v_w, v_r = x[0::2], v[0::2], v[1::2]
+        else:
+            w_pos, r_pos = pos[:, :h], pos[:, h:]
+            x_w = sub[w_pos[:, :, None], w_pos[:, None]].reshape(len(pos), -1)
+            x_r = sub[r_pos[:, :, None], r_pos[:, None]].reshape(len(pos), -1)
+            v_w, v_r = w.fill(x_w), r.fill(x_r)
+        return v_w, v_r, totals.take(pos[:, :h]).sum(1) - x_w.sum(1)
+
+
+_halves = lru_cache(maxsize=None)(_Halves)   # <= 8 sizes s per base_size
 
 
 def _scalar_splits(rows, members):
@@ -341,18 +443,24 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     ``search`` None, each node takes the exact minimum and charges 0 (dc).
 
     A frame of more than base_size and at most TAIL members is a tail
-    (_TailPlan). When its dc_node_count nodes fit in the node budget, it
-    is counted whole: the ledger adds its node and gamma counts, and the
-    meter the peak and depth its frames reach (SpaceMeter.reach). One
-    gather over its local crossing submatrix then gives every node's
-    exact value and first best split, and its ordering follows those
-    splits. With ``search`` None that is all; otherwise its internal
-    nodes are walked in the frame-by-frame pre-order, each node's search
-    reading base-case values and searching internal sides, so every
-    search sees the values, and returns the calls, that it sees and
-    returns frame by frame. A tail whose nodes do not fit runs frame by
-    frame, as TAIL = 0 runs every frame, so every output, ledger field,
-    meter reading and raise point equals that recursion's.
+    (_TailPlan), and so can be both sides of a larger frame's candidates
+    (_Halves). When such a frame's dc_node_count nodes fit in the node
+    budget, it is counted whole: the ledger adds its node and gamma
+    counts, and the meter the peak and depth its frames reach
+    (SpaceMeter.reach). One product over a tail's flattened local
+    crossing submatrix, or over a row batch of the candidates' W and rest
+    submatrices, then gives every tail node's exact value; a tail's
+    ordering follows its first best splits, and a frame of two tails
+    takes its first least candidate and solves only that one's tails
+    again, for their orderings. With ``search`` None that is all;
+    otherwise a frame of two tails searches its candidates over the
+    batches' rows, and every tail's internal nodes are walked in the
+    frame-by-frame pre-order, each node's search reading base-case values
+    and searching internal sides, so every search sees the values, and
+    returns the calls, that it sees and returns frame by frame. A frame
+    whose nodes do not fit runs frame by frame, as TAIL = 0 runs every
+    frame, so every output, ledger field, meter reading and raise point
+    equals that recursion's.
 
     Every frame returns (searched value, exact value, oracle charge,
     ordering). The frame keeps only its first strictly best candidate by
@@ -367,6 +475,9 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     candidates. tests/split_recursion_golden.json pins the sampled charges
     this rule gives.
 
+    ``c`` holds nonnegative crossing counts, so no partial sum of a tail
+    exceeds the sum of all of c, which picks float32 or float64.
+
     Returns the root's tuple once its ordering recounts to the exact value
     (else AssertionError), with the SpaceMeter's peak and depth in
     ledger.meta. Raises SizeLimitError past 64 vertices and
@@ -376,8 +487,13 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     if n > 64:
         raise SizeLimitError(f"subset solvers support n_v <= 64, got {n}")
     rows, meter = c.tolist(), SpaceMeter()
-    base_size, node_budget, tail = cfg.base_size, cfg.node_budget, TAIL
+    base_size, node_budget, tails = cfg.base_size, cfg.node_budget, TAIL
     minimize = search or _exact_min
+    if n > base_size:
+        # What tails sum: c in float32 when every sum of its entries is
+        # exact there, else in float64.
+        floats = c.astype(np.float32 if sum(map(sum, rows)) < 2 ** 24
+                          else np.float64)
 
     def enter(nbytes):
         meter.enter(nbytes)
@@ -415,7 +531,7 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
         return searched, best[0], calls * (child_charge + 1), best[1] + best[2]
 
     def walk(plan, v, x):
-        """Search internal tail node x over the gathered values ``v``:
+        """Search internal tail node x over its value row ``v``:
         (searched value, charge). Base-case sides are read, internal ones
         searched."""
         m, at, w_ids, r_ids = plan.inner[x - plan.n_base]
@@ -440,26 +556,81 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
         searched, calls = search(m, value_fn)
         return searched, calls * (child_charge + 1)
 
-    def whole(plan, members):
-        """Count, solve and search a tail frame without entering frames."""
-        ledger.nodes += plan.n_nodes
-        ledger.gamma_evals += plan.n_gammas
-        meter.reach(plan.peak, plan.depth)
-        values, order = plan.solve(local_matrix(c, members))
-        exact = int(values[plan.values_at + plan.root])
-        order = tuple([members[p] for p in order])
+    def tail(plan, members):
+        """Solve and search a tail frame without entering frames."""
+        values, exact, order = plan.solve(local_matrix(floats, members),
+                                          members)
         if search is None:
             return exact, exact, 0, order
-        values = values[plan.head].astype(np.int64).tolist()   # frees the array
+        values = values[plan.head].astype(np.int64).tolist()  # frees the array
         searched, charge = walk(plan, values, plan.root)
         return searched, exact, charge, order
 
+    def halves(pair, members):
+        """Solve and search a frame whose halves are tails, in row batches,
+        without entering frames. The first candidate of least exact value
+        is kept, and only its two tails are solved again, for their
+        orderings."""
+        w, r, per_batch = pair.w, pair.r, pair.rows
+        sub = local_matrix(floats, members)
+        totals = sub.sum(1)
+        best, at = None, 0                  # least exact value, its candidate
+
+        def batch(lo):
+            nonlocal best, at
+            v_w, v_r, gammas = pair.batch(sub, totals, lo)
+            exact = v_w[:, w.exact] + v_r[:, r.exact] + gammas
+            k = int(exact.argmin())
+            if best is None or exact[k] < best:
+                best, at = exact[k], lo + k
+            return v_w, v_r, gammas
+
+        if search is None:
+            for lo in range(0, len(pair.pos), per_batch):
+                batch(lo)
+        else:
+            held = None                     # the batch being searched
+            child_charge = 0                # both sides', last candidate
+
+            def value_fn(i):
+                nonlocal held, child_charge
+                k = i % per_batch
+                if not k:
+                    held = None             # frees the last batch first
+                    v_w, v_r, gammas = batch(i)
+                    held = v_w, v_r, gammas.astype(np.int64).tolist()
+                v_w, v_r, gammas = held
+                w_searched, child_charge = walk(
+                    w, v_w[k, w.head].astype(np.int64).tolist(), w.root)
+                r_searched, r_charge = walk(
+                    r, v_r[k, r.head].astype(np.int64).tolist(), r.root)
+                child_charge += r_charge
+                return w_searched + r_searched + gammas[k]
+
+            searched, calls = search(len(pair.pos), value_fn)
+        pos, ordering = pair.pos[at].tolist(), ()
+        for plan, part in ((w, pos[:pair.h]), (r, pos[pair.h:])):
+            part = [members[p] for p in part]
+            ordering += plan.solve(local_matrix(floats, part), part)[2]
+        exact = int(best)
+        if search is None:
+            return exact, exact, 0, ordering
+        return searched, exact, calls * (child_charge + 1), ordering
+
     def frame(members):
         s = len(members)
-        if base_size < s <= tail:
-            plan = _tail_plan(s, base_size)
-            if node_budget is None or ledger.nodes + plan.n_nodes <= node_budget:
-                return whole(plan, members)
+        if base_size < s <= tails:
+            whole, solve = _tail_plan(s, base_size), tail
+        elif tails < s <= 2 * tails and s // 2 > base_size:
+            whole, solve = _halves(s, base_size), halves
+        else:
+            whole = None
+        if whole is not None and (node_budget is None or
+                                  ledger.nodes + whole.n_nodes <= node_budget):
+            ledger.nodes += whole.n_nodes
+            ledger.gamma_evals += whole.n_gammas
+            meter.reach(whole.peak, whole.depth)
+            return solve(whole, members)
         nbytes = SpaceMeter.frame_bytes(s)
         enter(nbytes)
         try:

@@ -21,11 +21,16 @@ attempt's r rounds plus one query reading the measured index. The budget,
 expected total by half of it, so by Markov's inequality a search given
 the budget finds the minimum with probability at least 1/2. norm_drift is
 the largest |sin^2 + cos^2 - 1| of an attempt's angle, the only rounding
-left. Uniforms come from ``rng`` in blocks of _BLOCK.
+left. Uniforms come from ``rng`` in blocks of _BLOCK. A search holds its
+values as 64-bit integers (an array('q'), 8 bytes a value where a list of
+Python ints above 256 takes ~36), so value_fn must return integers there,
+and its marked set as the values' indices, which stay small cached ints
+up to 256 values.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from math import asin, ceil, cos, log2, sin, sqrt
@@ -95,8 +100,10 @@ def _register(n_values):
 def qmf(n_values: int, value_fn, cfg: QmfConfig = None, rng=None) -> QmfResult:
     """Minimum of value_fn over indices 0..n_values-1.
 
-    value_fn is called once per index, in ascending order. Ties break to the
-    smallest index in both modes.
+    value_fn is called once per index, in ascending order, and returns an
+    integer: state_vector mode stores the values as 64-bit integers and
+    raises TypeError on any other value. Ties break to the smallest index
+    in both modes.
     """
     cfg = cfg or QmfConfig()
     if n_values < 1:
@@ -118,7 +125,7 @@ def _state_vector_qmf(n_values, value_fn, cfg, rng):
             f"state-vector domain {n_values} exceeds cap {MAX_STATEVECTOR_DOMAIN}"
         )
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    values = list(map(value_fn, range(n_values)))
+    values = array("q", map(value_fn, range(n_values)))
     dim, budget, root = _register(n_values)
     draws = rng.random(_BLOCK).tolist()
 
@@ -126,7 +133,7 @@ def _state_vector_qmf(n_values, value_fn, cfg, rng):
     thresholds = [found]
     calls, drift, at = 0, 0.0, 1
     while calls < budget:
-        marked = [v for v in values if v < found]
+        marked = [i for i, v in enumerate(values) if v < found]
         if not marked:
             break
         theta = asin(sqrt(len(marked) / dim))
@@ -142,7 +149,7 @@ def _state_vector_qmf(n_values, value_fn, cfg, rng):
             hit = sin(angle) ** 2
             drift = max(drift, abs(hit + cos(angle) ** 2 - 1.0))
             if u_class < hit:
-                found = marked[int(u_member * len(marked))]
+                found = values[marked[int(u_member * len(marked))]]
                 thresholds.append(found)
                 break
             m = min(6 / 5 * m, root)

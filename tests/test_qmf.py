@@ -125,3 +125,9 @@ def test_closed_form_matches_dense_grover_rounds(dim):
         assert np.abs(mass - closed).max() < 1e-12, r
         psi = np.where(marked, -psi, psi)
         psi = 2 * psi.mean(axis=1, keepdims=True) - psi
+
+
+def test_state_vector_values_must_be_integers():
+    """A sampled search holds its values as 64-bit integers."""
+    with pytest.raises(TypeError):
+        qmf(4, values_fn([3, 1.5, 2, 0]), QmfConfig(mode="state_vector"))

@@ -7,16 +7,18 @@ those of the BBHT schedule in qmf. The peak test measures real allocation
 at criterion 7's configuration, and the agreement test checks the engine
 against dp where brute force no longer reaches. The golden test also
 checks qdc's miss flag. The tail test checks that tail frames, solved from
-one gather, report what frame-by-frame recursion (TAIL = 0) reports, and
-the search test that a tail's searches see what those frames' searches
-see. The last tests cover what else the shared solve adds around the
-recursion: the recount of the kept ordering and one gamma count per
-candidate.
+one product, and frames whose halves are tails, solved in row batches,
+report what frame-by-frame recursion (TAIL = 0) reports, and the search
+test that their searches see what those frames' searches see; the float
+test that sums too large for float32 are taken in float64. The last tests
+cover what else the shared solve adds around the recursion: the recount
+of the kept ordering and one gamma count per candidate.
 """
 
 import json
 import random
 import tracemalloc
+from math import ceil
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from oscmlab import (DcConfig, NodeBudgetExceeded, QdcConfig, QmfConfig,
 import oscmlab.dc
 from oscmlab.dc import split_min
 from oscmlab.ledger import CostLedger
+from oscmlab.matrix import build_crossing_matrix
 
 from instances import random_instance
 
@@ -101,6 +104,21 @@ def outcome(solve, inst, cfg):
             ledger.oracle_calls, ledger.meta)
 
 
+def inside_the_root(n_v, base):
+    """Budgets that stop a solve at n_v = 11 or 12 inside its root, a
+    frame whose halves are tails: early, and in the W and the rest of the
+    root's fourth candidate. The full solve joins them where frame-by-frame
+    recursion finishes it in a fifth of a second (n_v = 11, base 3)."""
+    total = dc_node_count(n_v, base)
+    w, r = dc_node_count(ceil(n_v / 2), base), dc_node_count(n_v // 2, base)
+    fourth = 2 + 3 * (w + r)
+    return {1, 2, 5, fourth, fourth + w} | ({None} if total < 50_000 else set())
+
+
+def by_size(budgets):
+    return sorted(budgets, key=lambda b: b or 0)
+
+
 @pytest.mark.parametrize("base", [1, 2, 3])
 @pytest.mark.parametrize("solve,config", [(solve_dc, DcConfig),
                                           (solve_qdc, QdcConfig)],
@@ -109,12 +127,14 @@ def test_tail_frames_report_what_scalar_frames_report(monkeypatch, solve,
                                                       config, base):
     """Budgets of a few nodes, of a third and of all but one of the tree
     stop inside a tail (the whole tree is one up to n_v = TAIL, and at
-    n_v = 9 and 10 all but its top frames are)."""
-    for n_v in range(1, 11):
+    n_v = 9 and 10 all but its root is), and at n_v = 11 and 12 budgets
+    stop inside the root, whose halves are tails."""
+    for n_v in range(1, 13):
         inst = random_instance(random.Random(1000 + n_v), 5, n_v, 0.5)
         total = dc_node_count(n_v, base)
-        for budget in sorted({None, 1, 2, 5, total // 3 + 1, total - 1} - {0},
-                             key=lambda b: b or 0):
+        budgets = (inside_the_root(n_v, base) if n_v > 10 else
+                   {None, 1, 2, 5, total // 3 + 1, total - 1} - {0})
+        for budget in by_size(budgets):
             cfg = config(base_size=base, node_budget=budget)
             tails = outcome(solve, inst, cfg)
             with monkeypatch.context() as patch:
@@ -124,7 +144,8 @@ def test_tail_frames_report_what_scalar_frames_report(monkeypatch, solve,
 
 def search_log(monkeypatch, inst, cfg):
     """Every search of a qdc solve in the order entered: its domain, the
-    values it saw and the oracle calls it returned."""
+    values it saw and the oracle calls it returned; then the node count
+    where the node budget ran out, if it did."""
     original, log = oscmlab.qdc.qmf, []
 
     def recording(n_values, value_fn, qmf_cfg, rng):
@@ -140,25 +161,45 @@ def search_log(monkeypatch, inst, cfg):
         return res
 
     monkeypatch.setattr(oscmlab.qdc, "qmf", recording)
-    solve_qdc(inst, cfg)
+    try:
+        solve_qdc(inst, cfg)
+    except NodeBudgetExceeded as err:
+        log.append(err.ledger.nodes)
     return log
 
 
 @pytest.mark.parametrize("mode", ["cost_model", "state_vector"])
 @pytest.mark.parametrize("base", [1, 2, 3])
 def test_tail_searches_see_what_scalar_searches_see(monkeypatch, mode, base):
-    """A tail walks only its internal nodes and reads base-case values, yet
-    its searches are entered in the same order, see the same values and
-    return the same calls as frame-by-frame recursion's (TAIL = 0), so
-    sampled searches draw the same stream."""
-    cfg = QdcConfig(base_size=base, qmf_cfg=QmfConfig(mode=mode, seed=base))
-    for n_v in range(1, 11):
+    """A tail walks only its internal nodes and reads base-case values,
+    and a frame whose halves are tails reads each candidate's row of a
+    batch, yet their searches are entered in the same order, see the same
+    values and return the same calls as frame-by-frame recursion's
+    (TAIL = 0), so sampled searches draw the same stream. At n_v = 11 and
+    12 node budgets also stop the solve inside the root."""
+    qmf_cfg = QmfConfig(mode=mode, seed=base)
+    for n_v in range(1, 13):
         inst = random_instance(random.Random(2000 + n_v), 5, n_v, 0.5)
-        with monkeypatch.context() as patch:
-            tails = search_log(patch, inst, cfg)
-        with monkeypatch.context() as patch:
-            patch.setattr(oscmlab.dc, "TAIL", 0)
-            assert search_log(patch, inst, cfg) == tails, n_v
+        budgets = inside_the_root(n_v, base) if n_v > 10 else {None}
+        for budget in by_size(budgets):
+            cfg = QdcConfig(base_size=base, node_budget=budget,
+                            qmf_cfg=qmf_cfg)
+            with monkeypatch.context() as patch:
+                tails = search_log(patch, inst, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(oscmlab.dc, "TAIL", 0)
+                assert search_log(patch, inst, cfg) == tails, (n_v, budget)
+
+
+def test_sums_past_float32_stay_exact():
+    """Tails sum in float32 only while the crossing matrix sums below
+    2^24; past it (here 7.7e7, optimum 3.8e7) float32 would round the
+    root's values, and the recount of the kept ordering would fail."""
+    inst = random_instance(random.Random(7), 2600, 10, 0.5)
+    assert build_crossing_matrix(inst).sum() >= 2 ** 24
+    want = solve_dp(inst)[0].crossings
+    for sol, _ in (solve_dc(inst), solve_qdc(inst)):
+        assert sol.crossings == want
 
 
 def test_charge_takes_both_siblings_from_the_last_candidate():
