@@ -21,7 +21,18 @@ down, and those are a prefix of the layer below, in order; so a layer's
 arrays are that prefix's arrays plus x's terms. The next layer reads only
 the columns whose top member is below n_v - 1, the first C(n_v - 1, s),
 so only those are stored; the rest are reduced as they are built. qdp's
-phase 1 runs the same kernel up to its threshold.
+phase 1 runs the same layers up to its threshold.
+
+That kernel runs past n_v = _PLANNED (12). Up to it, where a layer's ~25
+NumPy calls cost more than its arithmetic, the layers come from a plan
+cached per n_v (_plan, built on a first solve, never at import): per
+layer s, two (s, C(n_v, s)) int32 arrays, the rank of S without x_j in
+layer s - 1 and the index mask(S \\ x_j) * n_v + x_j of x_j's column sum
+in a (2^n_v, n_v) table that each solve builds by n_v doublings in the
+value dtype. A layer is then one take of the layer below, one take of
+that table, one add and the kernel's reduction. The plan takes n_v *
+2^(n_v + 2) bytes: 18 KB at n_v = 9, 41 KB at 10 and 197 KB at 12, 360
+KB for every n_v up to 12 together.
 
 Values are kept in the narrowest of int16/int32/int64 that holds c.sum(),
 which bounds every optimum and candidate value. A layer holds optima and
@@ -39,7 +50,15 @@ stored (s, C(n_v - 1, s)) arrays of two adjacent layers: members as int8,
 ranks as int32 and sums in the value dtype, 7 bytes per entry with int16
 values, so 7 B * max_s [s C(n_v - 1, s) + (s + 1) C(n_v - 1, s + 1)] in
 all. Nothing sized by the layers outlives a solve; the index arrays
-_gathered caches are under 0.3 MB per n_v.
+_gathered caches are under 0.3 MB per n_v. A planned solve holds instead
+the (2^n_v, n_v) column-sum table, 2^n_v * n_v * b bytes for b-byte
+values, and while it builds a layer, with int16 values, up to 16 bytes
+per candidate of the widest one (max_s s C(n_v, s) candidates): the
+candidate values and the taken sums beside the intp copy NumPy makes of
+an int32 index array, or beside the packed keys and the cast buffers of
+their add. A first solve at an n_v adds its plan's bytes. At n_v = 12
+with int16 values that is 98 KB + 89 KB + 4 KB of choices, and 197 KB
+more on a first solve.
 """
 
 from __future__ import annotations
@@ -57,13 +76,15 @@ from .ledger import CostLedger
 from .matrix import build_crossing_matrix
 
 # Time and space double with each vertex: n_v = 23 (8 fixed vertices, edge
-# probability 0.5) takes ~1.1 s on a 2-vCPU Xeon VM and peaks at ~0.12 GB
-# under tracemalloc; only index arrays under 0.3 MB stay cached.
+# probability 0.5, tests/instances.py's random_instance with seeds 1 and
+# 4242) takes 1.11 and 1.04 s, best of 3, on a 2-vCPU Xeon VM and peaks at
+# 122 MB under tracemalloc; only index arrays under 0.3 MB stay cached.
 _PRACTICAL_MAX_NV = 23
 
 _PIECE = 1 << 16  # candidate values per piece of a layer
 _SLICED = 1 << 9  # rests from which a top's columns are copied as slices
 _WIDE = 1 << 8  # columns from which packed keys beat argmin + min (measured)
+_PLANNED = 12  # largest n whose layers come from a cached plan (measured)
 
 
 @lru_cache(maxsize=16)
@@ -111,6 +132,17 @@ class _Rows(NamedTuple):
     sums: np.ndarray
 
 
+def _columns(n, s, first):
+    """Per column of the s-subsets of range(n) whose top member x is below
+    first, a prefix of the layer in rank order: x, the rank of the subset
+    without x in the layer below, and C(x, s - 1), which adding x adds to
+    the rank of the subset without each earlier member."""
+    binom = _binomials(n)
+    top = np.repeat(np.arange(first), binom[s - 1, :first])
+    rest = np.arange(len(top)) - binom[s].take(top)
+    return top, rest, binom[s - 1].take(top)
+
+
 @lru_cache(maxsize=64)
 def _gathered(n, s):
     """Index arrays for the columns _grow gathers at once: the s-subsets
@@ -120,11 +152,9 @@ def _gathered(n, s):
     then per column its top, its rest's rank and the top's terms. For n up
     to 23 that is at most 1820 columns for one size and 11210 for all.
     """
-    binom = _binomials(n)
     first = next((x for x in range(s - 1, n) if comb(x, s - 1) >= _SLICED), n)
-    top = np.repeat(np.arange(first), binom[s - 1, :first])
-    arrays = (top.astype(np.int8), np.arange(len(top)) - binom[s].take(top),
-              binom[s - 1].take(top), top * n)
+    top, rest, offset = _columns(n, s, first)
+    arrays = (top.astype(np.int8), rest, offset, top * n)
     for array in arrays:
         array.setflags(write=False)
     return (first, *arrays)
@@ -201,24 +231,88 @@ def _grow(pair, n, s, below, rows, keep, positions):
     return layer, grown if keep else None
 
 
+@lru_cache(maxsize=_PLANNED + 1)
+def _plan(n):
+    """Per layer s = 2..n of range(n), two read-only (s, C(n, s)) int32
+    arrays, one column per subset S by rank: ranks[j], the rank of S
+    without its j-th member x_j in layer s - 1, and flat[j], the index
+    mask(S \\ x_j) * n + x_j of x_j's column sum in a flattened (2^n, n)
+    table. The rows grow as _grow's gathered piece does (_columns), with
+    subset masks beside them: n * 2^(n + 2) bytes in all."""
+    members = np.arange(n)[None]
+    ranks = np.zeros((1, n), np.intp)
+    masks = np.left_shift(1, members[0])
+    plan = []
+    for s in range(2, n + 1):
+        top, rest, offset = _columns(n, s, n)
+        members = np.vstack((members.take(rest, axis=1), top))
+        ranks = np.vstack((ranks.take(rest, axis=1) + offset, rest))
+        masks = masks.take(rest) + np.left_shift(1, top)
+        flat = (masks - np.left_shift(1, members)) * n + members
+        plan.append((ranks.astype(np.int32), flat.astype(np.int32)))
+        for array in plan[-1]:
+            array.setflags(write=False)
+    return tuple(plan)
+
+
+def _column_sums(c, n, dtype):
+    """sum_{v in mask} c[v][w] at mask * n + w for every mask of range(n),
+    by n doublings in the value dtype: a flattened (2^n, n) table."""
+    sums = np.empty((1 << n, n), dtype)
+    sums[0] = 0
+    c = c.astype(dtype)
+    for x in range(n):
+        np.add(sums[:1 << x], c[x], out=sums[1 << x:2 << x])
+    return sums.ravel()
+
+
+def _planned(below, sums, ranks, flat, total):
+    """Layer s from layer s - 1 along _plan's rows for it: one take of the
+    layer below, one of the column sums and one add give every candidate
+    value, reduced as _grow reduces a piece of that width."""
+    s, count = ranks.shape
+    vals = below.opt.take(ranks)
+    if count < _WIDE:
+        vals += sums.take(flat)
+        return _Layer(vals.min(axis=0), vals.argmin(axis=0).astype(np.int8))
+    positions = _positions(s, _key_dtype(total, s))
+    key = np.add(vals, sums.take(flat), dtype=positions.dtype)
+    key *= s
+    key += positions
+    layer = _Layer(np.empty(count, vals.dtype), np.empty(count, np.int8))
+    np.divmod(key.min(axis=0), s, out=(layer.opt, layer.choice))
+    return layer
+
+
 def subset_layers(c, n, top):
     """Yield the table layers of sizes 0..top for the n x n crossing matrix
     c: OPT(S) = min_w OPT(S \\ w) + sum_{v in S} c[v][w] for every s-subset
     S, the choice being w's position among the members (ties keep the
     smallest w). Values are in the narrowest of int16/int32/int64 that
-    holds c.sum(), a bound on every value computed; layers hold no Sym."""
+    holds c.sum(), a bound on every value computed; layers hold no Sym.
+    Up to n = _PLANNED the layers come from a cached plan (_planned), past
+    it from the layer kernel (_grow)."""
     total = int(c.sum())
-    dtype = next(t for t in (np.int16, np.int32, np.int64)
-                 if total <= np.iinfo(t).max)
+    dtype = (np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31
+             else np.int64)
+    yield _Layer(np.zeros(1, dtype), np.zeros(1, np.int8))
+    # a singleton costs 0; to the kernel its rest is the empty set, rank 0
+    layer = _Layer(np.zeros(n, dtype), np.zeros(n, np.int8))
+    if top:
+        yield layer
+    if top < 2:
+        return
+    if n <= _PLANNED:
+        sums = _column_sums(c, n, dtype)
+        for ranks, flat in _plan(n)[:top - 1]:
+            layer = _planned(layer, sums, ranks, flat, total)
+            yield layer
+        return
     pair = np.empty((n, n), [("row", dtype), ("col", dtype)])
     pair["row"], pair["col"] = c, c.T
     ranks = np.int32 if comb(n, n // 2) < 2 ** 31 else np.int64
-    yield _Layer(np.zeros(1, dtype), np.zeros(1, np.int8))
-    if top:  # a singleton costs 0; its rest is the empty set, rank 0
-        layer = _Layer(np.zeros(n, dtype), np.zeros(n, np.int8))
-        rows = _Rows(np.arange(n, dtype=np.int8)[None], np.zeros((1, n), ranks),
-                     np.zeros((1, n), dtype))
-        yield layer
+    rows = _Rows(np.arange(n, dtype=np.int8)[None], np.zeros((1, n), ranks),
+                 np.zeros((1, n), dtype))
     for s in range(2, top + 1):
         layer, rows = _grow(pair, n, s, layer, rows, s < top,
                             _positions(s, _key_dtype(total, s)))

@@ -31,7 +31,10 @@ state-vector mode each search sees its children's searched minima plus
 gamma, and oracle charges reflect the sampled search rounds; a count-only
 run reports the root's searched minimum (ledger.meta["search_missed"] says
 whether it lies above the exact one), while a full run reports the exact
-kept best and its ordering.
+kept best and its ordering. ledger.meta["searches_missed"] counts the
+searches of the run, at every node, that missed the least of the values
+they saw (qmf's success_flag False); like search_missed it stays out of
+the ledger's JSON schema.
 """
 
 from __future__ import annotations
@@ -150,14 +153,24 @@ def solve_qdc(inst: BipartiteInstance, cfg: QdcConfig = None):
     qmf_cfg = cfg.qmf_cfg
     rng = np.random.default_rng(qmf_cfg.seed) if sampled else None
 
+    missed = 0
+
     def search(n_values, value_fn):
         res = qmf(n_values, value_fn, qmf_cfg, rng)
         return res.min_value, res.oracle_calls
 
+    def sampled_search(n_values, value_fn):
+        nonlocal missed
+        res = qmf(n_values, value_fn, qmf_cfg, rng)
+        missed += not res.success_flag
+        return res.min_value, res.oracle_calls
+
+    minimizer = sampled_search if sampled else search
     searched, exact, ledger.oracle_calls, ordering = split_min(
-        build_crossing_matrix(inst), cfg, search, ledger)
+        build_crossing_matrix(inst), cfg, minimizer, ledger)
     if sampled:
         ledger.meta["search_missed"] = searched != exact
+        ledger.meta["searches_missed"] = missed
     elif searched != exact:
         raise AssertionError(f"searched minimum {searched} is not the exact {exact}")
     if cfg.count_only:

@@ -24,7 +24,8 @@ plain DP (full table, zero oracle calls).
 The simulation evaluates both phases one subset-size layer at a time in
 NumPy, on dp's table format: a layer holds every subset of one size by its
 combinatorial-number-system (colex) rank, so reading a smaller subset's
-optimum is an array gather. Phase 1 is dp's kernel (dp.subset_layers) run
+optimum is an array gather. Phase 1 is dp's table layers
+(dp.subset_layers: its cached plan up to n = 12, its kernel past it) run
 up to size t, keeping for each subset its optimum and its chosen last
 vertex (ties keep the smallest vertex). Phase 2 rests on the searches
 reaching every subset of each search size: level 1 enumerates all
@@ -84,10 +85,11 @@ from .qmf import cost_model_calls
 
 # The search layer of size ceil(n/2) evaluates C(n, ceil(n/2)) *
 # C(ceil(n/2), ceil(n/4)) split values, ~4x more per vertex: n_v = 22 (8
-# fixed vertices, edge probability 0.5) is 326 M of them, 7-8 s on a 2-vCPU
-# Xeon VM with a 62 MB tracemalloc peak; n_v = 23 is 1.25 G, ~40 s. Past the
-# cap a search solve raises SizeLimitError before it allocates anything; the
-# dp fallback path is held to dp's own cap instead.
+# fixed vertices, edge probability 0.5, tests/instances.py's random_instance
+# with seeds 1 and 4242) is 326 M of them, 7.8 and 9.3 s, best of 3, on a
+# 2-vCPU Xeon VM with a 30 MB tracemalloc peak; n_v = 23 is 1.25 G, about
+# 4x that. Past the cap a search solve raises SizeLimitError before it
+# allocates anything; the dp fallback path is held to dp's own cap instead.
 _PRACTICAL_MAX_NV = 22
 
 _CHUNK = 1 << 14  # split values per chunk of a search layer

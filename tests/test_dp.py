@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from oscmlab import (BipartiteInstance, SizeLimitError, count_crossings,
                      dp_recurrence_count, dp_table_entries, solve_bruteforce,
                      solve_dp)
 from oscmlab import dp, qdp
+from oscmlab.matrix import build_crossing_matrix
 
 from instances import random_instance
 
@@ -271,3 +273,78 @@ def test_a_solve_keeps_no_memory():
     finally:
         tracemalloc.stop()
     assert current < 10 ** 6
+
+
+def matrix_summing_to(n, total, seed):
+    """A random n x n matrix with a zero diagonal that sums to total (to 0
+    when n < 2, which has no off-diagonal entry)."""
+    c = np.random.default_rng(seed).integers(0, 1000, size=(n, n))
+    np.fill_diagonal(c, 0)
+    if n < 2:
+        return c
+    c = c * (total // c.sum())
+    c[0, 1] += total - c.sum()
+    return c
+
+
+@pytest.mark.parametrize("total,dtype", [
+    (0, "int16"), (2 ** 15 - 1, "int16"), (10 ** 6, "int32"),
+    (2 ** 31 - 1, "int32"), (2 ** 31 + 7, "int64")])
+@pytest.mark.parametrize("n", range(13))
+def test_planned_layers_match_the_kernel(monkeypatch, n, total, dtype):
+    """Up to n = _PLANNED the layers come from the cached plan; with
+    _PLANNED = 0 the same call runs the layer kernel. Both give the same
+    optima, choices and dtypes at tops 0, n // 2, qdp's table threshold and
+    n, with keys of both widths (2^31 - 1 makes them int64 from s = 2), and
+    on the all-zero matrix every choice is position 0. The kernel's sliced
+    and scratch pieces start at n = 13, so n = 13 stays on the kernel."""
+    assert dp._PLANNED < 13
+    c = matrix_summing_to(n, total, n + total)
+    if n >= 2:
+        assert c.sum() == total
+    for top in {0, n // 2, qdp.table_threshold(n, qdp.QdpConfig().alpha), n}:
+        planned = list(dp.subset_layers(c, n, top))
+        with monkeypatch.context() as patch:
+            patch.setattr(dp, "_PLANNED", 0)
+            kernel = list(dp.subset_layers(c, n, top))
+        assert len(planned) == top + 1
+        for got, want in zip(planned, kernel, strict=True):
+            assert got.opt.dtype == want.opt.dtype
+            assert got.opt.dtype.name == (dtype if n >= 2 else "int16")
+            assert got.choice.dtype == want.choice.dtype == np.int8
+            assert got.opt.tolist() == want.opt.tolist()
+            assert got.choice.tolist() == want.choice.tolist()
+            assert not (c.sum() == 0 and got.choice.any())
+
+
+def planned_space(n, first):
+    """The dp docstring's space model of a planned solve with int16
+    values: the (2^n, n) column-sum table, 16 bytes per candidate of the
+    widest layer and 2^n int8 choices, plus the plan's n * 2^(n + 2) bytes
+    on a first solve."""
+    widest = max(s * comb(n, s) for s in range(2, n + 1))
+    plan = n * 2 ** (n + 2) if first else 0
+    return 2 ** n * n * 2 + 16 * widest + 2 ** n + plan
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_planned_peak_follows_the_space_model(n):
+    """The tracemalloc peak of a first and a warm planned solve lies within
+    a factor of 1.5 of the docstring's model, either way. A first solve
+    reads 1.3-1.4x the model (the plan's build holds intp rows of its
+    widest layers), a warm one 0.97-1.03x; an intp plan (twice the bytes)
+    reads 1.6-1.7x on a first solve."""
+    inst = random_instance(random.Random(200), 6, n, 0.5)
+    assert int(build_crossing_matrix(inst).sum()) < 2 ** 15  # int16 values
+    for cached in vars(dp).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    for first in (True, False):
+        tracemalloc.start()
+        try:
+            solve_dp(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model = planned_space(n, first)
+        assert model / 1.5 < peak < model * 1.5, (first, peak, model)

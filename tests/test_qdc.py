@@ -5,9 +5,11 @@ from math import ceil, comb, sqrt
 import pytest
 
 from oscmlab import (BipartiteInstance, NodeBudgetExceeded, QdcConfig,
-                     QmfConfig, count_crossings, dc_max_depth, dc_node_count,
-                     extract_ordering, qdc_cost_model, solve_bruteforce,
-                     solve_dc, solve_dp, solve_qdc, split_trace)
+                     QmfConfig, QmfResult, count_crossings, dc_max_depth,
+                     dc_node_count, extract_ordering, qdc_cost_model,
+                     solve_bruteforce, solve_dc, solve_dp, solve_qdc,
+                     split_trace)
+from oscmlab.qmf import qmf
 
 from instances import random_instance
 
@@ -166,6 +168,66 @@ def test_state_vector_mode_stays_exact():
     again, ledger2 = solve_qdc(inst, cfg)
     assert (again.ordering, ledger2.oracle_calls) \
         == (sol.ordering, ledger.oracle_calls)
+
+
+def test_every_sampled_search_that_misses_is_counted(monkeypatch):
+    """A stub search that misses on chosen searches, numbered in the order
+    they are entered (the root's is 0), and returns their largest value:
+    searches_missed counts every one of them, the root's or not, and the
+    ledger's JSON keeps its schema. A cost-model run records no count."""
+    chosen = {2, 5, 11}
+    entered = []
+
+    def stub(n_values, value_fn, cfg=None, rng=None):
+        index = len(entered)
+        entered.append(n_values)
+        values = [value_fn(i) for i in range(n_values)]
+        if index in chosen:
+            return QmfResult(values.index(max(values)), max(values), 1, False)
+        return QmfResult(values.index(min(values)), min(values), 1, True)
+
+    monkeypatch.setattr("oscmlab.qdc.qmf", stub)
+    inst = random_instance(random.Random(8), 4, 8, 0.5)
+    for count_only in (False, True):
+        entered.clear()
+        cfg = QdcConfig(count_only=count_only,
+                        qmf_cfg=QmfConfig(mode="state_vector", seed=11))
+        _, ledger = solve_qdc(inst, cfg)
+        assert len(entered) > max(chosen)
+        assert ledger.meta["searches_missed"] == len(chosen)
+        assert list(ledger.json_dict()) == ["algo", "oracle_calls", "nodes"]
+    _, ledger = solve_qdc(inst)
+    assert "searches_missed" not in ledger.meta
+
+
+@pytest.mark.parametrize("n_v,seed", [(8, 11), (10, 3)])
+def test_searches_missed_counts_what_the_searches_report(monkeypatch, n_v,
+                                                         seed):
+    """Seeded sampled runs against a recording search: the count is the
+    number of results flagged unsuccessful, of one search per internal
+    node (none of these runs misses)."""
+    results = []
+
+    def recording(*args):
+        results.append(qmf(*args))
+        return results[-1]
+
+    monkeypatch.setattr("oscmlab.qdc.qmf", recording)
+    inst = random_instance(random.Random(seed), 5, n_v, 0.5)
+    cfg = QdcConfig(qmf_cfg=QmfConfig(mode="state_vector", seed=seed))
+    _, ledger = solve_qdc(inst, cfg)
+    assert ledger.meta["searches_missed"] == sum(
+        not result.success_flag for result in results)
+    assert len(results) == internal_nodes(n_v, 2)
+
+
+def internal_nodes(k, base):
+    """Recursion nodes of more than base members: one search each."""
+    if k <= base:
+        return 0
+    half = ceil(k / 2)
+    return 1 + comb(k, half) * (internal_nodes(half, base)
+                                + internal_nodes(k - half, base))
 
 
 def test_solution_ordering_equals_extracted_trace():
