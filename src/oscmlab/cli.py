@@ -362,7 +362,8 @@ def main(argv=None) -> int:
         return 2
     except NodeBudgetExceeded as exc:
         print(f"error: node budget exceeded after {exc.ledger.nodes} nodes "
-              f"(peak state {exc.peak_state_bytes} bytes, depth {exc.max_depth})",
+              f"(modelled peak state {exc.peak_state_bytes} bytes, "
+              f"depth {exc.max_depth})",
               file=sys.stderr)
         return 3
     except SizeLimitError as exc:

@@ -16,12 +16,11 @@ before it is returned, and the ledger equals dc_node_count on every run.
 
 Frames of more than base_size and at most TAIL members are tails. A tail
 whose whole subtree fits in the node budget is counted whole: the ledger
-adds its dc_node_count nodes and dc_gamma_count gammas in one step, and
-the meter records the peak and depth its frames would reach. One product
-of its flattened local crossing submatrix with a 0/1 count map cached per
-(size, base size) gives every base-case ordering's crossings and every
-split's gamma; a few whole-array steps per node size then give every
-node's exact value and first best split, bottom-up, and the tail's
+adds its dc_node_count nodes and dc_gamma_count gammas in one step. One
+product of its flattened local crossing submatrix with a 0/1 count map
+cached per (size, base size) gives every base-case ordering's crossings
+and every split's gamma; a few whole-array steps per node size then give
+every node's exact value and first best split, bottom-up, and the tail's
 ordering is rebuilt once along those splits. dc reads the exact value and
 enters no tail node; qdc walks the internal nodes only, to run their
 searches.
@@ -49,11 +48,14 @@ traced peak of a sampled qdc solve at ~18.6 KB, where solving one tail
 at a time read 17.5-22.5 KB, while 8 KB (7 candidates) raises it to
 ~27 KB.
 
-A SpaceMeter tracks live algorithm state in bytes under a fixed accounting
-model, and an optional node budget lets instrumented runs at sizes too big
-to finish still observe the peak (it stabilizes once the first descent
-reaches maximum depth). A frame counted whole charges the meter the peak
-and depth its entered frames would.
+Live state is modelled, not measured: dc_peak_state_bytes(n_v,
+base_size) is the peak of a fixed byte model along the ceil-half spine,
+dc_max_depth frames deep, and split_min writes both to ledger.meta. The
+figures depend on n_v and base_size alone. They witness that no
+exponential structure is ever live; they do not profile the allocator,
+and tests/test_dc.py holds tracemalloc's peak between 1 and 100 times
+the model. An optional node budget stops runs at sizes too big to
+finish; its exception carries the same modelled pair.
 """
 
 from __future__ import annotations
@@ -88,65 +90,6 @@ class DcConfig:
             raise ValueError("base_size must be >= 1")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError("node_budget must be positive when set")
-
-
-class SpaceMeter:
-    """Byte accounting for live solver state.
-
-    Model: every live recursion frame charges 96 bytes of scalars plus 8
-    bytes per member of its subset (member list, best-so-far value,
-    split-enumerator state). A frame past its first candidate split also
-    holds its kept best ordering, 32 bytes plus one per member, until it
-    returns. Deterministic by construction — the point is a reproducible
-    "no exponential structure is ever live" witness, not an
-    allocator-accurate profile. A frame counted whole (a tail, or a frame
-    whose halves are tails) enters no frame: ``reach`` records the peak
-    and depth its frames would reach (the same for every such frame of a
-    size and base size).
-    """
-
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
-        self.depth = 0
-        self.max_depth = 0
-
-    @staticmethod
-    def frame_bytes(subset_size: int) -> int:
-        return 96 + 8 * subset_size
-
-    @staticmethod
-    def trace_bytes(subset_size: int) -> int:
-        return 32 + subset_size
-
-    def enter(self, nbytes: int):
-        self.current += nbytes
-        self.depth += 1
-        if self.current > self.peak:
-            self.peak = self.current
-        if self.depth > self.max_depth:
-            self.max_depth = self.depth
-
-    def exit(self, nbytes: int):
-        self.current -= nbytes
-        self.depth -= 1
-
-    def hold(self, nbytes: int):
-        """Charge retained (non-frame) state, e.g. a kept best ordering."""
-        self.current += nbytes
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def release(self, nbytes: int):
-        self.current -= nbytes
-
-    def reach(self, nbytes: int, levels: int):
-        """Record frames ``levels`` deep, peaking at ``nbytes`` above the
-        current state, entered and left again."""
-        if self.current + nbytes > self.peak:
-            self.peak = self.current + nbytes
-        if self.depth + levels > self.max_depth:
-            self.max_depth = self.depth + levels
 
 
 @lru_cache(maxsize=None)
@@ -187,6 +130,22 @@ def dc_max_depth(k: int, base_size: int = 2) -> int:
     return depth
 
 
+def dc_peak_state_bytes(k: int, base_size: int = 2) -> int:
+    """Modelled peak bytes of live state for a subset of k vertices.
+
+    The deepest descent runs down the ceil halves. Each internal frame on
+    it holds 96 bytes of scalars and 8 per member (member list, best value,
+    split-enumerator state), plus its kept best ordering, 32 bytes and one
+    per member, set by its first candidate; the base frame at the bottom
+    holds 96 bytes and 8 per member.
+    """
+    peak = 0
+    while k > base_size:
+        peak += 96 + 8 * k + 32 + k
+        k = ceil(k / 2)
+    return peak + 96 + 8 * k
+
+
 def base_case(rows, members) -> tuple:
     """Best crossings of a tiny subset and its lexicographically least
     optimal ordering, by enumerating the orderings of ``members`` (sorted).
@@ -207,19 +166,6 @@ def local_matrix(c: np.ndarray, members) -> np.ndarray:
     if len(members) == len(c):
         return c
     return c.take(members, 0).take(members, 1)
-
-
-@lru_cache(maxsize=None)
-def _descent(s, base_size) -> tuple:
-    """The peak bytes and depth that a frame of s members and its subtree
-    reach above the state they are entered in. The deepest descent runs
-    down the ceil halves, and each internal frame on it holds a best
-    ordering, as its first candidate set one."""
-    peak, k = 0, s
-    while k > base_size:
-        peak += SpaceMeter.frame_bytes(k) + SpaceMeter.trace_bytes(k)
-        k = ceil(k / 2)
-    return peak + SpaceMeter.frame_bytes(k), dc_max_depth(s, base_size)
 
 
 class _TailPlan:
@@ -254,7 +200,6 @@ class _TailPlan:
     def __init__(self, s, base_size):
         self.n_nodes = dc_node_count(s, base_size)
         self.n_gammas = dc_gamma_count(s, base_size)
-        self.peak, self.depth = _descent(s, base_size)
 
         def halves(pos):            # as _scalar_splits enumerates them
             return [(w, tuple([v for v in pos if v not in w]))
@@ -385,7 +330,6 @@ class _Halves:
         self.r = _tail_plan(s - self.h, base_size)
         self.n_nodes = dc_node_count(s, base_size)
         self.n_gammas = dc_gamma_count(s, base_size)
-        self.peak, self.depth = _descent(s, base_size)
         # The rests of the Ws in lexicographic order are the (s - h)-sets
         # in reverse lexicographic order.
         n, h = comb(s, self.h), self.h
@@ -446,21 +390,20 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     (_TailPlan), and so can be both sides of a larger frame's candidates
     (_Halves). When such a frame's dc_node_count nodes fit in the node
     budget, it is counted whole: the ledger adds its node and gamma
-    counts, and the meter the peak and depth its frames reach
-    (SpaceMeter.reach). One product over a tail's flattened local
-    crossing submatrix, or over a row batch of the candidates' W and rest
-    submatrices, then gives every tail node's exact value; a tail's
-    ordering follows its first best splits, and a frame of two tails
-    takes its first least candidate and solves only that one's tails
-    again, for their orderings. With ``search`` None that is all;
+    counts. One product over a tail's flattened local crossing submatrix,
+    or over a row batch of the candidates' W and rest submatrices, then
+    gives every tail node's exact value; a tail's ordering follows its
+    first best splits, and a frame of two tails takes its first least
+    candidate and solves only that one's tails again, for their
+    orderings. With ``search`` None that is all;
     otherwise a frame of two tails searches its candidates over the
     batches' rows, and every tail's internal nodes are walked in the
     frame-by-frame pre-order, each node's search reading base-case values
     and searching internal sides, so every search sees the values, and
     returns the calls, that it sees and returns frame by frame. A frame
     whose nodes do not fit runs frame by frame, as TAIL = 0 runs every
-    frame, so every output, ledger field, meter reading and raise point
-    equals that recursion's.
+    frame, so every output, ledger field and raise point equals that
+    recursion's.
 
     Every frame returns (searched value, exact value, oracle charge,
     ordering). The frame keeps only its first strictly best candidate by
@@ -478,16 +421,20 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     ``c`` holds nonnegative crossing counts, so no partial sum of a tail
     exceeds the sum of all of c, which picks float32 or float64.
 
-    Returns the root's tuple once its ordering recounts to the exact value
-    (else AssertionError), with the SpaceMeter's peak and depth in
-    ledger.meta. Raises SizeLimitError past 64 vertices and
-    NodeBudgetExceeded past cfg.node_budget nodes.
+    Writes the modelled peak state and depth, dc_peak_state_bytes and
+    dc_max_depth of (n, base size), to ledger.meta on entry. Returns the
+    root's tuple once its ordering recounts to the exact value (else
+    AssertionError). Raises SizeLimitError past 64 vertices and
+    NodeBudgetExceeded, carrying the same modelled pair, past
+    cfg.node_budget nodes.
     """
     n = len(c)
     if n > 64:
         raise SizeLimitError(f"subset solvers support n_v <= 64, got {n}")
-    rows, meter = c.tolist(), SpaceMeter()
+    rows = c.tolist()
     base_size, node_budget, tails = cfg.base_size, cfg.node_budget, TAIL
+    peak = ledger.meta["peak_state_bytes"] = dc_peak_state_bytes(n, base_size)
+    depth = ledger.meta["max_depth"] = dc_max_depth(n, base_size)
     minimize = search or _exact_min
     if n > base_size:
         # What tails sum: c in float32 when every sum of its entries is
@@ -495,39 +442,25 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
         floats = c.astype(np.float32 if sum(map(sum, rows)) < 2 ** 24
                           else np.float64)
 
-    def enter(nbytes):
-        meter.enter(nbytes)
-        ledger.nodes += 1
-        if node_budget is not None and ledger.nodes > node_budget:
-            raise NodeBudgetExceeded(ledger, meter.peak, meter.max_depth)
-
     def internal(s, candidates, child):
         """Search an entered internal node's splits, given as (W, rest,
         gamma) candidates whose sides ``child`` solves."""
         best = None                 # (exact value, W ordering, rest ordering)
-        held = 0
         child_charge = 0            # both children's, last candidate
 
         def value_fn(_):
-            nonlocal best, held, child_charge
+            nonlocal best, child_charge
             w, rest, g = next(candidates)
             w_searched, w_exact, w_charge, w_order = child(w)
             r_searched, r_exact, r_charge, r_order = child(rest)
             ledger.gamma_evals += 1
             exact = w_exact + r_exact + g
             if best is None or exact < best[0]:
-                if not held:
-                    held = SpaceMeter.trace_bytes(s)
-                    meter.hold(held)
                 best = (exact, w_order, r_order)
             child_charge = w_charge + r_charge
             return w_searched + r_searched + g
 
-        try:
-            searched, calls = minimize(comb(s, ceil(s / 2)), value_fn)
-        finally:
-            if held:
-                meter.release(held)
+        searched, calls = minimize(comb(s, ceil(s / 2)), value_fn)
         return searched, best[0], calls * (child_charge + 1), best[1] + best[2]
 
     def walk(plan, v, x):
@@ -629,24 +562,19 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
                                   ledger.nodes + whole.n_nodes <= node_budget):
             ledger.nodes += whole.n_nodes
             ledger.gamma_evals += whole.n_gammas
-            meter.reach(whole.peak, whole.depth)
             return solve(whole, members)
-        nbytes = SpaceMeter.frame_bytes(s)
-        enter(nbytes)
-        try:
-            if s <= base_size:
-                value, order = base_case(rows, members)
-                return value, value, 0, order
-            return internal(s, _scalar_splits(rows, members), frame)
-        finally:
-            meter.exit(nbytes)
+        ledger.nodes += 1
+        if node_budget is not None and ledger.nodes > node_budget:
+            raise NodeBudgetExceeded(ledger, peak, depth)
+        if s <= base_size:
+            value, order = base_case(rows, members)
+            return value, value, 0, order
+        return internal(s, _scalar_splits(rows, members), frame)
 
     searched, exact, charge, ordering = frame(tuple(range(n)))
     recount = order_sum(rows, ordering)
     if recount != exact:
         raise AssertionError(f"kept ordering recounts to {recount}, not {exact}")
-    ledger.meta["peak_state_bytes"] = meter.peak
-    ledger.meta["max_depth"] = meter.max_depth
     return searched, exact, charge, ordering
 
 

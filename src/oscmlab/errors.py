@@ -18,9 +18,9 @@ class InstanceParseError(ValueError):
 class NodeBudgetExceeded(Exception):
     """A divide-and-conquer run hit its configured node budget.
 
-    Carries the partial ledger and the space meter's observations so that
-    instrumented runs at sizes too large to finish can still report peak
-    live state.
+    Carries the partial ledger and the solve's modelled peak state bytes
+    and depth (dc_peak_state_bytes and dc_max_depth of its size), so that
+    instrumented runs at sizes too large to finish still report them.
     """
 
     def __init__(self, ledger, peak_state_bytes, max_depth):
@@ -28,6 +28,6 @@ class NodeBudgetExceeded(Exception):
         self.peak_state_bytes = peak_state_bytes
         self.max_depth = max_depth
         super().__init__(
-            f"node budget exhausted (peak state {peak_state_bytes} bytes, "
-            f"max depth {max_depth})"
+            f"node budget exhausted (modelled peak state {peak_state_bytes} "
+            f"bytes, max depth {max_depth})"
         )

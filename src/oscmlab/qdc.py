@@ -156,18 +156,13 @@ def solve_qdc(inst: BipartiteInstance, cfg: QdcConfig = None):
     missed = 0
 
     def search(n_values, value_fn):
-        res = qmf(n_values, value_fn, qmf_cfg, rng)
-        return res.min_value, res.oracle_calls
-
-    def sampled_search(n_values, value_fn):
         nonlocal missed
         res = qmf(n_values, value_fn, qmf_cfg, rng)
         missed += not res.success_flag
         return res.min_value, res.oracle_calls
 
-    minimizer = sampled_search if sampled else search
     searched, exact, ledger.oracle_calls, ordering = split_min(
-        build_crossing_matrix(inst), cfg, minimizer, ledger)
+        build_crossing_matrix(inst), cfg, search, ledger)
     if sampled:
         ledger.meta["search_missed"] = searched != exact
         ledger.meta["searches_missed"] = missed

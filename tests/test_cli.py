@@ -347,7 +347,8 @@ def test_node_budget_exit(tmp_path, capsys):
     path = write(tmp_path, "1 10 0 1\n")
     assert main(["solve", "--input", path, "--algo", "dc",
                  "--node-budget", "50"]) == 3
-    assert "node budget exceeded after 51 nodes" in capsys.readouterr().err
+    assert ("node budget exceeded after 51 nodes (modelled peak state "
+            "658 bytes, depth 4)") in capsys.readouterr().err
 
 
 def test_verify_mismatch_exits_four(tmp_path, capsys, monkeypatch):

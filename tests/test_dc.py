@@ -1,11 +1,14 @@
 import random
+import tracemalloc
 from math import ceil, comb
 
 import pytest
 
 from oscmlab import (BipartiteInstance, DcConfig, NodeBudgetExceeded,
-                     count_crossings, dc_max_depth, dc_node_count,
-                     solve_bruteforce, solve_dc, solve_dp)
+                     QdcConfig, QmfConfig, count_crossings, dc_max_depth,
+                     dc_node_count, dc_peak_state_bytes, solve_bruteforce,
+                     solve_dc, solve_dp, solve_qdc)
+import oscmlab.dc
 from oscmlab.dc import dc_gamma_count
 
 from instances import random_instance
@@ -107,21 +110,97 @@ def test_count_only_skips_reconstruction_not_counting():
     assert fast_led.gamma_evals == full_led.gamma_evals
 
 
-def test_space_meter_reports_spine_depth():
-    inst = random_instance(random.Random(9), 4, 10, 0.5)
-    _, ledger = solve_dc(inst, DcConfig(count_only=True))
-    assert ledger.meta["max_depth"] == dc_max_depth(10, 2) == 4
-    assert 0 < ledger.meta["peak_state_bytes"] < 2048
+def spine_model(k, base):
+    """The byte model summed frame by frame down the ceil-half spine:
+    each internal frame 96 + 8k bytes and a kept ordering of 32 + k, the
+    base frame 96 + 8k."""
+    if k <= base:
+        return 96 + 8 * k
+    return 96 + 8 * k + 32 + k + spine_model(ceil(k / 2), base)
+
+
+@pytest.mark.parametrize("k,base,expected", [
+    (0, 2, 96), (2, 2, 112), (9, 2, 649), (10, 2, 658), (20, 2, 966),
+    (32, 2, 1164), (64, 2, 1868),
+])
+def test_peak_state_bytes_pinned_values(k, base, expected):
+    assert dc_peak_state_bytes(k, base) == spine_model(k, base) == expected
+
+
+SV = QmfConfig(mode="state_vector", seed=3)
+
+
+@pytest.mark.parametrize("tail", [oscmlab.dc.TAIL, 0], ids=["tails", "TAIL0"])
+@pytest.mark.parametrize("solve,cfg,max_nv,cap", [
+    (solve_dc, DcConfig, 14, 1_000_000),
+    (solve_qdc, QdcConfig, 14, 200_000),
+    (solve_qdc, lambda **kw: QdcConfig(qmf_cfg=SV, **kw), 10, 200_000),
+], ids=["dc", "qdc", "qdc_sv"])
+def test_space_model_reports_spine_depth(monkeypatch, solve, cfg, max_nv,
+                                         cap, tail):
+    """Every solve over n_v 0..max_nv and base sizes 1..3 reports the
+    modelled pair of its size and base size in ledger.meta. A solve of
+    more than ``cap`` nodes (5000 frame by frame, TAIL = 0) stops at a
+    5000-node budget instead, and its exception carries the same pair."""
+    monkeypatch.setattr(oscmlab.dc, "TAIL", tail)
+    if tail == 0:
+        cap = 5000
+    for n_v in range(max_nv + 1):
+        inst = random_instance(random.Random(300 + n_v), 4, n_v, 0.5)
+        for base in (1, 2, 3):
+            want = (dc_peak_state_bytes(n_v, base), dc_max_depth(n_v, base))
+            budget = 5000 if dc_node_count(n_v, base) > cap else None
+            try:
+                _, ledger = solve(inst, cfg(base_size=base, count_only=True,
+                                            node_budget=budget))
+            except NodeBudgetExceeded as exc:
+                got = (exc.peak_state_bytes, exc.max_depth)
+            else:
+                assert budget is None
+                got = (ledger.meta["peak_state_bytes"],
+                       ledger.meta["max_depth"])
+            assert got == want, (n_v, base)
 
 
 def test_node_budget_exception_carries_witnesses():
+    """A raise carries the modelled pair of the whole solve: at n_v 9,
+    base 2, 649 bytes at depth 4, however early the budget runs out."""
     inst = random_instance(random.Random(10), 4, 9, 0.5)
-    with pytest.raises(NodeBudgetExceeded) as info:
-        solve_dc(inst, DcConfig(count_only=True, node_budget=500))
-    exc = info.value
-    assert exc.ledger.nodes == 501
-    assert exc.max_depth == dc_max_depth(9, 2)
-    assert 0 < exc.peak_state_bytes < 2048
+    for budget in (1, 500):
+        with pytest.raises(NodeBudgetExceeded) as info:
+            solve_dc(inst, DcConfig(count_only=True, node_budget=budget))
+        exc = info.value
+        assert exc.ledger.nodes == budget + 1
+        assert (exc.peak_state_bytes, exc.max_depth) == (
+            dc_peak_state_bytes(9, 2), dc_max_depth(9, 2)) == (649, 4)
+
+
+@pytest.mark.parametrize("n_v", [10, 20, 32, 64])
+@pytest.mark.parametrize("solve,config", [(solve_dc, DcConfig),
+                                          (solve_qdc, QdcConfig)],
+                         ids=["dc", "qdc"])
+def test_space_model_bounds_the_traced_peak(solve, config, n_v):
+    """The modelled peak is a lower bound on real allocation, and real
+    allocation stays within 100x of it: a warm count-only solve, stopped
+    by a 100 000-node budget past n_v = 10, traces 20-62x the model."""
+    inst = random_instance(random.Random(7), 8, n_v, 0.5)
+    cfg = config(base_size=2, count_only=True, node_budget=100_000)
+
+    def run():
+        try:
+            solve(inst, cfg)
+        except NodeBudgetExceeded:
+            pass
+
+    run()                               # warm: plans and count maps cached
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    model = dc_peak_state_bytes(n_v, 2)
+    assert model <= peak <= 100 * model
 
 
 def test_config_validation():
