@@ -183,10 +183,20 @@ class _TailPlan:
       permutations in lexicographic order, the last repeated;
     - then the ``head`` that a search walks, offsets counted from its
       start: split gammas, gamma(W, rest),
-      one per split of every internal node, nodes in number order
-      (n_splits columns); split values, W's exact value + the rest's +
-      gamma (a node's from n_splits + at); node exact values, node x at
-      values_at + x.
+      one per split of every internal node, nodes in number order (g
+      columns, g splits in all); split values, W's exact value + the
+      rest's + gamma (a node's from g + at); node exact values, node x at
+      2g + x.
+
+    ``walks`` says how a search walks internal node x, in walks[x]: (m,
+    offset, W's kind, W offsets, rest's kind, rest offsets). A bottom
+    node, whose sides are all base cases, searches its m split values
+    from the offset; its entry holds no sides. Any other node searches
+    its m gammas from the offset plus its sides' values, and a side's
+    kind says how its offset per split is read: None, a base case's
+    value column; a positive m, a bottom node's split values; 0, another
+    internal node, walked by its number. A node's Ws all share one size,
+    and so one kind, as do its rests.
 
     The orderings' crossings and the gammas are sums of local-matrix
     entries, so one product of the flattened s x s local matrices with
@@ -226,14 +236,28 @@ class _TailPlan:
                                tuple([number[w] for w, _ in parts]),
                                tuple([number[r] for _, r in parts])))
             splits += parts
-        g = self.n_splits = len(splits)
+        g, n_base = len(splits), len(base)
+
+        def sides(ids):             # a node's Ws or rests: kind, offsets
+            if ids[0] < n_base:
+                return None, tuple([2 * g + y for y in ids])
+            m, _, w_ids, _ = self.inner[ids[0] - n_base]
+            if w_ids[0] >= n_base:
+                return 0, ids
+            return m, tuple([g + self.inner[y - n_base][1] for y in ids])
+
+        self.walks = [None] * n_base
+        for m, at, w_ids, r_ids in self.inner:
+            if w_ids[0] < n_base:       # a bottom node
+                self.walks.append((m, g + at, None, None, None, None))
+            else:
+                self.walks.append((m, at, *sides(w_ids), *sides(r_ids)))
         self.per = factorial(max(map(len, base)))
         self.orders = []
         for pos in base:
             perms = list(permutations(pos))
             self.orders += perms + perms[-1:] * (self.per - len(perms))
         o = len(self.orders)
-        self.values_at = 2 * g
         self.size = o + 2 * g + len(seen)
         self.head = slice(o, self.size)
         self.exact = o + 2 * g + self.root      # the root's exact value
@@ -465,24 +489,28 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
 
     def walk(plan, v, x):
         """Search internal tail node x over its value row ``v``:
-        (searched value, charge). Base-case sides are read, internal ones
-        searched."""
-        m, at, w_ids, r_ids = plan.inner[x - plan.n_base]
-        n_base = plan.n_base
-        if w_ids[0] < n_base:               # W, the larger side, is a base case
-            at += plan.n_splits
+        (searched value, charge). Base-case sides are read, bottom ones
+        searched over their split values, others walked."""
+        m, at, w_m, ws, r_m, rs = plan.walks[x]
+        if ws is None:                      # a bottom node
             return search(m, v[at:at + m].__getitem__)
-        values_at = plan.values_at
         child_charge = 0                    # both sides', last candidate
 
         def value_fn(i):
             nonlocal child_charge
-            w_searched, child_charge = walk(plan, v, w_ids[i])
-            r = r_ids[i]
-            if r < n_base:
-                r_searched = v[values_at + r]
+            w = ws[i]
+            if w_m:
+                w_searched, child_charge = search(w_m, v[w:w + w_m].__getitem__)
             else:
-                r_searched, r_charge = walk(plan, v, r)
+                w_searched, child_charge = walk(plan, v, w)
+            r = rs[i]
+            if r_m is None:
+                r_searched = v[r]
+            else:
+                if r_m:
+                    r_searched, r_charge = search(r_m, v[r:r + r_m].__getitem__)
+                else:
+                    r_searched, r_charge = walk(plan, v, r)
                 child_charge += r_charge
             return w_searched + r_searched + v[at + i]
 

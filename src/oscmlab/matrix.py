@@ -23,6 +23,8 @@ force oracle keeps its own route (bigraph._edge_pairs).
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .bigraph import BipartiteInstance
@@ -31,26 +33,22 @@ from .bigraph import BipartiteInstance
 def build_crossing_matrix(inst: BipartiteInstance) -> np.ndarray:
     """Count, for each ordered pair (v, w), the crossings of v-before-w.
 
-    c[v][w] = #{((a,v), (b,w)) same-colored edge pairs with a > b}. Built
-    per color class as A @ P.T where A is the V x U incidence matrix and
-    P[w, a] = #neighbours of w strictly left of a; the diagonal is zeroed
-    (a vertex never crosses itself). The array is read-only.
+    c[v][w] = #{((a,v), (b,w)) same-colored edge pairs with a > b}, the
+    sum over color classes of A @ P.T, where A is a class's V x U
+    incidence matrix and P[w, a] = #neighbours of w strictly left of a.
+    One scatter from the edge arrays sets every class's A, side by side
+    in a V x (classes * U) block, so one product sums the classes. The
+    diagonal is zeroed (a vertex never crosses itself). The array is
+    read-only.
     """
-    n_v, n_u = inst.n_v, inst.n_u
-    c = np.zeros((n_v, n_v), dtype=np.int64)
-    for color in range(inst.n_colors):
-        a = np.zeros((n_v, n_u), dtype=np.int64)
-        touched = False
-        for (u, v), col in zip(inst.edges, inst.colors):
-            if col == color:
-                a[v, u] = 1
-                touched = True
-        if not touched:
-            continue
-        left = np.zeros_like(a)
-        left[:, 1:] = np.cumsum(a, axis=1)[:, :-1]
-        c += a @ left.T
-    np.fill_diagonal(c, 0)
+    n_v, n_u, h = inst.n_v, inst.n_u, inst.n_colors
+    ends = np.fromiter(chain.from_iterable(inst.edges), np.intp,
+                       2 * len(inst.edges))
+    a = np.zeros((n_v, h, n_u), dtype=np.int64)
+    a[ends[1::2], inst.colors if h > 1 else 0, ends[0::2]] = 1
+    left = a.cumsum(2) - a
+    c = a.reshape(n_v, h * n_u) @ left.reshape(n_v, h * n_u).T
+    c.ravel()[::n_v + 1] = 0
     c.setflags(write=False)
     return c
 

@@ -15,11 +15,15 @@ uniform marked index. Rounds follow the BBHT schedule for unknown t
 (quant-ph/9605034): r uniform in [0, m), m from 1 growing to
 min(6/5 m, sqrt(dim)) after each attempt that finds nothing better; an
 improvement moves y and restarts the schedule. The search stops when
-nothing is marked or the budget is spent. oracle_calls counts each
-attempt's r rounds plus one query reading the measured index. The budget,
-22.5 sqrt(dim) + 1.4 lg^2(dim), is the paper's: Durr and Hoyer bound the
-expected total by half of it, so by Markov's inequality a search given
-the budget finds the minimum with probability at least 1/2. norm_drift is
+nothing is marked or the budget is spent. The schedule's ceil(m) sequence
+is the same for every search of one register size, so it is cached per
+dim beside the budget, one entry per call the budget allows; an attempt
+reads its cap from there and its three uniforms by index. oracle_calls
+counts each attempt's r rounds plus one query reading the measured
+index. The budget, 22.5 sqrt(dim) + 1.4 lg^2(dim), is the paper's: Durr
+and Hoyer bound the expected total by half of it, so by Markov's
+inequality a search given the budget finds the minimum with probability
+at least 1/2. norm_drift is
 the largest |sin^2 + cos^2 - 1| of an attempt's angle, the only rounding
 left. Uniforms come from ``rng`` in blocks of _BLOCK. A search holds its
 values as 64-bit integers (an array('q'), 8 bytes a value where a list of
@@ -91,10 +95,26 @@ def cost_model_calls(n_values: int, call_constant: float = 1.0) -> int:
 @lru_cache(maxsize=None)
 def _register(n_values):
     """A state-vector search's register size dim, its oracle-call budget
-    and sqrt(dim), the cap of the BBHT schedule."""
+    and the BBHT schedule's ceil(m), attempt by attempt from an
+    improvement, shared by every domain of one dim."""
     dim = 1 << (n_values - 1).bit_length()
     budget = ceil(22.5 * sqrt(dim) + 1.4 * log2(dim) ** 2) if dim > 1 else 1
-    return dim, budget, sqrt(dim)
+    return dim, budget, _schedule(dim, budget)
+
+
+@lru_cache(maxsize=None)
+def _schedule(dim, budget):
+    """ceil(m) for m from 1 growing to min(6/5 m, sqrt(dim)), one entry
+    per call of the budget: every attempt makes at least one call, so no
+    run of attempts outlasts it. 11 dims, ~2900 small ints in all."""
+    caps, m, root = [], 1.0, sqrt(dim)
+    for _ in range(budget):
+        caps.append(ceil(m))
+        m = min(6 / 5 * m, root)
+    return tuple(caps)
+
+
+_DEFAULT = QmfConfig()
 
 
 def qmf(n_values: int, value_fn, cfg: QmfConfig = None, rng=None) -> QmfResult:
@@ -105,14 +125,14 @@ def qmf(n_values: int, value_fn, cfg: QmfConfig = None, rng=None) -> QmfResult:
     raises TypeError on any other value. Ties break to the smallest index
     in both modes.
     """
-    cfg = cfg or QmfConfig()
+    cfg = cfg or _DEFAULT
     if n_values < 1:
         raise ValueError("qmf needs at least one value")
     if cfg.mode == "cost_model":
-        best_i, best_v = 0, None
-        for i in range(n_values):
+        best_i, best_v = 0, value_fn(0)
+        for i in range(1, n_values):
             v = value_fn(i)
-            if best_v is None or v < best_v:
+            if v < best_v:
                 best_i, best_v = i, v
         return QmfResult(best_i, best_v,
                          cost_model_calls(n_values, cfg.call_constant), True)
@@ -126,42 +146,41 @@ def _state_vector_qmf(n_values, value_fn, cfg, rng):
         )
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     values = array("q", map(value_fn, range(n_values)))
-    dim, budget, root = _register(n_values)
+    dim, budget, schedule = _register(n_values)
     draws = rng.random(_BLOCK).tolist()
 
     found = values[int(draws[0] * n_values)]
     thresholds = [found]
-    calls, drift, at = 0, 0.0, 1
-    while calls < budget:
+    left, drift, at = budget, 0.0, 1        # left: calls the budget still allows
+    while left:
         marked = [i for i, v in enumerate(values) if v < found]
         if not marked:
             break
-        theta = asin(sqrt(len(marked) / dim))
-        m = 1.0
-        while calls < budget:
+        t = len(marked)
+        theta = asin(sqrt(t / dim))
+        for cap in schedule:                # outlasts the budget
             if at + 3 > len(draws):
                 draws += rng.random(_BLOCK).tolist()
-            u_rounds, u_class, u_member = draws[at:at + 3]
+            rounds = int(draws[at] * cap)
             at += 3
-            rounds = min(int(u_rounds * ceil(m)), budget - calls - 1)
-            calls += rounds + 1
+            if rounds >= left:
+                rounds = left - 1
+            left -= rounds + 1
             angle = (2 * rounds + 1) * theta
             hit = sin(angle) ** 2
-            drift = max(drift, abs(hit + cos(angle) ** 2 - 1.0))
-            if u_class < hit:
-                found = values[marked[int(u_member * len(marked))]]
+            d = abs(hit + cos(angle) ** 2 - 1.0)
+            if d > drift:
+                drift = d
+            if draws[at - 2] < hit:
+                found = values[marked[int(draws[at - 1] * t)]]
                 thresholds.append(found)
                 break
-            m = min(6 / 5 * m, root)
+            if not left:
+                break
 
-    return QmfResult(
-        argmin_index=values.index(found),
-        min_value=found,
-        oracle_calls=max(1, calls),
-        success_flag=found == min(values),
-        norm_drift=drift,
-        thresholds=tuple(thresholds),
-    )
+    calls = budget - left
+    return QmfResult(values.index(found), found, calls or 1,
+                     found == min(values), drift, tuple(thresholds))
 
 
 def qmf_success_rate(n_trials: int, n_values: int, cfg: QmfConfig = None) -> float:

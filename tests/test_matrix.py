@@ -104,3 +104,39 @@ def test_gamma_equals_restricted_crossing_difference(seed):
         first = count_restricted_crossings(inst, ordering, v1)
         second = count_restricted_crossings(inst, ordering, v2)
         assert both - first - second == gamma(c, v1, v2)
+
+
+def loop_matrix(inst):
+    """The crossing matrix built by a Python loop over the edges, one
+    incidence matrix per color class: the reference the scatter replaced."""
+    n_v, n_u = inst.n_v, inst.n_u
+    c = np.zeros((n_v, n_v), dtype=np.int64)
+    for color in range(inst.n_colors):
+        a = np.zeros((n_v, n_u), dtype=np.int64)
+        touched = False
+        for (u, v), col in zip(inst.edges, inst.colors):
+            if col == color:
+                a[v, u] = 1
+                touched = True
+        if not touched:
+            continue
+        left = np.zeros_like(a)
+        left[:, 1:] = np.cumsum(a, axis=1)[:, :-1]
+        c += a @ left.T
+    np.fill_diagonal(c, 0)
+    return c
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_matrix_equals_the_per_edge_loop(seed):
+    """Colored and plain instances, empty layers and classes included:
+    same entries, read-only int64."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        inst = random_instance(rng, rng.randint(0, 7), rng.randint(0, 9),
+                               rng.choice([0.0, 0.2, 0.5, 0.9]),
+                               h=rng.randint(1, 4))
+        c = build_crossing_matrix(inst)
+        assert c.dtype == np.int64 and not c.flags.writeable
+        assert c.shape == (inst.n_v, inst.n_v)
+        assert np.array_equal(c, loop_matrix(inst))

@@ -6,7 +6,8 @@ import pytest
 
 from oscmlab import (BipartiteInstance, NodeBudgetExceeded, QdcConfig,
                      QmfConfig, QmfResult, count_crossings, dc_max_depth,
-                     dc_node_count, extract_ordering, qdc_cost_model,
+                     dc_node_count, dc_peak_state_bytes, extract_ordering,
+                     qdc_cost_model,
                      solve_bruteforce, solve_dc, solve_dp, solve_qdc,
                      split_trace)
 from oscmlab.qmf import qmf
@@ -129,14 +130,14 @@ def test_base_size_never_changes_optimum():
     assert len(values) == 1
 
 
-def test_meter_stays_polynomial():
+def test_ledger_reports_the_modelled_peak_state():
     inst = random_instance(random.Random(321), 4, 10, 0.5)
     _, ledger = solve_qdc(inst)
-    assert ledger.meta["peak_state_bytes"] < 2048
+    assert ledger.meta["peak_state_bytes"] == dc_peak_state_bytes(10, 2)
     assert ledger.meta["max_depth"] == dc_max_depth(10, 2) == 4
 
 
-def test_node_budget_witness():
+def test_node_budget_witness_carries_the_modelled_peak_state():
     inst = random_instance(random.Random(99), 4, 10, 0.5)
     cfg = QdcConfig(count_only=True, node_budget=100)
     with pytest.raises(NodeBudgetExceeded) as info:
@@ -144,7 +145,7 @@ def test_node_budget_witness():
     err = info.value
     assert err.ledger.algo == "qdc"
     assert err.ledger.nodes == 101
-    assert err.peak_state_bytes < 2048
+    assert err.peak_state_bytes == dc_peak_state_bytes(10, 2)
     assert err.max_depth <= dc_max_depth(10, 2)
 
 

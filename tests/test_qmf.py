@@ -1,12 +1,15 @@
 import random
+from array import array
 from dataclasses import FrozenInstanceError
-from math import asin, isqrt, sin, sqrt
+from functools import lru_cache
+from math import asin, ceil, cos, isqrt, log2, sin, sqrt
 
 import numpy as np
 import pytest
 
 from oscmlab import (QmfConfig, QmfResult, SizeLimitError, cost_model_calls,
                      qmf, qmf_success_rate)
+from oscmlab.qmf import _BLOCK, MAX_STATEVECTOR_DOMAIN
 
 SEEDS = [1, 14, 26, 38, 50, 62, 74, 86]
 
@@ -131,3 +134,127 @@ def test_state_vector_values_must_be_integers():
     """A sampled search holds its values as 64-bit integers."""
     with pytest.raises(TypeError):
         qmf(4, values_fn([3, 1.5, 2, 0]), QmfConfig(mode="state_vector"))
+
+
+# The state-vector search as it stood before the BBHT schedule was cached:
+# the reference every sampled search must match field for field.
+
+@lru_cache(maxsize=None)
+def _register(n_values):
+    """A state-vector search's register size dim, its oracle-call budget
+    and sqrt(dim), the cap of the BBHT schedule."""
+    dim = 1 << (n_values - 1).bit_length()
+    budget = ceil(22.5 * sqrt(dim) + 1.4 * log2(dim) ** 2) if dim > 1 else 1
+    return dim, budget, sqrt(dim)
+
+
+def _state_vector_qmf(n_values, value_fn, cfg, rng):
+    if n_values > MAX_STATEVECTOR_DOMAIN:
+        raise SizeLimitError(
+            f"state-vector domain {n_values} exceeds cap {MAX_STATEVECTOR_DOMAIN}"
+        )
+    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+    values = array("q", map(value_fn, range(n_values)))
+    dim, budget, root = _register(n_values)
+    draws = rng.random(_BLOCK).tolist()
+
+    found = values[int(draws[0] * n_values)]
+    thresholds = [found]
+    calls, drift, at = 0, 0.0, 1
+    while calls < budget:
+        marked = [i for i, v in enumerate(values) if v < found]
+        if not marked:
+            break
+        theta = asin(sqrt(len(marked) / dim))
+        m = 1.0
+        while calls < budget:
+            if at + 3 > len(draws):
+                draws += rng.random(_BLOCK).tolist()
+            u_rounds, u_class, u_member = draws[at:at + 3]
+            at += 3
+            rounds = min(int(u_rounds * ceil(m)), budget - calls - 1)
+            calls += rounds + 1
+            angle = (2 * rounds + 1) * theta
+            hit = sin(angle) ** 2
+            drift = max(drift, abs(hit + cos(angle) ** 2 - 1.0))
+            if u_class < hit:
+                found = values[marked[int(u_member * len(marked))]]
+                thresholds.append(found)
+                break
+            m = min(6 / 5 * m, root)
+
+    return QmfResult(
+        argmin_index=values.index(found),
+        min_value=found,
+        oracle_calls=max(1, calls),
+        success_flag=found == min(values),
+        norm_drift=drift,
+        thresholds=tuple(thresholds),
+    )
+
+
+def fields_of(res):
+    """Every QmfResult field, types included (an int is not a float)."""
+    return [(type(x), x) for x in (res.argmin_index, res.min_value,
+                                   res.oracle_calls, res.success_flag,
+                                   res.norm_drift, res.thresholds)]
+
+
+# Every size to 40, 2^k - 1, 2^k and 2^k + 1 up to the cap, and a stride
+# between them.
+DOMAINS = sorted({*range(1, 41), *range(41, 1025, 31),
+                  *(n for k in range(6, 11) for n in (2 ** k - 1, 2 ** k,
+                                                      2 ** k + 1)
+                    if n <= MAX_STATEVECTOR_DOMAIN)})
+
+
+@pytest.mark.parametrize("n_values", DOMAINS)
+def test_state_vector_search_matches_the_reference(n_values):
+    """50 seeds, each over values drawn wide (few ties), narrow (many
+    ties) and all equal; one generator feeds three searches in a row, as
+    in a solve, so the draws each leaves behind match too."""
+    cfg = QmfConfig(mode="state_vector")
+    for seed in range(50):
+        data = np.random.default_rng([n_values, seed])
+        runs = [data.integers(0, hi, n_values).tolist() for hi in (10 ** 6, 3)]
+        runs.append([7] * n_values)
+        ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+        for values in runs:
+            assert (fields_of(qmf(n_values, values.__getitem__, cfg, ours))
+                    == fields_of(_state_vector_qmf(n_values, values.__getitem__,
+                                                   cfg, theirs)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_state_vector_seeded_from_config_matches_the_reference(seed):
+    cfg = QmfConfig(mode="state_vector", seed=seed)
+    values = np.random.default_rng(seed).integers(0, 50, 100).tolist()
+    assert (fields_of(qmf(100, values.__getitem__, cfg))
+            == fields_of(_state_vector_qmf(100, values.__getitem__, cfg, None)))
+
+
+class Stingy:
+    """A generator whose uniforms crowd toward 1: rounds near the cap and
+    class draws that rarely fall under the marked mass, so searches often
+    spend their whole budget."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        return self.rng.random(size) ** 0.05
+
+
+@pytest.mark.parametrize("n_values", [2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 100])
+def test_budget_runs_out_as_in_the_reference(n_values):
+    cfg = QmfConfig(mode="state_vector")
+    spent = 0
+    for seed in range(50):
+        values = np.random.default_rng([n_values, seed]).integers(
+            0, 4, n_values).tolist()
+        ours = qmf(n_values, values.__getitem__, cfg, Stingy(seed))
+        theirs = _state_vector_qmf(n_values, values.__getitem__, cfg,
+                                   Stingy(seed))
+        assert fields_of(ours) == fields_of(theirs)
+        spent += ours.oracle_calls == _register(n_values)[1]
+    assert spent > 0
