@@ -38,28 +38,54 @@ A split (W, S\\W) of a subset S costs
 with rho_S(v) = sum_{u in S} c[v][u] and Sym(W) = sum_{v,u in W} c[v][u].
 A search layer keeps Sym per subset beside its optimum; the Sym of a table
 size that a search reads as its W side is summed before the searches run,
-from the same row takes as a search layer's rho (dp's table layers carry
-none). Splits are enumerated lexicographically
-over the ascending member positions (the order of dc.split_min) and a
-subset keeps its first strictly-best split. The optimum of a subset does
-not depend on which search reached it, so one value per subset stands for
-all of them; charges are the analytic counts above, taken from the chain
-of search layers that ran. The ordering is rebuilt at the end by
-concatenating the winning splits' orders down to table leaves.
+from the same product as a search layer's rho (dp's table layers carry
+none). Splits are enumerated lexicographically over the ascending member
+positions (the order of dc.split_min) and a subset keeps its first
+strictly-best split. The optimum of a subset does not depend on which
+search reached it, so one value per subset stands for all of them;
+charges are the analytic counts above, taken from the chain of search
+layers that ran. The ordering is rebuilt at the end by concatenating the
+winning splits' orders down to table leaves.
 
-Space: sum_{i<=t} C(n, i) table entries plus C(n, s) per search size s,
-and at most _CHUNK split values at a time. A search layer is laid out
-position-major, as dp's kernel is: the members of every s-subset are one
-cached (s, C(n, s)) int8 array, one column per subset in rank order, and a
-chunk of m subsets is an (s, m) block of it. rho, the colex rank terms
-C(x, i + 1) and the (C(s, k), m) split values are sums of row takes, one
-per member position of _splits' position rows. Each subset's first best
-split is the least key value * C(s, k) + j down its column, split back
-with one divmod: values are never negative and at most c.sum(), so keys
-are int32 while (c.sum() + 1) * C(s, k) < 2^31 and int64 beyond. Ranks
-and choices are int32, which holds C(22, 11) = 705432 at the size cap.
-Member and split tables depend on n and the sizes alone and are cached
-across solves.
+Chunks. A search layer is laid out position-major, as dp's kernel is: the
+members of every s-subset are one cached (s, C(n, s)) int8 array, one
+column per subset in rank order. A chunk is an (s, m) block of it against
+a run of its splits, at most _CHUNK split values in all: m = _CHUNK //
+C(s, k) subsets against every split, or, for a layer with more splits than
+that (the root from n = 17 on, C(17, 9) = 24310), one subset against runs
+of _CHUNK splits. In a chunk:
+
+- rho of every member is one product of c with the block's (n, m) 0/1
+  member map, read back at the members. c is in float32 while c.sum() <
+  2^24 and in float64 beyond, where every sum is exact (dc's tails follow
+  the same rule).
+- The W side's rho sums are one product of a cached (C(s, k), s) 0/1 pick
+  map with rho where C(s, k) <= _PICKED, else k row takes; from there the
+  split values are summed in the value dtype.
+- The colex ranks of W and of the rest are sums of row takes of the
+  terms C(x, i + 1), one per member position of _splits' position rows,
+  in int16 while every rank of that side fits (C(n, side) <= 2^15) and in
+  int32 beyond. The complements of the lexicographic W sides run in
+  reverse order, so an even split's rest ranks are its W ranks reversed.
+- The values are widened once into packed keys value * C(s, k) + j, j the
+  split's index in the whole layer, so a subset's least key over all its
+  runs is its first best split, split back with one divmod. Values are
+  never negative and at most c.sum(), so keys are int32 while (c.sum() +
+  1) * C(s, k) < 2^31 and int64 beyond. Choices are int32, which holds
+  C(22, 11) = 705432 at the size cap.
+
+Space: sum_{i<=t} C(n, i) table entries plus C(n, s) per search size s
+(optimum and Sym in the value dtype, choice in int32), and one chunk at a
+time. With int16 values a chunk holds at most ~14 bytes per split value
+at once: the values, one side's int16 ranks, the intp copy that a take
+makes of them and the values it reads; the member map, its product and
+rho add 8n + 20s bytes per subset of the block. At n = 16 the (8, 4)
+layer's chunks peak ~305 KB above its own arrays (the int32 kernel before
+this one: ~330 KB), and the warm tracemalloc peaks of n = 15 and 16
+solves (random_instance, n_u 8, p 0.5) read 426 and 430 KB, set by that
+layer, not by the root. Sym of a table size is summed in chunks of at
+most _CHUNK member map entries. Member, split and pick tables depend on n
+and the sizes alone and are cached across solves.
 
 Alpha is capped at 0.5: with alpha <= 1 - alpha the third level's split
 size ceil(alpha*n/4) and its complement both fit the table (ceilings are
@@ -86,13 +112,17 @@ from .qmf import cost_model_calls
 # The search layer of size ceil(n/2) evaluates C(n, ceil(n/2)) *
 # C(ceil(n/2), ceil(n/4)) split values, ~4x more per vertex: n_v = 22 (8
 # fixed vertices, edge probability 0.5, tests/instances.py's random_instance
-# with seeds 1 and 4242) is 326 M of them, 7.8 and 9.3 s, best of 3, on a
-# 2-vCPU Xeon VM with a 30 MB tracemalloc peak; n_v = 23 is 1.25 G, about
+# with seeds 1 and 4242) is 326 M of them, 4.5 and 3.9 s, best of 3, on a
+# 2-vCPU Xeon VM with a 7.9 MB tracemalloc peak; n_v = 23 is 1.25 G, about
 # 4x that. Past the cap a search solve raises SizeLimitError before it
 # allocates anything; the dp fallback path is held to dp's own cap instead.
 _PRACTICAL_MAX_NV = 22
 
-_CHUNK = 1 << 14  # split values per chunk of a search layer
+_CHUNK = 1 << 14  # split values per chunk (2^13 and 2^15 measured slower)
+# The W-side rho sums of a layer with at most _PICKED splits are one
+# product with its pick map, which beat k row takes at every split count
+# measured (6 to 12870); the cap keeps each cached map under 48 KB.
+_PICKED = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -182,6 +212,23 @@ def _splits(s, k):
     return picks, rest
 
 
+@lru_cache(maxsize=64)
+def _pick_map(s, k):
+    """_splits' W positions as a (C(s, k), s) float32 0/1 map, one row per
+    split."""
+    picks = _splits(s, k)[0]
+    pick_map = np.zeros((picks.shape[1], s), np.float32)
+    np.put_along_axis(pick_map, picks.T, 1, axis=1)
+    pick_map.setflags(write=False)
+    return pick_map
+
+
+def _rank_dtype(n, side):
+    """int16 while every colex rank of a side-subset of range(n) fits it,
+    int32 beyond."""
+    return np.int16 if comb(n, side) <= 2 ** 15 else np.int32
+
+
 def _sum_rows(tables, positions):
     """sum_i tables[i][positions[i]]: one row per split, one column per
     subset."""
@@ -191,62 +238,95 @@ def _sum_rows(tables, positions):
     return total
 
 
-def _rho(c, n, block):
+def _rho(c, block):
     """rho_S(v) = sum_{u in S} c[v][u] for each member v of each subset of
-    an (s, m) member block, as an (s, m) array: s row takes of the
-    flattened crossing matrix c."""
-    base = block * np.intp(n)
-    rho = c.take(base + block[0])
-    for row in block[1:]:
-        rho += c.take(base + row)
-    return rho
+    an (s, m) intp member block, as an (s, m) array in c's float dtype: one
+    product of c with the block's (n, m) 0/1 member map, read back at the
+    members. The map is set and read at the flat offsets member * m +
+    column."""
+    m = block.shape[1]
+    at = block * m
+    at += np.arange(m)
+    member_map = np.zeros(len(c) * m, c.dtype)
+    member_map[at] = 1
+    return (c @ member_map.reshape(-1, m)).take(at)
 
 
-def _sym(c, n, s):
-    """Sym(S) = sum_{v in S} rho_S(v) of every s-subset, by rank, from
-    chunks of at most _CHUNK rho values."""
-    members = _layer(n, s)
-    sym = np.empty(members.shape[1], c.dtype)
-    step = max(1, _CHUNK // s)
+def _sym(c, s, dtype):
+    """Sym(S) = sum_{v in S} rho_S(v) of every s-subset, by rank, in dtype,
+    from chunks of at most _CHUNK member map entries."""
+    members = _layer(len(c), s)
+    sym = np.empty(members.shape[1], dtype)
+    step = max(1, _CHUNK // len(c))
     for lo in range(0, len(sym), step):
         at = slice(lo, lo + step)
-        _rho(c, n, members[:, at]).sum(axis=0, dtype=c.dtype, out=sym[at])
+        sym[at] = _rho(c, members[:, at].astype(np.intp)).sum(axis=0)
     return sym
 
 
-def _search_layer(c, n, s, k, w_value, rest_opt):
+def _search_layer(c, s, k, w_value, rest_opt):
     """Best split of every s-subset into a k-subset W and the rest, and
-    the Sym of every s-subset; ties keep the first split. c is the
-    flattened crossing matrix in the tables' value dtype, which holds
-    every value of a split; w_value is OPT - Sym of the k-subsets and
-    rest_opt OPT of the (s - k)-subsets. Chunks of subsets are (s, m)
-    member blocks, and a subset's choice is its least packed key value *
-    C(s, k) + j (module docstring, Space)."""
+    the Sym of every s-subset; ties keep the first split. c is the crossing
+    matrix in a float dtype whose sums are exact; w_value is OPT - Sym of
+    the k-subsets and rest_opt OPT of the (s - k)-subsets, both in the
+    value dtype, which holds every value of a split. A chunk is an (s, m)
+    member block against a run of at most _CHUNK splits, and a subset's
+    choice is its least packed key value * C(s, k) + j over every run
+    (module docstring, Chunks)."""
+    n = len(c)
+    values = rest_opt.dtype
     picks, rest = _splits(s, k)
     splits = picks.shape[1]
-    # C(x, i) for x < n and i up to either side's size is at most the
-    # larger side layer's length, so the int32 cast is exact
-    binom = _binomials(n)[1:max(k, s - k) + 1].astype(np.int32)
-    keys = _key_dtype(int(c.sum(dtype=np.int64)), splits)
-    index = np.arange(splits, dtype=keys)[:, None]
+    keys = _key_dtype(int(c.sum(dtype=np.float64)), splits)
+    # C(x, i) for x < n and i up to a side's size, which is at most
+    # ceil(n/2), is at most C(n, side), which the side's rank dtype holds
+    binom = _binomials(n)[1:]
+    w_rows = binom[:k].astype(_rank_dtype(n, k))
+    rest_rows = binom[:s - k].astype(_rank_dtype(n, s - k))
+    pick_map = _pick_map(s, k) if splits <= _PICKED else None
+    step = max(1, _CHUNK // splits)
+    runs = [slice(j, min(j + _CHUNK, splits)) for j in range(0, splits, _CHUNK)]
+    # the complements of an even split's W sides are those W sides in
+    # reverse order, so over all splits the rest ranks are the W ranks
+    # reversed
+    mirrored = 2 * k == s and len(runs) == 1
+
+    def least(rho, terms, run):
+        """Each subset's least key over one run of splits of a chunk."""
+        if pick_map is None:
+            value = _sum_rows([rho] * k, picks[:, run])
+        else:
+            value = (pick_map[run] @ rho).astype(values)
+        w_ranks = _sum_rows(terms[:k], picks[:, run])
+        if mirrored:
+            w_ranks = w_ranks.astype(np.intp)
+            value += rest_opt.take(w_ranks)[::-1]
+        else:
+            value += rest_opt.take(_sum_rows(terms[k:], rest[:, run]))
+        value += w_value.take(w_ranks)
+        key = np.multiply(value, splits, dtype=keys)
+        key += np.arange(run.start, run.stop, dtype=keys)[:, None]
+        return key.min(axis=0)
 
     members = _layer(n, s)
     count = members.shape[1]
-    layer = _Layer(np.empty(count, c.dtype), np.empty(count, np.int32))
-    sym = np.empty(count, c.dtype)
-    step = max(1, _CHUNK // splits)
+    layer = _Layer(np.empty(count, values), np.empty(count, np.int32))
+    sym = np.empty(count, values)
     for lo in range(0, count, step):
         at = slice(lo, lo + step)
-        block = members[:, at]
-        rho = _rho(c, n, block)
-        terms = [column.take(block) for column in binom]  # C(member, i + 1)
-        key = _sum_rows([rho.astype(keys)] * k, picks)
-        key += w_value.take(_sum_rows(terms, picks))
-        key += rest_opt.take(_sum_rows(terms, rest))
-        key *= splits
-        key += index
-        layer.opt[at], layer.choice[at] = np.divmod(key.min(axis=0), splits)
-        rho.sum(axis=0, dtype=c.dtype, out=sym[at])
+        block = members[:, at].astype(np.intp)
+        rho = _rho(c, block)
+        sym[at] = rho.sum(axis=0)
+        if pick_map is None:
+            rho = rho.astype(values)
+        # C(member, i + 1): the W side's rows, then the rest's
+        terms = [row.take(block) for row in w_rows]
+        if not mirrored:
+            terms += [row.take(block) for row in rest_rows]
+        best = least(rho, terms, runs[0])
+        for run in runs[1:]:
+            np.minimum(best, least(rho, terms, run), out=best)
+        layer.opt[at], layer.choice[at] = np.divmod(best, splits)
     return layer, sym
 
 
@@ -303,7 +383,8 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
             f"n_v={n}: qdp's {what} would exceed practical time and memory "
             f"(limit {limit})"
         )
-    ledger = CostLedger(algo="qdp", meta={"alpha": cfg.alpha, "n_v": n})
+    ledger = CostLedger(algo="qdp", meta={"alpha": cfg.alpha, "n_v": n,
+                                          "qram_entries": 0})
     if n == 0:
         return Solution((), 0), ledger
     c = build_crossing_matrix(inst)
@@ -313,6 +394,7 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
     layers = dict(enumerate(subset_layers(c, n, n if fallback else t)))
     ledger.recurrence_evals += sum(len(layer.opt) * s
                                    for s, layer in layers.items())
+    ledger.meta["qram_entries"] = sum(len(layer.opt) for layer in layers.values())
 
     if fallback:
         ledger.table_reads += 1
@@ -323,12 +405,13 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
     # Each charged query at a level carries one search on its W side, whose
     # charge the smaller size has already composed.
     plan = _search_plan(n, t, ceil(cfg.alpha * n / 4.0))
-    flat = c.astype(layers[0].opt.dtype).ravel()
-    sym = {k: _sym(flat, n, k) for k in set(plan.values()) if k <= t}
+    values = layers[0].opt.dtype
+    floats = c.astype(np.float32 if c.sum() < 2 ** 24 else np.float64)
+    sym = {k: _sym(floats, k, values) for k in set(plan.values()) if k <= t}
     charge = {}
     for s in sorted(plan):
         k = plan[s]
-        layers[s], sym[s] = _search_layer(flat, n, s, k, layers[k].opt - sym[k],
+        layers[s], sym[s] = _search_layer(floats, s, k, layers[k].opt - sym[k],
                                           layers[s - k].opt)
         ledger.table_reads += (len(layers[s].opt) * comb(s, k)
                                * ((k <= t) + (s - k <= t)))

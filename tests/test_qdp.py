@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import combinations
 from math import ceil, comb
 from pathlib import Path
@@ -272,21 +273,101 @@ def reference_layers(c, n, t, plan):
     return layers
 
 
-def search_layers(c, n, t, plan):
+def search_layers(c, n, t, plan, kernel=None):
     """The layers and Sym arrays solve_qdp evaluates for the crossing
     matrix c, as {s: [(opt, sym, choice)]}; sym is None where qdp computes
-    none."""
+    none. kernel="reference" runs the kernel the current one replaced."""
     layers = dict(enumerate(dp.subset_layers(c, n, t)))
-    flat = c.astype(layers[0].opt.dtype).ravel()
-    sym = {k: qdp._sym(flat, n, k) for k in set(plan.values()) if k <= t}
+    values = layers[0].opt.dtype
+    if kernel == "reference":
+        flat = c.astype(values).ravel()
+        sym = {k: reference_sym(flat, n, k) for k in set(plan.values()) if k <= t}
+        search = lambda s, k, *sides: reference_search_layer(flat, n, s, k, *sides)
+    else:
+        floats = c.astype(np.float32 if c.sum() < 2 ** 24 else np.float64)
+        sym = {k: qdp._sym(floats, k, values) for k in set(plan.values()) if k <= t}
+        search = lambda s, k, *sides: qdp._search_layer(floats, s, k, *sides)
     for s in sorted(plan):
         k = plan[s]
-        layers[s], sym[s] = qdp._search_layer(
-            flat, n, s, k, layers[k].opt - sym[k], layers[s - k].opt)
+        layers[s], sym[s] = search(s, k, layers[k].opt - sym[k], layers[s - k].opt)
     return {s: list(zip(layer.opt.tolist(),
                         sym[s].tolist() if s in sym else [None] * len(layer.opt),
                         layer.choice.tolist()))
             for s, layer in layers.items()}
+
+
+# The search kernel that the one-product kernel replaced, kept verbatim as
+# the reference: rho from one row take per member, ranks and keys in int32
+# or int64, and chunks of whole subsets only.
+_CHUNK = 1 << 14
+
+
+def _sum_rows(tables, positions):
+    """sum_i tables[i][positions[i]]: one row per split, one column per
+    subset."""
+    total = tables[0].take(positions[0], axis=0)
+    for table, at in zip(tables[1:], positions[1:]):
+        total += table.take(at, axis=0)
+    return total
+
+
+def _rho(c, n, block):
+    """rho_S(v) = sum_{u in S} c[v][u] for each member v of each subset of
+    an (s, m) member block, as an (s, m) array: s row takes of the
+    flattened crossing matrix c."""
+    base = block * np.intp(n)
+    rho = c.take(base + block[0])
+    for row in block[1:]:
+        rho += c.take(base + row)
+    return rho
+
+
+def reference_sym(c, n, s):
+    """Sym(S) = sum_{v in S} rho_S(v) of every s-subset, by rank, from
+    chunks of at most _CHUNK rho values."""
+    members = qdp._layer(n, s)
+    sym = np.empty(members.shape[1], c.dtype)
+    step = max(1, _CHUNK // s)
+    for lo in range(0, len(sym), step):
+        at = slice(lo, lo + step)
+        _rho(c, n, members[:, at]).sum(axis=0, dtype=c.dtype, out=sym[at])
+    return sym
+
+
+def reference_search_layer(c, n, s, k, w_value, rest_opt):
+    """Best split of every s-subset into a k-subset W and the rest, and
+    the Sym of every s-subset; ties keep the first split. c is the
+    flattened crossing matrix in the tables' value dtype, which holds
+    every value of a split; w_value is OPT - Sym of the k-subsets and
+    rest_opt OPT of the (s - k)-subsets. Chunks of subsets are (s, m)
+    member blocks, and a subset's choice is its least packed key value *
+    C(s, k) + j (module docstring, Space)."""
+    picks, rest = qdp._splits(s, k)
+    splits = picks.shape[1]
+    # C(x, i) for x < n and i up to either side's size is at most the
+    # larger side layer's length, so the int32 cast is exact
+    binom = dp._binomials(n)[1:max(k, s - k) + 1].astype(np.int32)
+    keys = dp._key_dtype(int(c.sum(dtype=np.int64)), splits)
+    index = np.arange(splits, dtype=keys)[:, None]
+
+    members = qdp._layer(n, s)
+    count = members.shape[1]
+    layer = dp._Layer(np.empty(count, c.dtype), np.empty(count, np.int32))
+    sym = np.empty(count, c.dtype)
+    step = max(1, _CHUNK // splits)
+    for lo in range(0, count, step):
+        at = slice(lo, lo + step)
+        block = members[:, at]
+        rho = _rho(c, n, block)
+        terms = [column.take(block) for column in binom]  # C(member, i + 1)
+        key = _sum_rows([rho.astype(keys)] * k, picks)
+        key += w_value.take(_sum_rows(terms, picks))
+        key += rest_opt.take(_sum_rows(terms, rest))
+        key *= splits
+        key += index
+        layer.opt[at], layer.choice[at] = np.divmod(key.min(axis=0), splits)
+        rho.sum(axis=0, dtype=c.dtype, out=sym[at])
+    return layer, sym
 
 
 def complete(n_u, n_v):
@@ -327,3 +408,134 @@ def test_search_keys_at_the_int32_bound(weight, row):
     got = search_layers(c, 2, 1, {2: 1})
     assert got == reference_layers(c.tolist(), 2, 1, {2: 1})
     assert got[2] == [(0, weight, 1 - row)]
+
+
+def plan_for(n, alpha):
+    t = table_threshold(n, alpha)
+    return t, qdp._search_plan(n, t, ceil(alpha * n / 4.0))
+
+
+@pytest.mark.parametrize("kind", ["random", "edgeless", "complete"])
+@pytest.mark.parametrize("alpha", [0.055362, 0.4])
+@pytest.mark.parametrize("n", range(8, 18))
+def test_search_layers_match_the_reference_kernel(n, alpha, kind):
+    """Every layer's optima, choices and Sym, bit for bit, against the
+    kernel the one-product kernel replaced."""
+    inst = {"random": lambda: random_instance(random.Random(n), 8, n, 0.5),
+            "edgeless": lambda: BipartiteInstance(3, n),
+            "complete": lambda: complete(3, n)}[kind]()
+    c = build_crossing_matrix(inst)
+    t, plan = plan_for(n, alpha)
+    assert (search_layers(c, n, t, plan)
+            == search_layers(c, n, t, plan, kernel="reference"))
+
+
+def test_float64_products_past_two_to_the_24():
+    """c.sum() >= 2^24 takes rho and the W-side sums in float64, which
+    float32 would round; the layers still match the plain loop."""
+    inst = random_instance(random.Random(1205), 1000, 8, 0.9)
+    c = build_crossing_matrix(inst)
+    assert 2 ** 24 <= c.sum() < 2 ** 31  # int32 values, float64 products
+    for alpha in (0.055362, 0.4):
+        t, plan = plan_for(8, alpha)
+        got = search_layers(c, 8, t, plan)
+        assert got == reference_layers(c.tolist(), 8, t, plan)
+        assert got == search_layers(c, 8, t, plan, kernel="reference")
+    sol, _ = solve_qdp(inst)
+    assert sol.crossings == solve_dp(inst)[0].crossings
+
+
+def test_both_rank_dtypes_run(monkeypatch):
+    """Ranks are summed in int16 while every rank of a side fits it: at
+    n_v = 18 the levels below the root do, the root's 9-subsets (C(18, 9)
+    = 48620 ranks) take int32, and the solve still matches dp and the
+    reference kernel."""
+    seen = set()
+    rank_dtype = qdp._rank_dtype
+
+    def recorded(n, side):
+        seen.add((n, side, rank_dtype(n, side)))
+        return rank_dtype(n, side)
+
+    monkeypatch.setattr(qdp, "_rank_dtype", recorded)
+    inst = random_instance(random.Random(182), 8, 18, 0.5)
+    sol, _ = solve_qdp(inst)
+    assert (18, 9, np.int32) in seen
+    assert (18, 5, np.int16) in seen
+    assert sol.crossings == solve_dp(inst)[0].crossings
+    assert count_crossings(inst, sol.ordering) == sol.crossings
+    c = build_crossing_matrix(inst)
+    t, plan = plan_for(18, 0.055362)
+    assert (search_layers(c, 18, t, plan)
+            == search_layers(c, 18, t, plan, kernel="reference"))
+
+
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 12])
+def test_root_in_split_runs(monkeypatch, chunk):
+    """With a chunk smaller than C(15, 8) = 6435, the n_v = 15 root runs
+    in runs of splits whose keys carry the global split index, so its first
+    best split, and every other layer, match the reference kernel and dp."""
+    monkeypatch.setattr(qdp, "_CHUNK", chunk)
+    inst = random_instance(random.Random(150), 8, 15, 0.5)
+    c = build_crossing_matrix(inst)
+    t, plan = plan_for(15, 0.055362)
+    assert comb(15, plan[15]) > chunk
+    assert (search_layers(c, 15, t, plan)
+            == search_layers(c, 15, t, plan, kernel="reference"))
+    sol, _ = solve_qdp(inst)
+    assert sol.crossings == solve_dp(inst)[0].crossings
+    assert count_crossings(inst, sol.ordering) == sol.crossings
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@pytest.mark.parametrize("kind", ["random", "complete"])
+def test_split_runs_of_any_width(monkeypatch, chunk, kind):
+    """Chunks narrower than a layer's splits cut every layer into runs,
+    whose keys must cover every split once with its global index."""
+    monkeypatch.setattr(qdp, "_CHUNK", chunk)
+    inst = {"random": lambda: random_instance(random.Random(9), 5, 9, 0.5),
+            "complete": lambda: complete(3, 9)}[kind]()
+    c = build_crossing_matrix(inst)
+    for alpha in (0.055362, 0.4):
+        t, plan = plan_for(9, alpha)
+        assert search_layers(c, 9, t, plan) == reference_layers(c.tolist(), 9, t, plan)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_warm_peak_stays_within_460_kb(n):
+    """The warm tracemalloc peak of a qdp-mid sized solve: the search
+    layers' chunks, not the split count, bound it."""
+    inst = random_instance(random.Random(n), 8, n, 0.5)
+    solve_qdp(inst)
+    tracemalloc.start()
+    try:
+        solve_qdp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 460_000
+
+
+@pytest.mark.parametrize("n,alpha", [(8, 0.055362), (12, 0.055362), (16, 0.055362),
+                                     (13, 0.2), (16, 0.4), (14, 0.5)])
+def test_ledger_reports_the_qram_table_size(n, alpha):
+    """qram_entries counts the table entries phase 1 built, sum_{i<=t}
+    C(n, i), and stays out of the JSON ledger."""
+    inst = random_instance(random.Random(n), 4, n, 0.5)
+    _, ledger = solve_qdp(inst, QdpConfig(alpha=alpha))
+    t = table_threshold(n, alpha)
+    assert ledger.meta["qram_entries"] == sum(comb(n, i) for i in range(t + 1))
+    assert "qram_entries" not in ledger.json_dict()
+
+
+@pytest.mark.parametrize("n,min_quantum_n", [(1, 8), (5, 8), (7, 8), (10, 64)])
+def test_fallback_reports_the_full_table(n, min_quantum_n):
+    """The dp fallback builds every subset's entry: 2^n of them."""
+    inst = random_instance(random.Random(n), 4, n, 0.5)
+    _, ledger = solve_qdp(inst, QdpConfig(min_quantum_n=min_quantum_n))
+    assert ledger.meta["qram_entries"] == 2 ** n
+
+
+def test_empty_layer_builds_no_table():
+    _, ledger = solve_qdp(BipartiteInstance(2, 0))
+    assert ledger.meta["qram_entries"] == 0
