@@ -15,7 +15,8 @@ from .bigraph import (BipartiteInstance, Solution, count_crossings,
                       parse_instance_text, save_instance)
 from .dc import (DcConfig, dc_max_depth, dc_node_count, dc_peak_state_bytes,
                  solve_dc)
-from .dp import DpTable, dp_recurrence_count, dp_table_entries, solve_dp
+from .dp import (DpTable, dp_peak_state_bytes, dp_recurrence_count,
+                 dp_table_entries, solve_dp)
 from .errors import InstanceParseError, NodeBudgetExceeded, SizeLimitError
 from .extensions import TlcmConfig, solve_osscm, solve_tlcm, transpose_instance
 from .generate import GenSpec, random_instance
@@ -40,7 +41,8 @@ __all__ = [
     "build_crossing_matrix", "cost_model_calls", "count_crossings",
     "count_restricted_crossings", "count_same_color_crossings",
     "count_two_level_crossings", "dc_max_depth", "dc_node_count",
-    "dc_peak_state_bytes", "dp_recurrence_count", "dp_table_entries",
+    "dc_peak_state_bytes", "dp_peak_state_bytes", "dp_recurrence_count",
+    "dp_table_entries",
     "extract_ordering", "fit_exponent_base", "format_instance",
     "fpt_crossover_k", "fpt_crossover_k_tight", "gamma", "load_instance",
     "ordering_cost", "orderings_scanned", "parse_instance_text",

@@ -5,14 +5,16 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from oscmlab import (BipartiteInstance, SizeLimitError, count_crossings,
-                     dp_recurrence_count, dp_table_entries, solve_bruteforce,
-                     solve_dp)
+                     dp_peak_state_bytes, dp_recurrence_count,
+                     dp_table_entries, solve_bruteforce, solve_dp)
 from oscmlab import dp, qdp
+from oscmlab.dp import _Layer, _columns, _key_dtype, _positions
 from oscmlab.matrix import build_crossing_matrix
 
 from instances import random_instance
@@ -166,10 +168,9 @@ def test_table_queries_match_the_mask_table_solver(case):
 
 def test_peak_memory_at_twenty():
     """Rows of two adjacent layers, only for the columns the next layer
-    reads, plus 2^n int8 choices: 7 B * max_s [s * C(n - 1, s)
-    + (s + 1) * C(n - 1, s + 1)] + 2^n, 13.3 MB at n = 20. Keeping every
-    layer's rows whole peaked at 29.4 MB here, and the mask-indexed kernel
-    at 112 MB."""
+    reads, plus 2^n int8 choices: dp_peak_state_bytes(20) is 15.0 MB with
+    int16 values. Keeping every layer's rows whole peaked at 29.4 MB here,
+    and the mask-indexed kernel at 112 MB."""
     inst = random_instance(random.Random(200), 6, 20, 0.5)
     for cached in vars(dp).values():  # a first call builds dp's caches
         if hasattr(cached, "cache_clear"):
@@ -182,6 +183,27 @@ def test_peak_memory_at_twenty():
         finally:
             tracemalloc.stop()
         assert peak < 20 * 10 ** 6, (call, peak)
+
+
+@pytest.mark.parametrize("n", [10, 12, 14, 17, 20])
+def test_space_model_bounds_the_traced_peak(n):
+    """solve_dp writes dp_peak_state_bytes to ledger.meta, outside its JSON
+    ledger, and the tracemalloc peak of a warm solve lies within 1.5x of
+    it either way: planned (n 10, 12) and kernel (n 14, 17, 20) solves
+    read 0.96-1.07x, seed 200."""
+    inst = random_instance(random.Random(200), 6, n, 0.5)
+    assert int(build_crossing_matrix(inst).sum()) < 2 ** 15  # int16 values
+    _, ledger = solve_dp(inst)  # builds the caches a first solve builds
+    model = dp_peak_state_bytes(n, 2)
+    assert ledger.meta["peak_state_bytes"] == model
+    assert "peak_state_bytes" not in ledger.json_dict()
+    tracemalloc.start()
+    try:
+        solve_dp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model / 1.5 < peak < model * 1.5, (peak, model)
 
 
 def reference_layers(c, n):
@@ -221,15 +243,15 @@ def test_layers_at_the_value_dtype_bounds(monkeypatch, n, pieces, total, dtype):
     narrowest dtype that holds the sum and agree with the plain recurrence
     everywhere, so nothing wraps, and on the all-zero matrix every choice
     is position 0. At n = 13 the subsets of sizes 6 and 7 whose top member
-    is 12 have C(12, s - 1) >= 792 rests, so they are built as slices in
-    the scratch piece, as the top layer's columns are when top < n.
+    is 12 have C(12, s - 1) >= 792 rests, so they are built from chunks
+    of rests and not stored, as the top layer's columns are when top < n.
 
-    With small pieces, tops with 64 rests or more are sliced into pieces
-    of 256 values: most of them span several pieces, stored or in the
-    scratch piece, and pieces on both sides of 32 columns take both
-    reductions. At c.sum() = KEYS_WIDEN_AT - 1 and KEYS_WIDEN_AT all the
-    weight is on c[v][n - 1] for v < 4, so the 5-subset {0, 1, 2, 3,
-    n - 1} has a candidate worth c.sum() at position 4; at n = 13 it is
+    With small pieces, tops with 64 rests or more are built from chunks of
+    256 // s rests: most of them span several chunks, stored or not, and
+    pieces on both sides of 32 columns take both reductions. At c.sum() =
+    KEYS_WIDEN_AT - 1 and KEYS_WIDEN_AT all the weight is on c[v][n - 1]
+    for v < 4, so the 5-subset {0, 1, 2, 3, n - 1} has a candidate worth
+    c.sum() at position 4; at n = 13 it is
     reduced in a piece at least _WIDE columns wide, whose int32 keys would
     pass 2^31 - 1 at KEYS_WIDEN_AT."""
     for name, value in (pieces or {}).items():
@@ -297,7 +319,7 @@ def test_planned_layers_match_the_kernel(monkeypatch, n, total, dtype):
     optima, choices and dtypes at tops 0, n // 2, qdp's table threshold and
     n, with keys of both widths (2^31 - 1 makes them int64 from s = 2), and
     on the all-zero matrix every choice is position 0. The kernel's sliced
-    and scratch pieces start at n = 13, so n = 13 stays on the kernel."""
+    tops start at n = 13, so n = 13 stays on the kernel."""
     assert dp._PLANNED < 13
     c = matrix_summing_to(n, total, n + total)
     if n >= 2:
@@ -318,13 +340,12 @@ def test_planned_layers_match_the_kernel(monkeypatch, n, total, dtype):
 
 
 def planned_space(n, first):
-    """The dp docstring's space model of a planned solve with int16
-    values: the (2^n, n) column-sum table, 16 bytes per candidate of the
-    widest layer and 2^n int8 choices, plus the plan's n * 2^(n + 2) bytes
-    on a first solve."""
+    """dp's space model of a planned solve with int16 values: the (2^n, n)
+    column-sum table, 16 bytes per candidate of the widest layer and 2^n
+    int8 choices, plus the plan's n * 2^(n + 2) bytes on a first solve."""
     widest = max(s * comb(n, s) for s in range(2, n + 1))
-    plan = n * 2 ** (n + 2) if first else 0
-    return 2 ** n * n * 2 + 16 * widest + 2 ** n + plan
+    assert dp_peak_state_bytes(n, 2) == 2 ** n * n * 2 + 16 * widest + 2 ** n
+    return dp_peak_state_bytes(n, 2) + (n * 2 ** (n + 2) if first else 0)
 
 
 @pytest.mark.parametrize("n", [10, 12])
@@ -348,3 +369,245 @@ def test_planned_peak_follows_the_space_model(n):
             tracemalloc.stop()
         model = planned_space(n, first)
         assert model / 1.5 < peak < model * 1.5, (first, peak, model)
+
+
+# The layer kernel that the half-mask kernel replaced, kept verbatim as the
+# reference with its own piece sizes: a structured (row, col) pair array,
+# s stored rank rows and one piece per top and slice of its rests.
+_PIECE = 1 << 16
+_SLICED = 1 << 9
+_WIDE = 1 << 8
+
+
+class _Rows(NamedTuple):
+    """A table layer's (s, ·) arrays over its first columns, column =
+    rank: members[j] is the j-th smallest member, ranks[j] the rank of the
+    subset without it and sums[j] its column sum sum_{v in S} c[v][x_j]."""
+
+    members: np.ndarray
+    ranks: np.ndarray
+    sums: np.ndarray
+
+
+
+@lru_cache(maxsize=64)
+def _gathered(n, s):
+    """Index arrays for the columns _grow gathers at once: the s-subsets
+    of range(n) whose top member x has fewer than _SLICED rests (C(x, s - 1)
+    subsets one size down), which come first in rank order. Returns
+    (first, top, rest, C(top, s - 1), top * n): the first top past them,
+    then per column its top, its rest's rank and the top's terms. For n up
+    to 23 that is at most 1820 columns for one size and 11210 for all.
+    """
+    first = next((x for x in range(s - 1, n) if comb(x, s - 1) >= _SLICED), n)
+    top, rest, offset = _columns(n, s, first)
+    arrays = (top.astype(np.int8), rest, offset, top * n)
+    for array in arrays:
+        array.setflags(write=False)
+    return (first, *arrays)
+
+
+
+def _grow(pair, n, s, below, rows, keep, positions):
+    """Layer s from layer s - 1 and its rows, and the rows of layer s that
+    layer s + 1 reads (None unless keep). positions is the key term j in
+    the key dtype (module docstring).
+
+    The s-subsets with top member x take ranks C(x, s) on, in the order of
+    their rests, the first C(x, s - 1) subsets of the layer below. Adding x
+    adds C(x, s - 1) to the rank of the subset without each earlier member
+    x_j and c[x][x_j] to x_j's column sum; x's own row is the rest's rank
+    and sum_j c[x_j][x]. pair[x, v] holds (c[x][v], c[v][x]).
+
+    Each piece of columns is reduced as soon as it is built, by its packed
+    keys when it is at least _WIDE columns wide. Layer s + 1 reads only the
+    first C(n - 1, s) columns (top below n - 1), so only those rows are
+    stored, and none when not keep; later pieces are built in one scratch
+    piece. A layer built as one gathered piece is stored whole.
+    """
+    count = comb(n, s)
+    dtype = below.opt.dtype
+    layer = _Layer(np.empty(count, dtype), np.empty(count, np.int8))
+    first, *gathered = _gathered(n, s)
+    stored = count if first == n else comb(n - 1, s) if keep else 0
+    grown = _Rows(*(np.empty((s, stored), a.dtype) for a in rows))
+    step = max(1, _PIECE // s)
+    scratch = None
+
+    def pieces():
+        """(columns, top, rest ranks, rank offsets, rests, pair terms): the
+        gathered tops at once, then each later top, whose rests are a
+        prefix of the layer below, as slices."""
+        top, rest, offset, base = gathered
+        rests = _Rows(*(a.take(rest, axis=1) for a in rows))
+        yield (slice(0, len(rest)), top, rest, offset, rests,
+               pair.take(base + rests.members))
+        for x in range(first, n):
+            lo, size = comb(x, s), comb(x, s - 1)
+            for start in range(0, size, step):
+                stop = min(start + step, size)
+                rests = _Rows(*(a[:, start:stop] for a in rows))
+                yield (slice(lo + start, lo + stop), x, np.arange(start, stop),
+                       size, rests, pair[x].take(rests.members))
+
+    for at, top, rest, offset, rests, terms in pieces():
+        if at.stop > stored:  # top n - 1, or a layer that is not kept
+            if scratch is None:  # the gathered piece may be the widest
+                width = max(step, at.stop - at.start)
+                scratch = _Rows(*(np.empty((s, width), a.dtype) for a in rows))
+            piece = _Rows(*(a[:, :at.stop - at.start] for a in scratch))
+        elif at == slice(0, stored):  # one gathered piece: no views
+            piece = grown
+        else:
+            piece = _Rows(*(a[:, at] for a in grown))
+        piece.members[:-1] = rests.members
+        piece.members[-1] = top
+        np.add(rests.ranks, offset, out=piece.ranks[:-1])
+        piece.ranks[-1] = rest
+        np.add(rests.sums, terms["row"], out=piece.sums[:-1])
+        terms["col"].sum(axis=0, out=piece.sums[-1])
+        vals = below.opt.take(piece.ranks)
+        if at.stop - at.start < _WIDE:
+            vals += piece.sums
+            layer.choice[at] = vals.argmin(axis=0)
+            layer.opt[at] = vals.min(axis=0)
+        else:
+            key = np.add(vals, piece.sums, dtype=positions.dtype)
+            key *= s
+            key += positions
+            np.divmod(key.min(axis=0), s, out=(layer.opt[at], layer.choice[at]))
+    return layer, grown if keep else None
+
+
+
+def reference_layers_by_kernel(c, n, top):
+    """subset_layers' kernel branch as the reference kernel ran it: the
+    layers of sizes 0..top past the planned sizes."""
+    total = int(c.sum())
+    dtype = (np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31
+             else np.int64)
+    yield _Layer(np.zeros(1, dtype), np.zeros(1, np.int8))
+    # a singleton costs 0; to the kernel its rest is the empty set, rank 0
+    layer = _Layer(np.zeros(n, dtype), np.zeros(n, np.int8))
+    if top:
+        yield layer
+    if top < 2:
+        return
+    pair = np.empty((n, n), [("row", dtype), ("col", dtype)])
+    pair["row"], pair["col"] = c, c.T
+    ranks = np.int32 if comb(n, n // 2) < 2 ** 31 else np.int64
+    rows = _Rows(np.arange(n, dtype=np.int8)[None], np.zeros((1, n), ranks),
+                 np.zeros((1, n), dtype))
+    for s in range(2, top + 1):
+        layer, rows = _grow(pair, n, s, layer, rows, s < top,
+                            _positions(s, _key_dtype(total, s)))
+        yield layer
+
+
+def assert_layers_match_the_reference_kernel(c, n):
+    """Every layer's optima, choices and dtypes, at tops n, n // 2 and
+    qdp's table threshold."""
+    for top in {n, n // 2, qdp.table_threshold(n, qdp.QdpConfig().alpha)}:
+        got = list(dp.subset_layers(c, n, top))
+        want = list(reference_layers_by_kernel(c, n, top))
+        assert len(got) == len(want) == top + 1
+        for s, (layer, ref) in enumerate(zip(got, want)):
+            assert layer.opt.dtype == ref.opt.dtype, (top, s)
+            assert layer.choice.dtype == ref.choice.dtype == np.int8, (top, s)
+            assert np.array_equal(layer.opt, ref.opt), (top, s)
+            assert np.array_equal(layer.choice, ref.choice), (top, s)
+
+
+def kind_matrix(kind, n):
+    """A random matrix, the edgeless one (every candidate ties) or a
+    complete bipartite graph's (every pair crosses alike)."""
+    if kind == "random":
+        inst = random_instance(random.Random(n), 8, n, 0.5)
+        return build_crossing_matrix(inst)
+    c = np.full((n, n), 0 if kind == "edgeless" else 9)
+    np.fill_diagonal(c, 0)
+    return c
+
+
+@pytest.mark.parametrize("n,kind", [
+    *((n, "random") for n in range(13, 22)),
+    *((n, kind) for n in range(13, 20) for kind in ("edgeless", "complete"))])
+def test_layers_match_the_reference_kernel(n, kind):
+    """Past the planned sizes the kernel's layers equal, bit for bit and
+    in dtype, those of the kernel it replaced, at odd and even n (whose
+    two mask halves differ in width); every candidate of an edgeless or
+    complete matrix ties, so each keeps the first."""
+    c = kind_matrix(kind, n)
+    assert_layers_match_the_reference_kernel(c, n)
+    if kind != "random":
+        layers = dp.subset_layers(c, n, n)
+        assert not any(layer.choice.any() for layer in layers)
+
+
+@pytest.mark.parametrize("total", [
+    2 ** 15 - 1, 2 ** 15, KEYS_WIDEN_AT - 1, KEYS_WIDEN_AT, 2 ** 31 - 1,
+    2 ** 31])
+@pytest.mark.parametrize("n,pieces", [
+    *(pytest.param(n, None, id=str(n)) for n in (14, 15)),
+    *(pytest.param(n, {"_SLICED": 1 << 6, "_PIECE": 1 << 8, "_WIDE": 32},
+                   id=f"{n}-small-pieces") for n in (14, 15))])
+def test_reference_kernel_at_the_value_dtype_bounds(monkeypatch, n, pieces,
+                                                    total):
+    """At the int16/int32/int64 value-total bounds, and with int32 or
+    int64 keys, the layers equal the reference kernel's; with small pieces
+    the sliced tops start at s = 3, chunks are narrower than most tops'
+    prefixes and pieces on both sides of _WIDE take both reductions.
+    The kernel reads the piece sizes when it runs."""
+    for name, value in (pieces or {}).items():
+        monkeypatch.setattr(dp, name, value)
+    if pieces:  # a cache of its own for the patched piece sizes
+        monkeypatch.setattr(dp, "_gathered", lru_cache(dp._gathered.__wrapped__))
+        assert dp._gathered(n, 3)[0] < n
+    c = matrix_summing_to(n, total, n + total)
+    assert c.sum() == total
+    assert_layers_match_the_reference_kernel(c, n)
+
+
+def test_half_tables_wait_for_a_sliced_top(monkeypatch):
+    """No layer without a sliced top builds the half-mask tables: qdp's
+    phase 1 at n_v 15 and 16 (sizes up to 4, all gathered) and two layers
+    at n = 13 run with the table builder raising, and the first layer
+    with a sliced top calls it."""
+    def refuse(c, n):
+        raise AssertionError("half-mask tables built")
+
+    instances = [random_instance(random.Random(n), 8, n, 0.5)
+                 for n in (15, 16)]
+    want = [solve_dp(inst)[0].crossings for inst in instances]
+    monkeypatch.setattr(dp, "_half_sums", refuse)
+    for inst, crossings in zip(instances, want):
+        n = inst.n_v
+        assert qdp.table_threshold(n, qdp.QdpConfig().alpha) == 4
+        assert all(dp._gathered(n, s)[0] == n for s in range(2, 5))
+        assert qdp.solve_qdp(inst)[0].crossings == crossings
+    c = kind_matrix("random", 13)
+    assert len(list(dp.subset_layers(c, 13, 2))) == 3
+    with pytest.raises(AssertionError, match="half-mask"):
+        list(dp.subset_layers(c, 13, 13))
+
+
+def test_masks_fit_int32_at_every_accepted_n(monkeypatch):
+    """Stored rows carry each subset's bit mask as int32, which holds the
+    mask of every subset at the largest n_v that dp (23) and qdp (22)
+    accept; at n = 23 every stored mask matches its subset's members."""
+    assert (dp._PRACTICAL_MAX_NV, qdp._PRACTICAL_MAX_NV) == (23, 22)
+    assert (1 << dp._PRACTICAL_MAX_NV) - 1 <= np.iinfo(np.int32).max
+    stored, grow = [], dp._grow
+
+    def recording(*args):
+        layer, rows = grow(*args)
+        stored.append(rows)
+        return layer, rows
+
+    monkeypatch.setattr(dp, "_grow", recording)
+    list(dp.subset_layers(kind_matrix("random", 23), 23, 6))
+    assert stored[-1] is None and dp._gathered(23, 5)[0] < 23
+    for rows in stored[:-1]:
+        assert rows.masks.dtype == np.int32
+        want = np.left_shift(1, rows.members.astype(np.int64)).sum(axis=0)
+        assert np.array_equal(rows.masks, want)
