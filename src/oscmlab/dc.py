@@ -37,16 +37,16 @@ walking each candidate's two tails from its rows.
 
 A frame that the budget would run out inside runs frame by frame, the
 path that TAIL = 0 runs everywhere, so it raises where that path raises.
-Values are summed in float32 while the crossing matrix sums below 2^24,
-where every sum is exact, else in float64. TAIL is set by measurement:
-raising it from 6 to 8 made the roots of n_v = 7 and 8 tails and their
-dc + qdc solves 3.5x faster, and a count map stays under 500 KB at any
-base size up to 8, while a 9-member tail with base size 5 would enumerate
-120 orderings per base case (a 10 MB map). BATCH_BYTES is set by
-measurement too: at n_v = 10, 4 KB (3 candidates a batch) keeps the
-traced peak of a sampled qdc solve at ~18.6 KB, where solving one tail
-at a time read 17.5-22.5 KB, while 8 KB (7 candidates) raises it to
-~27 KB.
+Values are summed in the floats of matrix.exact_floats: float32 while
+the crossing matrix sums below 2^24, else float64, so every sum is
+exact. TAIL is set by measurement: raising it from 6 to 8 made the roots
+of n_v = 7 and 8 tails and their dc + qdc solves 3.5x faster, and a
+count map stays under 500 KB at any base size up to 8, while a 9-member
+tail with base size 5 would enumerate 120 orderings per base case (a 10
+MB map). BATCH_BYTES is set by measurement too: at n_v = 10, 4 KB (3
+candidates a batch) keeps the traced peak of a sampled qdc solve at
+~18.6 KB, where solving one tail at a time read 17.5-22.5 KB, while 8 KB
+(7 candidates) raises it to ~27 KB.
 
 Live state is modelled, not measured: dc_peak_state_bytes(n_v,
 base_size) is the peak of a fixed byte model along the ceil-half spine,
@@ -70,7 +70,7 @@ import numpy as np
 from .bigraph import BipartiteInstance, Solution
 from .errors import SizeLimitError, NodeBudgetExceeded
 from .ledger import CostLedger
-from .matrix import build_crossing_matrix, cross_sum, order_sum
+from .matrix import build_crossing_matrix, cross_sum, exact_floats, order_sum
 
 # Frames of more than base_size and at most TAIL members are tails.
 TAIL = 8
@@ -443,7 +443,8 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     this rule gives.
 
     ``c`` holds nonnegative crossing counts, so no partial sum of a tail
-    exceeds the sum of all of c, which picks float32 or float64.
+    exceeds the sum of all of c, which picks float32 or float64
+    (matrix.exact_floats).
 
     Writes the modelled peak state and depth, dc_peak_state_bytes and
     dc_max_depth of (n, base size), to ledger.meta on entry. Returns the
@@ -461,10 +462,7 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     depth = ledger.meta["max_depth"] = dc_max_depth(n, base_size)
     minimize = search or _exact_min
     if n > base_size:
-        # What tails sum: c in float32 when every sum of its entries is
-        # exact there, else in float64.
-        floats = c.astype(np.float32 if sum(map(sum, rows)) < 2 ** 24
-                          else np.float64)
+        floats = exact_floats(c)  # what tails sum
 
     def internal(s, candidates, child):
         """Search an entered internal node's splits, given as (W, rest,

@@ -12,35 +12,33 @@ evaluations (every (S, w) pair with |S| >= 2).
 The table is kept one subset-size layer at a time. A layer holds every
 subset of one size by its rank in the combinatorial number system (colex
 order): the subset x_0 < x_1 < ... has rank sum_i C(x_i, i + 1), so reading
-a smaller subset's optimum is an array gather. Each layer is grown from the
-one below together with position-major arrays, one column per subset: its
-s members, the rank of the subset without each member below the top (s - 1
-rows: without the top it is the column less C(top, s)), each member's
-column sum sum_{v in S} c[v][x_j], and the subset's bit mask. The subsets
-whose top member is x are x added to each subset R of range(x) one size
-down, and those are a prefix of the layer below, in order; so a layer's
-arrays are that prefix's arrays plus x's terms. x's own column sum, sum_{v
-in R} c[v][x], is low[x, R's low h bits] + high[x, R's other bits] for h =
-ceil(n_v / 2), from two (n_v, 2^h) and (n_v, 2^(n_v - h)) tables built by
-doublings once a layer has a sliced top (_half_sums; 180 KB at n_v = 22
-with int16 values). The tops with few rests are gathered in one piece;
-the later ones read the layer below in chunks of rests, whose index rows
-are converted to intp once and serve every top whose prefix covers the
-chunk. The next layer reads only the columns whose top member is below
-n_v - 1, the first C(n_v - 1, s), so only those are stored; the rest are
-reduced as they are built. qdp's phase 1 runs the same layers up to its
-threshold; at its sizes every top is gathered and no table is built.
+a smaller subset's optimum is an array gather. The subsets whose top
+member is x are x added to each subset R of range(x) one size down, a
+prefix of the layer below in order. A candidate's column sum sum_{v in S}
+c[v][x_j], over the mask m of S \\ x_j, is low[m & (2^h - 1), x_j] +
+high[m >> h, x_j], from two (2^h, n_v) and (2^(n_v - h), n_v) tables that
+each solve builds by doublings in the value dtype (_half_sums): h = n_v,
+with no high table, while no top is sliced (n_v <= 12), else ceil(n_v /
+2), 180 KB at n_v = 22 with int16 values.
 
-That kernel runs past n_v = _PLANNED (12). Up to it, where a layer's ~25
-NumPy calls cost more than its arithmetic, the layers come from a plan
-cached per n_v (_plan, built on a first solve, never at import): per
-layer s, two (s, C(n_v, s)) int32 arrays, the rank of S without x_j in
-layer s - 1 and the index mask(S \\ x_j) * n_v + x_j of x_j's column sum
-in a (2^n_v, n_v) table that each solve builds by n_v doublings in the
-value dtype. A layer is then one take of the layer below, one take of
-that table, one add and the kernel's reduction. The plan takes n_v *
-2^(n_v + 2) bytes: 18 KB at n_v = 9, 41 KB at 10 and 197 KB at 12, 360
-KB for every n_v up to 12 together.
+Every layer is built by one loop (_grow). The columns whose top member
+has fewer than _SLICED rests, the s-subsets of range(first) and every
+column up to n_v = 12, are gathered along a plan cached per n_v (_plan,
+built on a first solve, never at import): per column and member x_j, the
+rank of S \\ x_j in the layer below and x_j's flat indices in the two
+tables, so they cost one take of the layer below, one or two of the
+tables and the reduction. The later, sliced tops read the layer below in
+chunks of rests, whose members, ranks and mask halves are converted to
+intp once and serve every top whose prefix covers the chunk. Those rows
+(members, the rank without each member below the top, member column sums
+and the bit mask) cover the first C(n_v - 1, s - 1) columns, whose top is
+below n_v - 1, and a layer keeps them only when the next one has a sliced
+top: for its gathered part the plan's members, ranks and masks with the
+column sums just taken (the plan keeps members and masks for those
+layers only), beyond it its sliced tops' own. qdp's phase 1 runs the same
+layers up to its threshold. The plan's rows are int16 where every index
+fits, else int32: 20 KB at n_v = 10, 147 KB at 12, 608 KB at 20 and 1.11
+MB at 23.
 
 Values are kept in the narrowest of int16/int32/int64 that holds c.sum(),
 which bounds every optimum and candidate value. A layer holds optima and
@@ -55,23 +53,16 @@ slower than one min.
 
 Space, modelled by dp_peak_state_bytes(n_v, b) for b-byte values, which
 solve_dp writes to ledger.meta["peak_state_bytes"]: 2^n_v choices (and
-optima, when the table is kept), the optima of two adjacent layers, and
-their stored rows, (5 + b) s bytes per column of C(n_v - 1, s): s int8
-members, s - 1 int32 ranks, s sums and an int32 mask, 7 s bytes with int16
-values. Beside them sit the half-mask tables and one rest chunk of
-_PIECE // s columns, 20 + 3b bytes per candidate: its intp members, ranks
-and mask halves (16 bytes) and one piece's values, sums and keys. Nothing
-sized by the layers outlives a solve; the index arrays _gathered caches
-are under 0.3 MB per n_v. A planned solve holds instead the (2^n_v, n_v)
-column-sum table, 2^n_v * n_v * b bytes, and while it builds a layer up
-to 2b + 12 bytes per candidate of the widest one (max_s s C(n_v, s)
-candidates), 16 with int16 values: the candidate values and the taken sums
-beside the intp copy NumPy makes of an int32 index array, or beside the
-packed keys and the cast buffers of their add. A first solve at an n_v
-adds its plan's bytes, which the model leaves out. At n_v = 12 with int16
-values that is 98 KB + 89 KB + 4 KB of choices, and 197 KB more on a first
-solve. Warm tracemalloc peaks read 0.96-1.07x the model at n_v 10-22
-(1.22x at 13, where fixed costs weigh most).
+optima, when the table is kept), the half-mask tables, the optima of two
+adjacent layers and the rows they keep, (5 + b) s bytes per column of
+C(n_v - 1, s) (s int8 members, s - 1 int32 ranks, s sums, an int32
+mask), a layer's gathered columns at 2b + 12 bytes per candidate (values
+and sums beside an intp index copy or the packed keys) and one rest chunk
+of _PIECE // s columns at 20 + 3b (its intp members, ranks and mask
+halves and one piece's values, sums and keys). Nothing sized by the
+layers outlives a solve; a first solve at an n_v adds its plan. Warm
+tracemalloc peaks read 0.94-1.06x the model at n_v 9-22, but 0.72x at
+13, where the layers whose only sliced top is 12 keep the plan's rows.
 """
 
 from __future__ import annotations
@@ -90,15 +81,14 @@ from .matrix import build_crossing_matrix
 
 # Time and space double with each vertex: n_v = 23 (8 fixed vertices, edge
 # probability 0.5, tests/instances.py's random_instance with seeds 1 and
-# 4242) takes 0.56-0.77 s, best of 3 in each of five processes, on a 2-vCPU
-# Xeon VM whose speed drifts between processes, and peaks at 121 MB under
-# tracemalloc; only index arrays under 0.3 MB stay cached.
+# 4242) takes 0.58-0.97 s, best of 3 in each of five processes alternated
+# with the previous kernel's (0.55-0.91 s), on a 2-vCPU Xeon VM whose speed
+# drifts; it peaks at 121 MB under tracemalloc and caches a 1.11 MB plan.
 _PRACTICAL_MAX_NV = 23
 
 _PIECE = 1 << 15  # candidate values per piece of a layer (measured)
 _SLICED = 1 << 9  # rests from which a top's columns are copied as slices
 _WIDE = 1 << 8  # columns from which packed keys beat argmin + min (measured)
-_PLANNED = 12  # largest n whose layers come from a cached plan (measured)
 
 
 @lru_cache(maxsize=16)
@@ -139,14 +129,30 @@ class _Layer(NamedTuple):
 class _Rows(NamedTuple):
     """A table layer's arrays over its first columns, column = rank:
     members[j] is the j-th smallest member and sums[j] its column sum
-    sum_{v in S} c[v][x_j]; ranks[j], for each member below the top, is
-    the rank of the subset without it (without the top it is the column
+    sum_{v in S} c[v][x_j]; ranks[j], int32, for each member below the top,
+    is the rank of the subset without it (without the top it is the column
     less C(top, s)); masks holds each subset's bit mask."""
 
     members: np.ndarray
     ranks: np.ndarray
     sums: np.ndarray
     masks: np.ndarray
+
+
+class _Gathered(NamedTuple):
+    """_plan's arrays for layer s's gathered columns, the s-subsets S of
+    range(first) by rank: ranks[j] is the rank of S without its j-th
+    member x_j in layer s - 1, low[j] and high[j] (None when h = n) the
+    flat indices of x_j's column sum in _half_sums' tables. members and
+    masks cover the columns that the sliced tops of layer s + 1 read, and
+    are None where it has none."""
+
+    first: int
+    ranks: np.ndarray
+    low: np.ndarray
+    high: np.ndarray | None
+    members: np.ndarray | None
+    masks: np.ndarray | None
 
 
 def _columns(n, s, first):
@@ -160,48 +166,101 @@ def _columns(n, s, first):
     return top, rest, binom[s - 1].take(top)
 
 
-@lru_cache(maxsize=64)
-def _gathered(n, s):
-    """Index arrays for the columns _grow gathers at once: the s-subsets
-    of range(n) whose top member x has fewer than _SLICED rests (C(x, s - 1)
-    subsets one size down), which come first in rank order. Returns
-    (first, top, rest, C(top, s - 1), top * n, 2^top): the first top past
-    them, then per column its top, its rest's rank and the top's terms.
-    For n up to 23 that is at most 1820 columns for one size and 11210 for
-    all.
-    """
-    first = next((x for x in range(s - 1, n) if comb(x, s - 1) >= _SLICED), n)
-    top, rest, offset = _columns(n, s, first)
-    arrays = (top.astype(np.int8), rest, offset, top * n,
-              np.left_shift(1, top, dtype=np.int32))
-    for array in arrays:
-        array.setflags(write=False)
-    return (first, *arrays)
+def _first(n, s):
+    """The first top member of layer s of range(n) with at least _SLICED
+    rests (C(x, s - 1) subsets one size down), n where there is none."""
+    return next((x for x in range(s - 1, n) if comb(x, s - 1) >= _SLICED), n)
 
 
-def _half_sums(c, n):
+def _half_bits(n):
+    """The mask bits the low half-mask table spans: all n while every top
+    of every layer is gathered (C(n - 1, s - 1) < _SLICED for every s, so
+    n <= 12), else ceil(n / 2)."""
+    return n if comb(n - 1, (n - 1) // 2) < _SLICED else (n + 1) // 2
+
+
+def _index_dtype(size):
+    """The dtype of index rows into size entries: int16 where all fit."""
+    return np.int16 if size <= 2 ** 15 else np.int32
+
+
+@lru_cache(maxsize=_PRACTICAL_MAX_NV + 1)
+def _plan(n):
+    """A _Gathered per layer s = 2..n of range(n). A layer's gathered
+    columns take their rests from the gathered columns of the layer below
+    (first grows by at most one a layer), so each layer's arrays grow
+    from the last one's along _columns, with subset masks beside them."""
+    h = _half_bits(n)
+    members = np.arange(n, dtype=np.int8)[None]
+    ranks = np.zeros((1, n), np.int64)
+    masks = np.left_shift(1, np.arange(n, dtype=np.int32))
+    plan = []
+    for s in range(2, n + 1):
+        first = _first(n, s)
+        top, rest, offset = _columns(n, s, first)
+        members = np.vstack((members.take(rest, axis=1), top.astype(np.int8)))
+        ranks = np.vstack((ranks.take(rest, axis=1) + offset, rest))
+        masks = masks.take(rest) + np.left_shift(1, top, dtype=np.int32)
+        without = masks - np.left_shift(1, members, dtype=np.int32)  # S \ x_j
+        low = (without & ((1 << h) - 1)) * n + members
+        high = (without >> h) * n + members if h < n else None
+        read = min(len(top), comb(n - 1, s)) if _first(n, s + 1) < n else 0
+        arrays = _Gathered(
+            first, ranks.astype(_index_dtype(comb(n, s - 1))),
+            low.astype(_index_dtype(n << h)),
+            None if high is None else high.astype(_index_dtype(n << n - h)),
+            members[:, :read].astype(np.int8) if read else None,
+            masks[:read].astype(np.int32) if read else None)
+        for array in arrays[1:]:
+            if array is not None:
+                array.setflags(write=False)
+        plan.append(arrays)
+    return tuple(plan)
+
+
+def _half_sums(c, n, h):
     """sum_{v in R} c[v][x] for every subset R of range(n), with mask m, as
-    low[x, m & (2^h - 1)] + high[x, m >> h] for h = ceil(n / 2): two (n,
-    2^h) and (n, 2^(n - h)) tables built by doublings in c's dtype.
-    Returns (low, high, h)."""
-    h = (n + 1) // 2
-    tables = []
-    for vertices in (range(h), range(h, n)):
-        table = np.empty((n, 1 << len(vertices)), c.dtype)
-        table[:, 0] = 0
+    low[(m & (2^h - 1)) * n + x] + high[(m >> h) * n + x]: two flattened
+    (2^h, n) and (2^(n - h), n) tables (high None when h = n), each built
+    by doublings in c's dtype into the block past the last."""
+    def table(vertices):
+        sums = np.empty((1 << len(vertices), n), c.dtype)
+        sums[0] = 0
         for i, v in enumerate(vertices):
-            np.add(table[:, :1 << i], c[v, :, None],
-                   out=table[:, 1 << i:2 << i])
-        tables.append(table)
-    return (*tables, h)
+            np.add(sums[:1 << i], c[v], out=sums[1 << i:2 << i])
+        return sums.ravel()
+
+    return table(range(h)), table(range(h, n)) if h < n else None
 
 
-def _grow(c, ct, halves, n, s, below, rows, keep, positions):
-    """Layer s from layer s - 1 and its rows, and the rows of layer s that
-    layer s + 1 reads (None unless keep). c and ct are the crossing matrix
-    and its transpose in the value dtype, halves _half_sums' tables (None
-    while no layer has a sliced top) and positions the key term j in the
-    key dtype (module docstring).
+def _reduce(vals, sums, total, out=None):
+    """Each column's least candidate value vals + sums and its first
+    position among the least, as a _Layer (into out's arrays if given): by
+    packed keys (module docstring) from _WIDE columns on, else by argmin
+    and min. vals is overwritten."""
+    s, width = vals.shape
+    vals += sums
+    if width < _WIDE:
+        if out is None:
+            return _Layer(vals.min(axis=0), vals.argmin(axis=0).astype(np.int8))
+        vals.min(axis=0, out=out.opt)
+        out.choice[:] = vals.argmin(axis=0)
+        return out
+    if out is None:
+        out = _Layer(np.empty(width, vals.dtype), np.empty(width, np.int8))
+    positions = _positions(s, _key_dtype(total, s))
+    key = vals.astype(positions.dtype)  # a casting add is ~2.5x slower
+    key *= s
+    key += positions
+    np.divmod(key.min(axis=0), s, out=(out.opt, out.choice))
+    return out
+
+
+def _grow(c, halves, gathered, n, s, below, rows, keep, total):
+    """Layer s from layer s - 1, and the rows of layer s that the sliced
+    tops of layer s + 1 read (None unless keep). c is the crossing matrix
+    in the value dtype, halves _half_sums' tables, gathered _plan's arrays
+    for layer s, rows those of layer s - 1 and total c.sum().
 
     The s-subsets S with top member x take ranks C(x, s) on, in the order
     of their rests R = S \\ x, the first C(x, s - 1) subsets of the layer
@@ -209,65 +268,43 @@ def _grow(c, ct, halves, n, s, below, rows, keep, positions):
     members and c[x][x_j] to each member's column sum; x's own candidate
     reads R's optimum, and x's column sum is sum_{v in R} c[v][x].
 
-    The tops with fewer than _SLICED rests are built as one gathered
-    piece. The rests of the later tops are read in chunks of the layer
-    below, each converted to intp once and shared by every top whose
-    prefix covers it: the tops' other candidates gather from the view
-    below.opt[C(x, s - 1):], x's own candidates are a slice of below.opt,
-    and x's column sums two reads of the half-mask tables. Each piece is
-    reduced as soon as it is built, by its packed keys when it is at
-    least _WIDE columns wide. Layer s + 1 reads only the first C(n - 1, s)
-    columns (top below n - 1), so only those rows are written, and none
-    when not keep; a kept layer built as one gathered piece is stored
-    whole.
+    The gathered columns take the layer below and the half tables along
+    the plan. The later tops read the layer below in chunks of rests, each
+    converted to intp once and shared by every top whose prefix covers it:
+    their other candidates gather from the view below.opt[C(x, s - 1):],
+    x's own are a slice of below.opt. Each piece is reduced as soon as it
+    is built. Layer s + 1 reads only the first C(n - 1, s) columns (top
+    below n - 1), so only those rows are kept.
     """
-    count = comb(n, s)
-    dtype = below.opt.dtype
-    layer = _Layer(np.empty(count, dtype), np.empty(count, np.int8))
-    first, top, rest, offset, base, bit = _gathered(n, s)
-    stored = (count if first == n else comb(n - 1, s)) if keep else 0
-    grown = _Rows(np.empty((s, stored), np.int8),
-                  np.empty((s - 1, stored), rows.ranks.dtype),
-                  np.empty((s, stored), dtype), np.empty(stored, np.int32))
-    binom = _binomials(n)
-
-    def reduce(at, vals):
-        if at.stop - at.start < _WIDE:
-            layer.choice[at] = vals.argmin(axis=0)
-            layer.opt[at] = vals.min(axis=0)
-        else:
-            key = vals.astype(positions.dtype)
-            key *= s
-            key += positions
-            np.divmod(key.min(axis=0), s, out=(layer.opt[at], layer.choice[at]))
-
-    # The gathered piece. R's members and the ranks of S without each of
-    # them (R's top's by its column less C(top, s - 1)).
-    at = slice(0, len(rest))
-    members = rows.members.take(rest, axis=1)
-    drop = np.vstack((rows.ranks.take(rest, axis=1),
-                      rest - binom[s - 1].take(members[-1])))
-    drop += offset
-    vals = np.empty((s, len(rest)), dtype)
-    below.opt.take(drop, out=vals[:-1])
-    below.opt.take(rest, out=vals[-1])
-    index = base + members
-    if at.stop <= stored:
-        sums = grown.sums[:, at]
-        grown.members[:-1, at] = members
-        grown.members[-1, at] = top
-        grown.ranks[:, at] = drop
-        np.bitwise_or(rows.masks.take(rest), bit, out=grown.masks[at])
+    low, high = halves
+    width = gathered.ranks.shape[1]
+    stored = comb(n - 1, s) if keep else 0
+    if stored > width:  # rows of sliced tops too: the gathered part copied
+        grown = _Rows(np.empty((s, stored), np.int8),
+                      np.empty((s - 1, stored), np.int32),
+                      np.empty((s, stored), below.opt.dtype),
+                      np.empty(stored, np.int32))
+        grown.members[:, :width] = gathered.members
+        grown.ranks[:, :width] = gathered.ranks[:-1]
+        grown.masks[:width] = gathered.masks
+        sums = grown.sums[:, :width]
+        # in range, so "clip" reads as "raise" would, without its copy
+        low.take(gathered.low, out=sums, mode="clip")
     else:
-        sums = np.empty((s, len(rest)), dtype)
-    np.add(rows.sums.take(rest, axis=1), c.take(index), out=sums[:-1])
-    ct.take(index).sum(axis=0, out=sums[-1])
-    vals += sums
-    reduce(at, vals)
-    if first == n:
-        return layer, grown if keep else None
+        sums = low.take(gathered.low)
+        grown = _Rows(gathered.members, gathered.ranks[:-1].astype(np.int32),
+                      sums, gathered.masks) if keep else None
+    if high is not None:
+        sums += high.take(gathered.high)
+    vals = below.opt.take(gathered.ranks)
+    if gathered.first == n:
+        return _reduce(vals, sums, total), grown
+    dtype, count = below.opt.dtype, comb(n, s)
+    layer = _Layer(np.empty(count, dtype), np.empty(count, np.int8))
+    _reduce(vals, sums, total, _Layer(layer.opt[:width], layer.choice[:width]))
 
-    low, high, h = halves
+    h = _half_bits(n)
+    binom = _binomials(n)
     sizes, starts = binom[s - 1].tolist(), binom[s].tolist()
     step = max(1, _PIECE // s)
     for a in range(0, sizes[n - 1], step):
@@ -279,90 +316,35 @@ def _grow(c, ct, halves, n, s, below, rows, keep, positions):
                     out=drop[-1])
         masks = rows.masks[a:b]
         lows = np.bitwise_and(masks, (1 << h) - 1).astype(np.intp)
+        lows *= n
         highs = np.right_shift(masks, h).astype(np.intp)
-        for x in range(first, n):
+        highs *= n
+        for x in range(gathered.first, n):
             if sizes[x] <= a:
                 continue
             width = min(b, sizes[x]) - a
             at = slice(starts[x] + a, starts[x] + a + width)
             vals = np.empty((s, width), dtype)
-            # in range, so "clip" reads as "raise" would, without its copy
             np.take(below.opt[sizes[x]:], drop[:, :width], out=vals[:-1],
                     mode="clip")
             vals[-1] = below.opt[a:a + width]
-            terms = c[x].take(members[:, :width])
-            own = low[x].take(lows[:width])  # x's column sum
-            own += high[x].take(highs[:width])
             if at.stop <= stored:
                 piece = _Rows(*(array[..., at] for array in grown))
                 piece.members[:-1] = rows.members[:, a:a + width]
                 piece.members[-1] = x
-                np.add(rows.ranks[:, a:a + width], sizes[x],
+                np.add(rows.ranks[:, a:a + width], sizes[x],  # int32, uncast
                        out=piece.ranks[:-1])
                 np.add(drop[-1, :width], sizes[x], out=piece.ranks[-1])
                 np.bitwise_or(masks[:width], 1 << x, out=piece.masks)
-                np.add(rows.sums[:, a:a + width], terms, out=piece.sums[:-1])
-                piece.sums[-1] = own
-                vals += piece.sums
+                sums = piece.sums
             else:
-                terms += rows.sums[:, a:a + width]
-                vals[:-1] += terms
-                vals[-1] += own
-            reduce(at, vals)
-    return layer, grown if keep else None
-
-
-@lru_cache(maxsize=_PLANNED + 1)
-def _plan(n):
-    """Per layer s = 2..n of range(n), two read-only (s, C(n, s)) int32
-    arrays, one column per subset S by rank: ranks[j], the rank of S
-    without its j-th member x_j in layer s - 1, and flat[j], the index
-    mask(S \\ x_j) * n + x_j of x_j's column sum in a flattened (2^n, n)
-    table. The rows grow as _grow's gathered piece does (_columns), with
-    subset masks beside them: n * 2^(n + 2) bytes in all."""
-    members = np.arange(n)[None]
-    ranks = np.zeros((1, n), np.intp)
-    masks = np.left_shift(1, members[0])
-    plan = []
-    for s in range(2, n + 1):
-        top, rest, offset = _columns(n, s, n)
-        members = np.vstack((members.take(rest, axis=1), top))
-        ranks = np.vstack((ranks.take(rest, axis=1) + offset, rest))
-        masks = masks.take(rest) + np.left_shift(1, top)
-        flat = (masks - np.left_shift(1, members)) * n + members
-        plan.append((ranks.astype(np.int32), flat.astype(np.int32)))
-        for array in plan[-1]:
-            array.setflags(write=False)
-    return tuple(plan)
-
-
-def _column_sums(c, n, dtype):
-    """sum_{v in mask} c[v][w] at mask * n + w for every mask of range(n),
-    by n doublings in the value dtype: a flattened (2^n, n) table."""
-    sums = np.empty((1 << n, n), dtype)
-    sums[0] = 0
-    c = c.astype(dtype)
-    for x in range(n):
-        np.add(sums[:1 << x], c[x], out=sums[1 << x:2 << x])
-    return sums.ravel()
-
-
-def _planned(below, sums, ranks, flat, total):
-    """Layer s from layer s - 1 along _plan's rows for it: one take of the
-    layer below, one of the column sums and one add give every candidate
-    value, reduced as _grow reduces a piece of that width."""
-    s, count = ranks.shape
-    vals = below.opt.take(ranks)
-    if count < _WIDE:
-        vals += sums.take(flat)
-        return _Layer(vals.min(axis=0), vals.argmin(axis=0).astype(np.int8))
-    positions = _positions(s, _key_dtype(total, s))
-    key = np.add(vals, sums.take(flat), dtype=positions.dtype)
-    key *= s
-    key += positions
-    layer = _Layer(np.empty(count, vals.dtype), np.empty(count, np.int8))
-    np.divmod(key.min(axis=0), s, out=(layer.opt, layer.choice))
-    return layer
+                sums = np.empty((s, width), dtype)
+            np.add(rows.sums[:, a:a + width], c[x].take(members[:, :width]),
+                   out=sums[:-1])
+            low[x:].take(lows[:width], out=sums[-1], mode="clip")
+            sums[-1] += high[x:].take(highs[:width])  # x's column sum
+            _reduce(vals, sums, total, _Layer(layer.opt[at], layer.choice[at]))
+    return layer, grown
 
 
 def subset_layers(c, n, top):
@@ -370,9 +352,7 @@ def subset_layers(c, n, top):
     c: OPT(S) = min_w OPT(S \\ w) + sum_{v in S} c[v][w] for every s-subset
     S, the choice being w's position among the members (ties keep the
     smallest w). Values are in the narrowest of int16/int32/int64 that
-    holds c.sum(), a bound on every value computed; layers hold no Sym.
-    Up to n = _PLANNED the layers come from a cached plan (_planned), past
-    it from the layer kernel (_grow)."""
+    holds c.sum(), a bound on every value computed; layers hold no Sym."""
     total = int(c.sum())
     dtype = (np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31
              else np.int64)
@@ -383,24 +363,14 @@ def subset_layers(c, n, top):
         yield layer
     if top < 2:
         return
-    if n <= _PLANNED:
-        sums = _column_sums(c, n, dtype)
-        for ranks, flat in _plan(n)[:top - 1]:
-            layer = _planned(layer, sums, ranks, flat, total)
-            yield layer
-        return
     c = c.astype(dtype)
-    ct = np.ascontiguousarray(c.T)
-    ranks = np.int32 if comb(n, n // 2) < 2 ** 31 else np.int64
-    rows = _Rows(np.arange(n, dtype=np.int8)[None], np.zeros((0, n), ranks),
-                 np.zeros((1, n), dtype),
-                 np.left_shift(1, np.arange(n, dtype=np.int32)))
-    halves = None  # built for the first layer with a sliced top
-    for s in range(2, top + 1):
-        if halves is None and _gathered(n, s)[0] < n:
-            halves = _half_sums(c, n)
-        layer, rows = _grow(c, ct, halves, n, s, layer, rows, s < top,
-                            _positions(s, _key_dtype(total, s)))
+    plan = _plan(n)
+    halves = _half_sums(c, n, _half_bits(n))
+    rows = None  # layer 2 is gathered whole: its tops have < n rests
+    for s, gathered in enumerate(plan[:top - 1], 2):
+        keep = s < top and gathered.members is not None
+        layer, rows = _grow(c, halves, gathered, n, s, layer, rows, keep,
+                            total)
         yield layer
 
 
@@ -459,30 +429,26 @@ def dp_table_entries(n_v: int) -> int:
 @lru_cache(maxsize=64)
 def dp_peak_state_bytes(n_v: int, value_bytes: int = 2) -> int:
     """Modelled peak bytes of a solve_dp call without a kept table, for
-    values of value_bytes bytes (module docstring, Space); cached, since
-    solve_dp asks on every call.
-
-    Up to n_v = _PLANNED: the (2^n_v, n_v) column-sum table, 2b + 12
-    bytes per candidate of the widest layer and 2^n_v choices. Past it:
-    2^n_v choices, the half-mask tables, and the largest over sizes s of
-    the optima of layers s - 1 and s, their stored rows, (5 + b) s bytes
-    per column of C(n_v - 1, s) (members, s - 1 ranks, sums and a mask),
-    and 20 + 3b bytes per candidate of a rest chunk (its intp conversions
-    and one piece's values, sums and keys). Caches that outlive a solve
-    (the plan, index arrays) are left out."""
+    values of value_bytes bytes (module docstring, Space): 2^n_v choices,
+    the half tables and, at the widest size s, the optima of layers s - 1
+    and s, the rows they keep, the gathered columns and one rest chunk.
+    The plan, cached across solves, is left out; the model is cached, as
+    solve_dp asks on every call."""
     n, b = n_v, value_bytes
     if n < 2:
         return 1 << n
-    if n <= _PLANNED:
-        widest = max(s * comb(n, s) for s in range(2, n + 1))
-        return (1 << n) * (n * b + 1) + (2 * b + 12) * widest
+
+    def rows(s):
+        return (5 + b) * s * comb(n - 1, s) if _first(n, s + 1) < n else 0
 
     def layer(s):
-        rows = (5 + b) * ((s - 1) * comb(n - 1, s - 1) + s * comb(n - 1, s))
-        chunk = s * min(_PIECE // s, comb(n - 1, s - 1))
-        return b * (comb(n, s - 1) + comb(n, s)) + rows + (20 + 3 * b) * chunk
+        first = _first(n, s)
+        chunk = s * min(_PIECE // s, comb(n - 1, s - 1)) if first < n else 0
+        return (b * (comb(n, s - 1) + comb(n, s)) + rows(s - 1) + rows(s)
+                + (2 * b + 12) * s * comb(first, s) + (20 + 3 * b) * chunk)
 
-    halves = n * b * ((1 << (n + 1) // 2) + (1 << n // 2))
+    h = _half_bits(n)
+    halves = n * b * ((1 << h) + (1 << n - h if h < n else 0))
     return (1 << n) + halves + max(layer(s) for s in range(2, n + 1))
 
 

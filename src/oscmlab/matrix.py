@@ -53,6 +53,14 @@ def build_crossing_matrix(inst: BipartiteInstance) -> np.ndarray:
     return c
 
 
+def exact_floats(c: np.ndarray) -> np.ndarray:
+    """The nonnegative integer matrix c in the floats that hold every sum
+    of its entries exactly: float32 while they sum below 2^24, the span of
+    float32's 24-bit significand, else float64. dc's tails and qdp's
+    search products sum c in these."""
+    return c.astype(np.float32 if c.sum() < 2 ** 24 else np.float64)
+
+
 def cross_sum(rows, first, second) -> int:
     """sum_{v in first, w in second} rows[v][w] over nested-list rows."""
     total = 0

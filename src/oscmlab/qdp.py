@@ -25,7 +25,7 @@ The simulation evaluates both phases one subset-size layer at a time in
 NumPy, on dp's table format: a layer holds every subset of one size by its
 combinatorial-number-system (colex) rank, so reading a smaller subset's
 optimum is an array gather. Phase 1 is dp's table layers
-(dp.subset_layers: its cached plan up to n = 12, its kernel past it) run
+(dp.subset_layers, which builds every layer along its cached plan) run
 up to size t, keeping for each subset its optimum and its chosen last
 vertex (ties keep the smallest vertex). Phase 2 rests on the searches
 reaching every subset of each search size: level 1 enumerates all
@@ -56,9 +56,9 @@ that (the root from n = 17 on, C(17, 9) = 24310), one subset against runs
 of _CHUNK splits. In a chunk:
 
 - rho of every member is one product of c with the block's (n, m) 0/1
-  member map, read back at the members. c is in float32 while c.sum() <
-  2^24 and in float64 beyond, where every sum is exact (dc's tails follow
-  the same rule).
+  member map, read back at the members. c is in the floats of
+  matrix.exact_floats, which dc's tails read too: float32 while c.sum()
+  < 2^24 and float64 beyond, where every sum is exact.
 - The W side's rho sums are one product of a cached (C(s, k), s) 0/1 pick
   map with rho where C(s, k) <= _PICKED, else k row takes; from there the
   split values are summed in the value dtype.
@@ -102,11 +102,12 @@ from math import ceil, comb
 import numpy as np
 
 from .bigraph import BipartiteInstance, Solution
-from .dp import _Layer, _binomials, _key_dtype, _peel, _rank, subset_layers
+from .dp import (_Layer, _binomials, _columns, _key_dtype, _peel, _rank,
+                 subset_layers)
 from .dp import _PRACTICAL_MAX_NV as _DP_MAX_NV
 from .errors import SizeLimitError
 from .ledger import CostLedger
-from .matrix import build_crossing_matrix
+from .matrix import build_crossing_matrix, exact_floats
 from .qmf import cost_model_calls
 
 # The search layer of size ceil(n/2) evaluates C(n, ceil(n/2)) *
@@ -188,10 +189,9 @@ def _layer(n, s):
         members = np.arange(s, dtype=np.int8)[:, None]
         members.setflags(write=False)
         return members
-    binom = _binomials(n)
-    top = np.repeat(np.arange(s - 1, n, dtype=np.int8), binom[s - 1, s - 1:])
-    rest = _layer(n, s - 1)[:, np.arange(len(top)) - binom[s, top]]
-    members = np.vstack((rest, top))
+    top, rest = _columns(n, s, n)[:2]  # the rank offsets go at once
+    top = top.astype(np.int8)
+    members = np.vstack((_layer(n, s - 1).take(rest, axis=1), top))
     members.setflags(write=False)
     return members
 
@@ -406,7 +406,7 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
     # charge the smaller size has already composed.
     plan = _search_plan(n, t, ceil(cfg.alpha * n / 4.0))
     values = layers[0].opt.dtype
-    floats = c.astype(np.float32 if c.sum() < 2 ** 24 else np.float64)
+    floats = exact_floats(c)
     sym = {k: _sym(floats, k, values) for k in set(plan.values()) if k <= t}
     charge = {}
     for s in sorted(plan):

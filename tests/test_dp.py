@@ -189,8 +189,9 @@ def test_peak_memory_at_twenty():
 def test_space_model_bounds_the_traced_peak(n):
     """solve_dp writes dp_peak_state_bytes to ledger.meta, outside its JSON
     ledger, and the tracemalloc peak of a warm solve lies within 1.5x of
-    it either way: planned (n 10, 12) and kernel (n 14, 17, 20) solves
-    read 0.96-1.07x, seed 200."""
+    it either way: solves whose every column comes from the plan (n 10,
+    12) and solves with sliced tops (n 14, 17, 20) read 0.95-1.03x, seed
+    200."""
     inst = random_instance(random.Random(200), 6, n, 0.5)
     assert int(build_crossing_matrix(inst).sum()) < 2 ** 15  # int16 values
     _, ledger = solve_dp(inst)  # builds the caches a first solve builds
@@ -256,8 +257,8 @@ def test_layers_at_the_value_dtype_bounds(monkeypatch, n, pieces, total, dtype):
     pass 2^31 - 1 at KEYS_WIDEN_AT."""
     for name, value in (pieces or {}).items():
         monkeypatch.setattr(dp, name, value)
-    if pieces:  # a cache of its own for the patched piece sizes
-        monkeypatch.setattr(dp, "_gathered", lru_cache(dp._gathered.__wrapped__))
+    if pieces:  # a plan of its own for the patched piece sizes
+        monkeypatch.setattr(dp, "_plan", lru_cache(dp._plan.__wrapped__))
     if total in (KEYS_WIDEN_AT - 1, KEYS_WIDEN_AT):
         c = np.zeros((n, n), np.int64)
         c[:4, n - 1] = total // 4
@@ -269,7 +270,7 @@ def test_layers_at_the_value_dtype_bounds(monkeypatch, n, pieces, total, dtype):
         c[0, 1] += total - c.sum()
     assert c.sum() == total
     if n == 13 and not pieces:
-        assert dp._gathered(n, 6)[0] == dp._gathered(n, 7)[0] == 12
+        assert [step.first for step in dp._plan(n)[4:6]] == [12, 12]
     want = reference_layers(c.tolist(), n)
     for top in {n, n // 2, qdp.table_threshold(n, qdp.QdpConfig().alpha)}:
         got = list(dp.subset_layers(c, n, top))
@@ -281,20 +282,30 @@ def test_layers_at_the_value_dtype_bounds(monkeypatch, n, pieces, total, dtype):
             assert not (total == 0 and layer.choice.any())
 
 
+def plan_bytes(n):
+    """The bytes of dp's cached plan for n."""
+    return sum(array.nbytes for step in dp._plan(n) for array in step[1:]
+               if array is not None)
+
+
 def test_a_solve_keeps_no_memory():
-    """A cold solve at n_v = 20 leaves under 1 MB allocated once its result
-    is dropped: no member rows or other tables outlive the solve."""
-    inst = random_instance(random.Random(200), 6, 20, 0.5)
-    for cached in vars(dp).values():
-        if hasattr(cached, "cache_clear"):
-            cached.cache_clear()
-    tracemalloc.start()
-    try:
-        solve_dp(inst)
-        current = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert current < 10 ** 6
+    """A cold solve leaves only dp's plan and small caches allocated once
+    its result is dropped: under 1 MB at n_v = 20 (a 608 KB plan), and
+    under 1.3 MB at dp's cap n_v = 23, whose plan the module docstring
+    puts at 1.11 MB. No member rows or other tables outlive the solve."""
+    assert dp._PRACTICAL_MAX_NV == 23
+    for n, bound in ((20, 10 ** 6), (23, 1.3 * 10 ** 6)):
+        inst = random_instance(random.Random(200), 6, n, 0.5)
+        for cached in vars(dp).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        tracemalloc.start()
+        try:
+            solve_dp(inst)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert plan_bytes(n) < current < bound, (n, current)
 
 
 def matrix_summing_to(n, total, seed):
@@ -313,22 +324,19 @@ def matrix_summing_to(n, total, seed):
     (0, "int16"), (2 ** 15 - 1, "int16"), (10 ** 6, "int32"),
     (2 ** 31 - 1, "int32"), (2 ** 31 + 7, "int64")])
 @pytest.mark.parametrize("n", range(13))
-def test_planned_layers_match_the_kernel(monkeypatch, n, total, dtype):
-    """Up to n = _PLANNED the layers come from the cached plan; with
-    _PLANNED = 0 the same call runs the layer kernel. Both give the same
-    optima, choices and dtypes at tops 0, n // 2, qdp's table threshold and
-    n, with keys of both widths (2^31 - 1 makes them int64 from s = 2), and
-    on the all-zero matrix every choice is position 0. The kernel's sliced
-    tops start at n = 13, so n = 13 stays on the kernel."""
-    assert dp._PLANNED < 13
+def test_planned_layers_match_the_kernel(n, total, dtype):
+    """Up to n = 12 every column of every layer comes from the plan (no
+    top has _SLICED rests); the layers equal the reference kernel's in
+    optima, choices and dtypes at tops 0, n // 2, qdp's table threshold
+    and n, with keys of both widths (2^31 - 1 makes them int64 from s =
+    2), and on the all-zero matrix every choice is position 0."""
+    assert all(dp._first(n, s) == n for s in range(2, n + 1))
     c = matrix_summing_to(n, total, n + total)
     if n >= 2:
         assert c.sum() == total
     for top in {0, n // 2, qdp.table_threshold(n, qdp.QdpConfig().alpha), n}:
         planned = list(dp.subset_layers(c, n, top))
-        with monkeypatch.context() as patch:
-            patch.setattr(dp, "_PLANNED", 0)
-            kernel = list(dp.subset_layers(c, n, top))
+        kernel = list(reference_layers_by_kernel(c, n, top))
         assert len(planned) == top + 1
         for got, want in zip(planned, kernel, strict=True):
             assert got.opt.dtype == want.opt.dtype
@@ -339,22 +347,13 @@ def test_planned_layers_match_the_kernel(monkeypatch, n, total, dtype):
             assert not (c.sum() == 0 and got.choice.any())
 
 
-def planned_space(n, first):
-    """dp's space model of a planned solve with int16 values: the (2^n, n)
-    column-sum table, 16 bytes per candidate of the widest layer and 2^n
-    int8 choices, plus the plan's n * 2^(n + 2) bytes on a first solve."""
-    widest = max(s * comb(n, s) for s in range(2, n + 1))
-    assert dp_peak_state_bytes(n, 2) == 2 ** n * n * 2 + 16 * widest + 2 ** n
-    return dp_peak_state_bytes(n, 2) + (n * 2 ** (n + 2) if first else 0)
-
-
 @pytest.mark.parametrize("n", [10, 12])
 def test_planned_peak_follows_the_space_model(n):
-    """The tracemalloc peak of a first and a warm planned solve lies within
-    a factor of 1.5 of the docstring's model, either way. A first solve
-    reads 1.3-1.4x the model (the plan's build holds intp rows of its
-    widest layers), a warm one 0.97-1.03x; an intp plan (twice the bytes)
-    reads 1.6-1.7x on a first solve."""
+    """The tracemalloc peak of a first and a warm solve whose layers all
+    come from the plan lies within a factor of 1.5 of the docstring's
+    model, either way, plus the plan's bytes on a first solve: a first
+    solve reads 1.04-1.12x that (the plan's build holds int64 rank rows
+    of its widest layers), a warm one 0.99-1.03x."""
     inst = random_instance(random.Random(200), 6, n, 0.5)
     assert int(build_crossing_matrix(inst).sum()) < 2 ** 15  # int16 values
     for cached in vars(dp).values():
@@ -367,8 +366,61 @@ def test_planned_peak_follows_the_space_model(n):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        model = planned_space(n, first)
+        model = dp_peak_state_bytes(n, 2) + (plan_bytes(n) if first else 0)
         assert model / 1.5 < peak < model * 1.5, (first, peak, model)
+
+
+@pytest.mark.parametrize("n", [2, 7, 12, 13, 16, 23])
+def test_plan_indexes_every_gathered_column(n):
+    """Each layer's gathered columns are the s-subsets of range(first) in
+    colex order; the plan holds, per member x_j, the rank of S without
+    x_j (summed here from the binomials) and x_j's flat index into the
+    half tables, and members and masks exactly for the layers whose next
+    layer has a sliced top, over the columns that top reads."""
+    h = dp._half_bits(n)
+    assert h == (n if n <= 12 else (n + 1) // 2)
+    binom = np.array([[comb(x, i) for x in range(n)] for i in range(n + 1)])
+    for s, step in enumerate(dp._plan(n), start=2):
+        assert step.first == dp._first(n, s)
+        members = np.array(sorted(combinations(range(step.first), s),
+                                  key=lambda m: m[::-1])).T
+        terms = binom[np.arange(1, s + 1)[:, None], members]
+        below = binom[np.arange(s)[:, None], members]
+        ranks = terms.cumsum(0) - terms + below[::-1].cumsum(0)[::-1] - below
+        without = (1 << members).sum(0) - (1 << members)
+        assert np.array_equal(step.ranks, ranks)
+        assert np.array_equal(step.low, (without % (1 << h)) * n + members)
+        if h == n:
+            assert step.high is None
+        else:
+            assert np.array_equal(step.high, (without >> h) * n + members)
+        read = min(members.shape[1], comb(n - 1, s))
+        if s < n and dp._first(n, s + 1) < n:
+            assert np.array_equal(step.members, members[:, :read])
+            assert np.array_equal(step.masks, (1 << members[:, :read]).sum(0))
+            assert (step.members.dtype, step.masks.dtype) == (np.int8, np.int32)
+        else:
+            assert step.members is step.masks is None
+        assert all(not array.flags.writeable for array in step[1:]
+                   if array is not None)
+
+
+@pytest.mark.parametrize("n", [7, 13, 16])
+def test_half_tables_sum_every_column(n):
+    """low[(m & (2^h - 1)) * n + x] + high[(m >> h) * n + x] is
+    sum_{v in m} c[v][x] for every mask m and vertex x (no high table
+    when h = n)."""
+    c = np.random.default_rng(n).integers(0, 50, size=(n, n)).astype(np.int32)
+    h = dp._half_bits(n)
+    low, high = dp._half_sums(c, n, h)
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    want = bits @ c  # [m, x]
+    got = low.reshape(1 << h, n)[masks & ((1 << h) - 1)]
+    if high is not None:
+        got = got + high.reshape(1 << n - h, n)[masks >> h]
+    assert (high is None) == (h == n)
+    assert np.array_equal(got, want)
 
 
 # The layer kernel that the half-mask kernel replaced, kept verbatim as the
@@ -560,35 +612,12 @@ def test_reference_kernel_at_the_value_dtype_bounds(monkeypatch, n, pieces,
     The kernel reads the piece sizes when it runs."""
     for name, value in (pieces or {}).items():
         monkeypatch.setattr(dp, name, value)
-    if pieces:  # a cache of its own for the patched piece sizes
-        monkeypatch.setattr(dp, "_gathered", lru_cache(dp._gathered.__wrapped__))
-        assert dp._gathered(n, 3)[0] < n
+    if pieces:  # a plan of its own for the patched piece sizes
+        monkeypatch.setattr(dp, "_plan", lru_cache(dp._plan.__wrapped__))
+        assert dp._plan(n)[1].first < n
     c = matrix_summing_to(n, total, n + total)
     assert c.sum() == total
     assert_layers_match_the_reference_kernel(c, n)
-
-
-def test_half_tables_wait_for_a_sliced_top(monkeypatch):
-    """No layer without a sliced top builds the half-mask tables: qdp's
-    phase 1 at n_v 15 and 16 (sizes up to 4, all gathered) and two layers
-    at n = 13 run with the table builder raising, and the first layer
-    with a sliced top calls it."""
-    def refuse(c, n):
-        raise AssertionError("half-mask tables built")
-
-    instances = [random_instance(random.Random(n), 8, n, 0.5)
-                 for n in (15, 16)]
-    want = [solve_dp(inst)[0].crossings for inst in instances]
-    monkeypatch.setattr(dp, "_half_sums", refuse)
-    for inst, crossings in zip(instances, want):
-        n = inst.n_v
-        assert qdp.table_threshold(n, qdp.QdpConfig().alpha) == 4
-        assert all(dp._gathered(n, s)[0] == n for s in range(2, 5))
-        assert qdp.solve_qdp(inst)[0].crossings == crossings
-    c = kind_matrix("random", 13)
-    assert len(list(dp.subset_layers(c, 13, 2))) == 3
-    with pytest.raises(AssertionError, match="half-mask"):
-        list(dp.subset_layers(c, 13, 13))
 
 
 def test_masks_fit_int32_at_every_accepted_n(monkeypatch):
@@ -606,8 +635,11 @@ def test_masks_fit_int32_at_every_accepted_n(monkeypatch):
 
     monkeypatch.setattr(dp, "_grow", recording)
     list(dp.subset_layers(kind_matrix("random", 23), 23, 6))
-    assert stored[-1] is None and dp._gathered(23, 5)[0] < 23
-    for rows in stored[:-1]:
+    # layer 3 keeps the plan's rows, 4 and 5 sliced ones; 2 and 6 none
+    assert [rows is None for rows in stored] == [True, False, False, False,
+                                                 True]
+    assert [step.first for step in dp._plan(23)[1:4]] == [23, 16, 13]
+    for rows in stored[1:-1]:
         assert rows.masks.dtype == np.int32
         want = np.left_shift(1, rows.members.astype(np.int64)).sum(axis=0)
         assert np.array_equal(rows.masks, want)
