@@ -51,41 +51,43 @@ Chunks. A search layer is laid out position-major, as dp's kernel is: the
 members of every s-subset are one cached (s, C(n, s)) int8 array, one
 column per subset in rank order. A chunk is an (s, m) block of it against
 a run of its splits, at most _CHUNK split values in all: m = _CHUNK //
-C(s, k) subsets against every split, or, for a layer with more splits than
-that (the root from n = 17 on, C(17, 9) = 24310), one subset against runs
-of _CHUNK splits. In a chunk:
+C(s, k) subsets against every split, or one subset against runs of
+_CHUNK splits where there are more (the root from n = 18 on). A chunk's
+index rows depend on n alone: its members' flat offsets member * m +
+column in its member map, and the colex ranks of each split's W side and
+rest, sums of the terms C(x, i + 1) over _splits' position rows. The
+complements of the lexicographic W sides run in reverse order, so an even
+split's rest ranks are its W ranks reversed. A layer in one run keeps its
+rows as intp in a _plan per (n, s, k, chunk step), built on its first
+solve, while they fit _PLAN_BYTES; any other layer builds each chunk's
+ranks as it runs, in int16 while C(n, side) <= 2^15 and in int32 beyond.
 
 - rho of every member is one product of c with the block's (n, m) 0/1
   member map, read back at the members. c is in the floats of
   matrix.exact_floats, which dc's tails read too: float32 while c.sum()
   < 2^24 and float64 beyond, where every sum is exact.
 - The W side's rho sums are one product of a cached (C(s, k), s) 0/1 pick
-  map with rho where C(s, k) <= _PICKED, else k row takes; from there the
-  split values are summed in the value dtype.
-- The colex ranks of W and of the rest are sums of row takes of the
-  terms C(x, i + 1), one per member position of _splits' position rows,
-  in int16 while every rank of that side fits (C(n, side) <= 2^15) and in
-  int32 beyond. The complements of the lexicographic W sides run in
-  reverse order, so an even split's rest ranks are its W ranks reversed.
-- The values are widened once into packed keys value * C(s, k) + j, j the
-  split's index in the whole layer, so a subset's least key over all its
-  runs is its first best split, split back with one divmod. Values are
-  never negative and at most c.sum(), so keys are int32 while (c.sum() +
-  1) * C(s, k) < 2^31 and int64 beyond. Choices are int32, which holds
-  C(22, 11) = 705432 at the size cap.
+  map with rho where C(s, k) <= _PICKED, else k row takes, cast straight
+  into packed keys value * C(s, k) + j, j the split's index in the layer,
+  after one gather per side. A subset's least key over its runs is its
+  first best split, split back with one divmod. Values are never negative
+  and at most c.sum(), so keys are int32 while (c.sum() + 1) * C(s, k) <
+  2^31 and int64 beyond. Choices are int32, which holds C(22, 11).
 
 Space: sum_{i<=t} C(n, i) table entries plus C(n, s) per search size s
 (optimum and Sym in the value dtype, choice in int32), and one chunk at a
-time. With int16 values a chunk holds at most ~14 bytes per split value
-at once: the values, one side's int16 ranks, the intp copy that a take
-makes of them and the values it reads; the member map, its product and
-rho add 8n + 20s bytes per subset of the block. At n = 16 the (8, 4)
-layer's chunks peak ~305 KB above its own arrays (the int32 kernel before
-this one: ~330 KB), and the warm tracemalloc peaks of n = 15 and 16
-solves (random_instance, n_u 8, p 0.5) read 426 and 430 KB, set by that
-layer, not by the root. Sym of a table size is summed in chunks of at
-most _CHUNK member map entries. Member, split and pick tables depend on n
-and the sizes alone and are cached across solves.
+time. A planned chunk with int32 keys holds ~8 bytes per split value at
+once, the key and the product it is cast from, where the unplanned kernel
+held ~14 (an intp copy of the ranks per take), so _CHUNK is 2^14 * 14 / 8
+= 28672. The member map, its product and rho add 8n + 20s bytes per
+subset. Warm tracemalloc peaks of n = 15 and 16 solves (random_instance,
+n_u 8, p 0.5) read 366 and 369 KB (426 and 429 KB unplanned). The plans
+hold 0.20, 8.08 and 8.13 MB at n = 12, 15 and 16, and all of qdp's caches
+(members, splits, pick maps and plans) 0.27, 8.3 and 8.6 MB, which
+ledger.meta["plan_bytes"] reports. _PLAN_BYTES holds n = 16's (8, 4)
+layer; n = 17's (8, 4) and (9, 5) layers (15 and 51 MB) and every larger
+one build their ranks per chunk. Sym of a table size is summed in chunks
+of at most _CHUNK member map entries.
 
 Alpha is capped at 0.5: with alpha <= 1 - alpha the third level's split
 size ceil(alpha*n/4) and its complement both fit the table (ceilings are
@@ -113,17 +115,19 @@ from .qmf import cost_model_calls
 # The search layer of size ceil(n/2) evaluates C(n, ceil(n/2)) *
 # C(ceil(n/2), ceil(n/4)) split values, ~4x more per vertex: n_v = 22 (8
 # fixed vertices, edge probability 0.5, tests/instances.py's random_instance
-# with seeds 1 and 4242) is 326 M of them, 4.5 and 3.9 s, best of 3, on a
-# 2-vCPU Xeon VM with a 7.9 MB tracemalloc peak; n_v = 23 is 1.25 G, about
+# with seeds 1 and 4242) is 326 M of them, 4.5 and 3.0 s, best of 2, on a
+# 2-vCPU Xeon VM with an 8.7 MB tracemalloc peak; n_v = 23 is 1.25 G, about
 # 4x that. Past the cap a search solve raises SizeLimitError before it
 # allocates anything; the dp fallback path is held to dp's own cap instead.
 _PRACTICAL_MAX_NV = 22
 
-_CHUNK = 1 << 14  # split values per chunk (2^13 and 2^15 measured slower)
+_CHUNK = 28672  # split values per chunk (module docstring, Space)
 # The W-side rho sums of a layer with at most _PICKED splits are one
 # product with its pick map, which beat k row takes at every split count
 # measured (6 to 12870); the cap keeps each cached map under 48 KB.
 _PICKED = 1 << 10
+# Bytes of index rows a search layer keeps across solves in its _plan.
+_PLAN_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -238,15 +242,20 @@ def _sum_rows(tables, positions):
     return total
 
 
-def _rho(c, block):
-    """rho_S(v) = sum_{u in S} c[v][u] for each member v of each subset of
-    an (s, m) intp member block, as an (s, m) array in c's float dtype: one
-    product of c with the block's (n, m) 0/1 member map, read back at the
-    members. The map is set and read at the flat offsets member * m +
-    column."""
+def _offsets(block):
+    """The flat offsets member * m + column of an (s, m) member block's
+    entries in its (n, m) member map, as intp."""
     m = block.shape[1]
-    at = block * m
+    at = block * np.intp(m)
     at += np.arange(m)
+    return at
+
+
+def _rho(c, at):
+    """rho_S(v) = sum_{u in S} c[v][u] for each member v of each subset of
+    an (s, m) block given by its _offsets, in c's float dtype: one product
+    of c with the block's (n, m) 0/1 member map, read back at the members."""
+    m = at.shape[1]
     member_map = np.zeros(len(c) * m, c.dtype)
     member_map[at] = 1
     return (c @ member_map.reshape(-1, m)).take(at)
@@ -260,8 +269,47 @@ def _sym(c, s, dtype):
     step = max(1, _CHUNK // len(c))
     for lo in range(0, len(sym), step):
         at = slice(lo, lo + step)
-        sym[at] = _rho(c, members[:, at].astype(np.intp)).sum(axis=0)
+        sym[at] = _rho(c, _offsets(members[:, at])).sum(axis=0)
     return sym
+
+
+def _ranks(n, k, block, run, mirrored):
+    """Colex ranks of the W sides of the splits in run for every subset of
+    an (s, m) member block, and of their rests (None where mirrored), as
+    (splits in run, m) rows in each side's rank dtype: sums of the terms
+    C(member, i + 1), one per member position of _splits' rows."""
+    picks, rest = _splits(len(block), k)
+    # C(x, i) for x < n and i up to a side's size, which is at most
+    # ceil(n/2), is at most C(n, side), which the side's rank dtype holds
+    binom = _binomials(n)[1:]
+
+    def side(positions):
+        width = len(positions)
+        terms = binom[:width].astype(_rank_dtype(n, width))
+        return _sum_rows([row.take(block) for row in terms], positions[:, run])
+
+    return side(picks), None if mirrored else side(rest)
+
+
+@lru_cache(maxsize=16)
+def _plan(n, s, k, step):
+    """Per chunk of step subsets of the search layer of s-subsets of
+    range(n) split at k, its member offsets, W ranks and rest ranks (None
+    for an even split), as intp; None for a layer in runs of splits (step
+    0) or whose rows would pass _PLAN_BYTES. The rows stay writeable: take
+    copies a read-only index array."""
+    count, splits = comb(n, s), comb(s, k)
+    mirrored = 2 * k == s
+    if not step or (s + splits * (2 - mirrored)) * count * 8 > _PLAN_BYTES:
+        return None
+    members = _layer(n, s)
+    chunks = []
+    for lo in range(0, count, step):
+        block = members[:, lo:lo + step]
+        chunks.append((_offsets(block), *(
+            None if ranks is None else ranks.astype(np.intp)
+            for ranks in _ranks(n, k, block, slice(None), mirrored))))
+    return chunks
 
 
 def _search_layer(c, s, k, w_value, rest_opt):
@@ -269,63 +317,50 @@ def _search_layer(c, s, k, w_value, rest_opt):
     the Sym of every s-subset; ties keep the first split. c is the crossing
     matrix in a float dtype whose sums are exact; w_value is OPT - Sym of
     the k-subsets and rest_opt OPT of the (s - k)-subsets, both in the
-    value dtype, which holds every value of a split. A chunk is an (s, m)
-    member block against a run of at most _CHUNK splits, and a subset's
-    choice is its least packed key value * C(s, k) + j over every run
-    (module docstring, Chunks)."""
+    value dtype (module docstring, Chunks)."""
     n = len(c)
-    values = rest_opt.dtype
-    picks, rest = _splits(s, k)
+    picks = _splits(s, k)[0]
     splits = picks.shape[1]
     keys = _key_dtype(int(c.sum(dtype=np.float64)), splits)
-    # C(x, i) for x < n and i up to a side's size, which is at most
-    # ceil(n/2), is at most C(n, side), which the side's rank dtype holds
-    binom = _binomials(n)[1:]
-    w_rows = binom[:k].astype(_rank_dtype(n, k))
-    rest_rows = binom[:s - k].astype(_rank_dtype(n, s - k))
     pick_map = _pick_map(s, k) if splits <= _PICKED else None
     step = max(1, _CHUNK // splits)
     runs = [slice(j, min(j + _CHUNK, splits)) for j in range(0, splits, _CHUNK)]
-    # the complements of an even split's W sides are those W sides in
-    # reverse order, so over all splits the rest ranks are the W ranks
-    # reversed
+    # over all splits, an even split's rest ranks are its W ranks reversed
     mirrored = 2 * k == s and len(runs) == 1
+    plan = _plan(n, s, k, _CHUNK // splits)
+    members = _layer(n, s)
 
-    def least(rho, terms, run):
+    def least(rho, w_ranks, rest_ranks, run):
         """Each subset's least key over one run of splits of a chunk."""
         if pick_map is None:
-            value = _sum_rows([rho] * k, picks[:, run])
+            key = _sum_rows([rho] * k, picks[:, run])
         else:
-            value = (pick_map[run] @ rho).astype(values)
-        w_ranks = _sum_rows(terms[:k], picks[:, run])
-        if mirrored:
-            w_ranks = w_ranks.astype(np.intp)
-            value += rest_opt.take(w_ranks)[::-1]
+            key = (pick_map[run] @ rho).astype(keys)
+        if rest_ranks is None:
+            key += rest_opt.take(w_ranks)[::-1]
         else:
-            value += rest_opt.take(_sum_rows(terms[k:], rest[:, run]))
-        value += w_value.take(w_ranks)
-        key = np.multiply(value, splits, dtype=keys)
+            key += rest_opt.take(rest_ranks)
+        key += w_value.take(w_ranks)
+        key *= splits
         key += np.arange(run.start, run.stop, dtype=keys)[:, None]
         return key.min(axis=0)
 
-    members = _layer(n, s)
     count = members.shape[1]
-    layer = _Layer(np.empty(count, values), np.empty(count, np.int32))
-    sym = np.empty(count, values)
+    layer = _Layer(np.empty(count, rest_opt.dtype), np.empty(count, np.int32))
+    sym = np.empty(count, rest_opt.dtype)
     for lo in range(0, count, step):
         at = slice(lo, lo + step)
-        block = members[:, at].astype(np.intp)
-        rho = _rho(c, block)
+        block = members[:, at]
+        offsets, *ranks = plan[lo // step] if plan else (
+            _offsets(block), *_ranks(n, k, block, runs[0], mirrored))
+        rho = _rho(c, offsets)
         sym[at] = rho.sum(axis=0)
         if pick_map is None:
-            rho = rho.astype(values)
-        # C(member, i + 1): the W side's rows, then the rest's
-        terms = [row.take(block) for row in w_rows]
-        if not mirrored:
-            terms += [row.take(block) for row in rest_rows]
-        best = least(rho, terms, runs[0])
+            rho = rho.astype(keys)
+        best = least(rho, *ranks, runs[0])
         for run in runs[1:]:
-            np.minimum(best, least(rho, terms, run), out=best)
+            np.minimum(best, least(rho, *_ranks(n, k, block, run, mirrored), run),
+                       out=best)
         layer.opt[at], layer.choice[at] = np.divmod(best, splits)
     return layer, sym
 
@@ -349,22 +384,34 @@ def _search_plan(n, t, k3):
     return plan
 
 
-def _ordering(n, layers, plan):
-    """Optimal ordering of range(n) from the winning candidates: a search
-    subset concatenates its split's two orders, a table subset peels its
-    last vertices."""
-    choice = {s: layer.choice for s, layer in layers.items()}
+def _cached_bytes(n, plan):
+    """Bytes of the cached tables a search solve of range(n) along plan
+    reads: member layers (one caches every smaller one of its n), split
+    rows, pick maps and row plans."""
+    arrays = [_layer(size, i) for size, i in {(n, n)} | {
+        (s, i) for s, k in plan.items() for i in range(max(k, s - k) + 1)}]
+    for s, k in plan.items():
+        arrays += _splits(s, k)
+        if comb(s, k) <= _PICKED:
+            arrays.append(_pick_map(s, k))
+        arrays += [row for rows in _plan(n, s, k, _CHUNK // comb(s, k)) or ()
+                   for row in rows if row is not None]
+    return sum(array.nbytes for array in arrays)
 
-    def order_of(members):
-        s = len(members)
-        if s not in plan:
-            return _peel(choice, members)
-        picks, rest = _splits(s, plan[s])
-        j = choice[s][_rank(members)]
-        return (order_of([members[i] for i in picks[:, j]])
-                + order_of([members[i] for i in rest[:, j]]))
 
-    return tuple(order_of(list(range(n))))
+def _ordering(members, layers, plan):
+    """Optimal order of a subset given by its ascending members, from the
+    layers' winning candidates: a search subset concatenates its split's
+    two orders, a table subset peels its last vertices. Module level, so no
+    closure cycle keeps the layers alive after a solve."""
+    s = len(members)
+    if s not in plan:
+        return _peel({size: layer.choice for size, layer in layers.items()},
+                     members)
+    picks, rest = _splits(s, plan[s])
+    j = layers[s].choice[_rank(members)]
+    return (_ordering([members[i] for i in picks[:, j]], layers, plan)
+            + _ordering([members[i] for i in rest[:, j]], layers, plan))
 
 
 def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
@@ -384,7 +431,7 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
             f"(limit {limit})"
         )
     ledger = CostLedger(algo="qdp", meta={"alpha": cfg.alpha, "n_v": n,
-                                          "qram_entries": 0})
+                                          "qram_entries": 0, "plan_bytes": 0})
     if n == 0:
         return Solution((), 0), ledger
     c = build_crossing_matrix(inst)
@@ -398,7 +445,8 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
 
     if fallback:
         ledger.table_reads += 1
-        return Solution(_ordering(n, layers, {}), int(layers[n].opt[0])), ledger
+        order = _ordering(list(range(n)), layers, {})
+        return Solution(tuple(order), int(layers[n].opt[0])), ledger
 
     # Phase 2: the nested searches, one layer per search size, smallest
     # first so that both sides of every split are already evaluated.
@@ -418,4 +466,6 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
         charge[s] = (cost_model_calls(comb(s, k), cfg.call_constant)
                      * (1 + charge.get(k, 0)))
     ledger.oracle_calls = charge[n]
-    return Solution(_ordering(n, layers, plan), int(layers[n].opt[0])), ledger
+    ledger.meta["plan_bytes"] = _cached_bytes(n, plan)
+    order = _ordering(list(range(n)), layers, plan)
+    return Solution(tuple(order), int(layers[n].opt[0])), ledger

@@ -12,6 +12,7 @@ from oscmlab import (BipartiteInstance, QdpConfig, SizeLimitError,
                      build_crossing_matrix, count_crossings, qdp_cost_model,
                      solve_dp, solve_qdp, table_threshold)
 from oscmlab import dp, qdp
+from oscmlab.matrix import exact_floats
 
 from instances import random_instance
 
@@ -273,101 +274,74 @@ def reference_layers(c, n, t, plan):
     return layers
 
 
-def search_layers(c, n, t, plan, kernel=None):
+def search_arrays(c, n, t, plan):
     """The layers and Sym arrays solve_qdp evaluates for the crossing
-    matrix c, as {s: [(opt, sym, choice)]}; sym is None where qdp computes
-    none. kernel="reference" runs the kernel the current one replaced."""
+    matrix c, as {s: (opt, sym, choice)}; sym is None where qdp computes
+    none."""
     layers = dict(enumerate(dp.subset_layers(c, n, t)))
     values = layers[0].opt.dtype
-    if kernel == "reference":
-        flat = c.astype(values).ravel()
-        sym = {k: reference_sym(flat, n, k) for k in set(plan.values()) if k <= t}
-        search = lambda s, k, *sides: reference_search_layer(flat, n, s, k, *sides)
-    else:
-        floats = c.astype(np.float32 if c.sum() < 2 ** 24 else np.float64)
-        sym = {k: qdp._sym(floats, k, values) for k in set(plan.values()) if k <= t}
-        search = lambda s, k, *sides: qdp._search_layer(floats, s, k, *sides)
+    floats = exact_floats(c)
+    sym = {k: qdp._sym(floats, k, values) for k in set(plan.values()) if k <= t}
     for s in sorted(plan):
         k = plan[s]
-        layers[s], sym[s] = search(s, k, layers[k].opt - sym[k], layers[s - k].opt)
-    return {s: list(zip(layer.opt.tolist(),
-                        sym[s].tolist() if s in sym else [None] * len(layer.opt),
-                        layer.choice.tolist()))
-            for s, layer in layers.items()}
+        layers[s], sym[s] = qdp._search_layer(floats, s, k, layers[k].opt - sym[k],
+                                              layers[s - k].opt)
+    return {s: (layer.opt, sym.get(s), layer.choice) for s, layer in layers.items()}
 
 
-# The search kernel that the one-product kernel replaced, kept verbatim as
-# the reference: rho from one row take per member, ranks and keys in int32
-# or int64, and chunks of whole subsets only.
-_CHUNK = 1 << 14
+def search_layers(c, n, t, plan):
+    """search_arrays as {s: [(opt, sym, choice)]}, sym None where qdp
+    computes none."""
+    return {s: list(zip(opt.tolist(),
+                        [None] * len(opt) if sym is None else sym.tolist(),
+                        choice.tolist()))
+            for s, (opt, sym, choice) in search_arrays(c, n, t, plan).items()}
 
 
-def _sum_rows(tables, positions):
-    """sum_i tables[i][positions[i]]: one row per split, one column per
-    subset."""
-    total = tables[0].take(positions[0], axis=0)
-    for table, at in zip(tables[1:], positions[1:]):
-        total += table.take(at, axis=0)
-    return total
-
-
-def _rho(c, n, block):
-    """rho_S(v) = sum_{u in S} c[v][u] for each member v of each subset of
-    an (s, m) member block, as an (s, m) array: s row takes of the
-    flattened crossing matrix c."""
-    base = block * np.intp(n)
-    rho = c.take(base + block[0])
-    for row in block[1:]:
-        rho += c.take(base + row)
-    return rho
-
-
-def reference_sym(c, n, s):
-    """Sym(S) = sum_{v in S} rho_S(v) of every s-subset, by rank, from
-    chunks of at most _CHUNK rho values."""
-    members = qdp._layer(n, s)
-    sym = np.empty(members.shape[1], c.dtype)
-    step = max(1, _CHUNK // s)
-    for lo in range(0, len(sym), step):
-        at = slice(lo, lo + step)
-        _rho(c, n, members[:, at]).sum(axis=0, dtype=c.dtype, out=sym[at])
-    return sym
-
-
-def reference_search_layer(c, n, s, k, w_value, rest_opt):
-    """Best split of every s-subset into a k-subset W and the rest, and
-    the Sym of every s-subset; ties keep the first split. c is the
-    flattened crossing matrix in the tables' value dtype, which holds
-    every value of a split; w_value is OPT - Sym of the k-subsets and
-    rest_opt OPT of the (s - k)-subsets. Chunks of subsets are (s, m)
-    member blocks, and a subset's choice is its least packed key value *
-    C(s, k) + j (module docstring, Space)."""
-    picks, rest = qdp._splits(s, k)
-    splits = picks.shape[1]
-    # C(x, i) for x < n and i up to either side's size is at most the
-    # larger side layer's length, so the int32 cast is exact
-    binom = dp._binomials(n)[1:max(k, s - k) + 1].astype(np.int32)
-    keys = dp._key_dtype(int(c.sum(dtype=np.int64)), splits)
-    index = np.arange(splits, dtype=keys)[:, None]
-
-    members = qdp._layer(n, s)
-    count = members.shape[1]
-    layer = dp._Layer(np.empty(count, c.dtype), np.empty(count, np.int32))
-    sym = np.empty(count, c.dtype)
-    step = max(1, _CHUNK // splits)
-    for lo in range(0, count, step):
-        at = slice(lo, lo + step)
-        block = members[:, at]
-        rho = _rho(c, n, block)
-        terms = [column.take(block) for column in binom]  # C(member, i + 1)
-        key = _sum_rows([rho.astype(keys)] * k, picks)
-        key += w_value.take(_sum_rows(terms, picks))
-        key += rest_opt.take(_sum_rows(terms, rest))
-        key *= splits
-        key += index
-        layer.opt[at], layer.choice[at] = np.divmod(key.min(axis=0), splits)
-        rho.sum(axis=0, dtype=c.dtype, out=sym[at])
-    return layer, sym
+def enumerated_layers(c, n, t, plan):
+    """{s: [(opt, sym, choice)] in colex order}, as reference_layers gives
+    them, from arrays over the 2^n bitmasks of range(n), whose ascending
+    order is colex order. A table subset takes each member in turn as its
+    last vertex; a search subset walks its k-splits in lexicographic order
+    of member positions, each worth OPT(W) + OPT(rest) + gamma(W, rest)
+    with gamma(W, R) = sum_{v in W, u in R} c[v][u]. Each keeps its first
+    least candidate."""
+    c = np.asarray(c, np.int64)
+    masks = np.arange(1 << n)
+    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    size = bits.sum(axis=1)
+    # out_of[v, M] = sum_{u in M} c[v][u] and into[v, M] = sum_{u in M} c[u][v]
+    out_of, into = np.zeros((2, n, 1 << n), np.int64)
+    for b in range(n):
+        out_of[:, 1 << b:2 << b] = out_of[:, :1 << b] + c[:, b:b + 1]
+        into[:, 1 << b:2 << b] = into[:, :1 << b] + c[b:b + 1].T
+    opt = np.zeros(1 << n, np.int64)
+    layers = {}
+    for s in [*range(t + 1), *sorted(plan)]:
+        at = masks[size == s]
+        members = np.nonzero(bits[at])[1].reshape(len(at), s)
+        sym = out_of[members, at[:, None]].sum(axis=1)
+        if s in plan:
+            picks = np.array(list(combinations(range(s), plan[s])))
+            best = []
+            cut = max(1, (1 << 16) // len(picks))
+            for lo in range(0, len(at), cut):
+                w_members = members[lo:lo + cut, picks]
+                w = (1 << w_members).sum(axis=2)
+                rest = at[lo:lo + cut, None] - w
+                best.append(opt[w] + opt[rest]
+                            + out_of[w_members, rest[..., None]].sum(axis=2))
+            values = np.concatenate(best)
+        elif s:
+            values = opt[at[:, None] - (1 << members)] + into[members, at[:, None]]
+        else:
+            values = np.zeros((1, 1), np.int64)
+        opt[at] = values.min(axis=1)
+        read = s in plan or s in plan.values()
+        layers[s] = list(zip(opt[at].tolist(),
+                             sym.tolist() if read else [None] * len(at),
+                             values.argmin(axis=1).tolist()))
+    return layers
 
 
 def complete(n_u, n_v):
@@ -415,19 +389,23 @@ def plan_for(n, alpha):
     return t, qdp._search_plan(n, t, ceil(alpha * n / 4.0))
 
 
+def layer_plan(n, s, k):
+    """The row plan the search layer of s-subsets split at k reads."""
+    return qdp._plan(n, s, k, qdp._CHUNK // comb(s, k))
+
+
 @pytest.mark.parametrize("kind", ["random", "edgeless", "complete"])
 @pytest.mark.parametrize("alpha", [0.055362, 0.4])
 @pytest.mark.parametrize("n", range(8, 18))
 def test_search_layers_match_the_reference_kernel(n, alpha, kind):
     """Every layer's optima, choices and Sym, bit for bit, against the
-    kernel the one-product kernel replaced."""
+    enumeration of every subset's splits over bitmasks."""
     inst = {"random": lambda: random_instance(random.Random(n), 8, n, 0.5),
             "edgeless": lambda: BipartiteInstance(3, n),
             "complete": lambda: complete(3, n)}[kind]()
     c = build_crossing_matrix(inst)
     t, plan = plan_for(n, alpha)
-    assert (search_layers(c, n, t, plan)
-            == search_layers(c, n, t, plan, kernel="reference"))
+    assert search_layers(c, n, t, plan) == enumerated_layers(c, n, t, plan)
 
 
 def test_float64_products_past_two_to_the_24():
@@ -440,7 +418,7 @@ def test_float64_products_past_two_to_the_24():
         t, plan = plan_for(8, alpha)
         got = search_layers(c, 8, t, plan)
         assert got == reference_layers(c.tolist(), 8, t, plan)
-        assert got == search_layers(c, 8, t, plan, kernel="reference")
+        assert got == enumerated_layers(c, 8, t, plan)
     sol, _ = solve_qdp(inst)
     assert sol.crossings == solve_dp(inst)[0].crossings
 
@@ -449,7 +427,8 @@ def test_both_rank_dtypes_run(monkeypatch):
     """Ranks are summed in int16 while every rank of a side fits it: at
     n_v = 18 the levels below the root do, the root's 9-subsets (C(18, 9)
     = 48620 ranks) take int32, and the solve still matches dp and the
-    reference kernel."""
+    enumeration over bitmasks. Plans are cleared first, so every layer's
+    rows are built under the recording rank dtype."""
     seen = set()
     rank_dtype = qdp._rank_dtype
 
@@ -458,6 +437,7 @@ def test_both_rank_dtypes_run(monkeypatch):
         return rank_dtype(n, side)
 
     monkeypatch.setattr(qdp, "_rank_dtype", recorded)
+    qdp._plan.cache_clear()
     inst = random_instance(random.Random(182), 8, 18, 0.5)
     sol, _ = solve_qdp(inst)
     assert (18, 9, np.int32) in seen
@@ -466,22 +446,21 @@ def test_both_rank_dtypes_run(monkeypatch):
     assert count_crossings(inst, sol.ordering) == sol.crossings
     c = build_crossing_matrix(inst)
     t, plan = plan_for(18, 0.055362)
-    assert (search_layers(c, 18, t, plan)
-            == search_layers(c, 18, t, plan, kernel="reference"))
+    assert search_layers(c, 18, t, plan) == enumerated_layers(c, 18, t, plan)
 
 
 @pytest.mark.parametrize("chunk", [1 << 10, 1 << 12])
 def test_root_in_split_runs(monkeypatch, chunk):
     """With a chunk smaller than C(15, 8) = 6435, the n_v = 15 root runs
     in runs of splits whose keys carry the global split index, so its first
-    best split, and every other layer, match the reference kernel and dp."""
+    best split, and every other layer, match the enumeration over bitmasks
+    and dp."""
     monkeypatch.setattr(qdp, "_CHUNK", chunk)
     inst = random_instance(random.Random(150), 8, 15, 0.5)
     c = build_crossing_matrix(inst)
     t, plan = plan_for(15, 0.055362)
     assert comb(15, plan[15]) > chunk
-    assert (search_layers(c, 15, t, plan)
-            == search_layers(c, 15, t, plan, kernel="reference"))
+    assert search_layers(c, 15, t, plan) == enumerated_layers(c, 15, t, plan)
     sol, _ = solve_qdp(inst)
     assert sol.crossings == solve_dp(inst)[0].crossings
     assert count_crossings(inst, sol.ordering) == sol.crossings
@@ -514,6 +493,89 @@ def test_warm_peak_stays_within_460_kb(n):
     finally:
         tracemalloc.stop()
     assert peak <= 460_000
+
+
+@pytest.fixture
+def fresh_plans():
+    """Clear the row plans before and after a test that patches what they
+    are built from."""
+    qdp._plan.cache_clear()
+    yield
+    qdp._plan.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["random", "edgeless", "complete"])
+@pytest.mark.parametrize("alpha", [0.055362, 0.4])
+@pytest.mark.parametrize("n,chunk", [(n, None) for n in range(8, 19)]
+                         + [(9, 1), (9, 7), (15, 1 << 10), (15, 1 << 12)])
+def test_both_routes_to_the_rank_rows(monkeypatch, fresh_plans, n, chunk,
+                                      alpha, kind):
+    """A layer reads its index rows from its plan or, past _PLAN_BYTES,
+    builds them per chunk; with the budget at 0 every layer builds them,
+    and every layer's optima, choices and Sym match the planned run's, in
+    value and dtype."""
+    if chunk is not None:
+        monkeypatch.setattr(qdp, "_CHUNK", chunk)
+    inst = {"random": lambda: random_instance(random.Random(n), 8, n, 0.5),
+            "edgeless": lambda: BipartiteInstance(3, n),
+            "complete": lambda: complete(3, n)}[kind]()
+    c = build_crossing_matrix(inst)
+    t, plan = plan_for(n, alpha)
+    planned = search_arrays(c, n, t, plan)
+    monkeypatch.setattr(qdp, "_PLAN_BYTES", 0)
+    qdp._plan.cache_clear()
+    built = search_arrays(c, n, t, plan)
+    assert all(layer_plan(n, s, k) is None for s, k in plan.items())
+    assert planned.keys() == built.keys()
+    for s, arrays in planned.items():
+        for want, got in zip(arrays, built[s]):
+            assert (want is None) == (got is None)
+            if want is not None:
+                assert want.dtype == got.dtype
+                assert np.array_equal(want, got)
+
+
+def cleared_solve(inst, cfg=None):
+    """A solve after clearing qdp's caches: (ledger, bytes it leaves
+    allocated)."""
+    for cache in (qdp._layer, qdp._splits, qdp._pick_map, qdp._plan):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        _, ledger = solve_qdp(inst, cfg)
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return ledger, left
+
+
+@pytest.mark.parametrize("n", [12, 15, 16])
+def test_plan_bytes_are_what_a_cold_solve_leaves(n):
+    """plan_bytes counts qdp's caches after a solve: member layers, split
+    rows, pick maps and the row plans, which hold every layer at these
+    sizes. A solve after clearing them leaves that much allocated, within
+    10%; dp's caches are warm from a first solve."""
+    inst = random_instance(random.Random(n), 8, n, 0.5)
+    solve_qdp(inst)
+    ledger, left = cleared_solve(inst)
+    t, plan = plan_for(n, 0.055362)
+    assert all(layer_plan(n, s, k) is not None for s, k in plan.items())
+    assert abs(left - ledger.meta["plan_bytes"]) <= 0.1 * ledger.meta["plan_bytes"]
+    assert "plan_bytes" not in ledger.json_dict()
+
+
+def test_layers_past_the_budget_keep_no_rows():
+    """At n_v = 20 the size-10 layer's rows would take far more than
+    _PLAN_BYTES and the root runs its splits in runs, so neither keeps a
+    plan, and plan_bytes, still what the solve leaves allocated, is the
+    member, split and pick tables alone."""
+    inst = random_instance(random.Random(20), 8, 20, 0.5)
+    solve_qdp(inst)
+    ledger, left = cleared_solve(inst)
+    t, plan = plan_for(20, 0.055362)
+    assert plan == {20: 10, 10: 5}
+    assert all(layer_plan(20, s, k) is None for s, k in plan.items())
+    assert abs(left - ledger.meta["plan_bytes"]) <= 0.1 * ledger.meta["plan_bytes"]
 
 
 @pytest.mark.parametrize("n,alpha", [(8, 0.055362), (12, 0.055362), (16, 0.055362),
