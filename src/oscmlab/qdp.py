@@ -387,14 +387,23 @@ def _search_plan(n, t, k3):
 def _cached_bytes(n, plan):
     """Bytes of the cached tables a search solve of range(n) along plan
     reads: member layers (one caches every smaller one of its n), split
-    rows, pick maps and row plans."""
+    rows, pick maps and row plans. The figure depends on n, the plan and
+    the module constants alone, so it is summed once per those."""
+    return _table_bytes(n, tuple(sorted(plan.items())), _CHUNK, _PLAN_BYTES,
+                        _PICKED)
+
+
+@lru_cache(maxsize=64)
+def _table_bytes(n, plan, chunk, budget, picked):
+    """_cached_bytes of a plan given as sorted (s, k) pairs. budget, the
+    _PLAN_BYTES that _plan reads, is only part of the key."""
     arrays = [_layer(size, i) for size, i in {(n, n)} | {
-        (s, i) for s, k in plan.items() for i in range(max(k, s - k) + 1)}]
-    for s, k in plan.items():
+        (s, i) for s, k in plan for i in range(max(k, s - k) + 1)}]
+    for s, k in plan:
         arrays += _splits(s, k)
-        if comb(s, k) <= _PICKED:
+        if comb(s, k) <= picked:
             arrays.append(_pick_map(s, k))
-        arrays += [row for rows in _plan(n, s, k, _CHUNK // comb(s, k)) or ()
+        arrays += [row for rows in _plan(n, s, k, chunk // comb(s, k)) or ()
                    for row in rows if row is not None]
     return sum(array.nbytes for array in arrays)
 

@@ -5,7 +5,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,10 +13,10 @@ from oscmlab import (BipartiteInstance, SizeLimitError, count_crossings,
                      dp_peak_state_bytes, dp_recurrence_count,
                      dp_table_entries, solve_bruteforce, solve_dp)
 from oscmlab import dp, qdp
-from oscmlab.dp import _Layer, _columns, _key_dtype, _positions
 from oscmlab.matrix import build_crossing_matrix
 
 from instances import random_instance
+from layer_references import enumerated_layers, reference_layers, rows
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 CROSS_PAIR = BipartiteInstance(2, 2, ((0, 1), (1, 0)))
@@ -207,22 +206,43 @@ def test_space_model_bounds_the_traced_peak(n):
     assert model / 1.5 < peak < model * 1.5, (peak, model)
 
 
-def reference_layers(c, n):
-    """(opt, choice) per size by the plain recurrence over Python ints,
-    subsets in colex order (lexicographic in their reversed members)."""
-    opt, layers = {(): 0}, []
-    for s in range(n + 1):
-        subsets = sorted(combinations(range(n), s), key=lambda m: m[::-1])
-        layer = ([], [])
-        for members in subsets:
-            vals = [opt[members[:j] + members[j + 1:]]
-                    + sum(c[v][w] for v in members) for j, w in enumerate(members)]
-            best = min(vals) if vals else 0
-            opt[members] = best
-            layer[0].append(best)
-            layer[1].append(vals.index(best) if vals else 0)
-        layers.append(layer)
-    return layers
+def matrix_summing_to(n, total, seed):
+    """A random n x n matrix with a zero diagonal that sums to total (to 0
+    when n < 2, which has no off-diagonal entry)."""
+    c = np.random.default_rng(seed).integers(0, 1000, size=(n, n))
+    np.fill_diagonal(c, 0)
+    if n < 2:
+        return c
+    c = c * (total // c.sum())
+    c[0, 1] += total - c.sum()
+    return c
+
+
+def value_dtype(total):
+    """The narrowest value dtype that holds a matrix total."""
+    return "int16" if total < 2 ** 15 else "int32" if total < 2 ** 31 else "int64"
+
+
+def assert_layers_match_the_enumeration(c, n, tops, dtype):
+    """Every layer's optima and choices at each top equal the bitmask
+    enumeration's, computed once for the largest top; optima take dtype
+    and choices int8, and on the all-zero matrix every choice is 0."""
+    want = enumerated_layers(c, n, max(tops))
+    for top in tops:
+        got = list(dp.subset_layers(c, n, top))
+        assert len(got) == top + 1
+        for s, layer in enumerate(got):
+            opt, _, choice = want[s]
+            assert layer.opt.dtype.name == dtype, (top, s)
+            assert layer.choice.dtype == np.int8, (top, s)
+            assert np.array_equal(layer.opt, opt), (top, s)
+            assert np.array_equal(layer.choice, choice), (top, s)
+            assert not (c.sum() == 0 and layer.choice.any()), (top, s)
+
+
+def reference_tops(n):
+    """Tops n, n // 2 and qdp's table threshold."""
+    return {n, n // 2, qdp.table_threshold(n, qdp.QdpConfig().alpha)}
 
 
 # The first c.sum() at which the keys of a 5-subset's candidates, value * 5
@@ -264,22 +284,19 @@ def test_layers_at_the_value_dtype_bounds(monkeypatch, n, pieces, total, dtype):
         c[:4, n - 1] = total // 4
         c[0, n - 1] += total % 4
     else:
-        c = np.random.default_rng(n + total).integers(0, 1000, size=(n, n))
-        np.fill_diagonal(c, 0)
-        c = c * (total // c.sum())
-        c[0, 1] += total - c.sum()
+        c = matrix_summing_to(n, total, n + total)
     assert c.sum() == total
     if n == 13 and not pieces:
         assert [step.first for step in dp._plan(n)[4:6]] == [12, 12]
-    want = reference_layers(c.tolist(), n)
-    for top in {n, n // 2, qdp.table_threshold(n, qdp.QdpConfig().alpha)}:
+    want = reference_layers(c.tolist(), n, n)
+    for top in reference_tops(n):
         got = list(dp.subset_layers(c, n, top))
         assert {(layer.opt.dtype.name, layer.choice.dtype.name)
                 for layer in got} == {(dtype, "int8")}
-        for layer, (opt, choice) in zip(got, want[:top + 1], strict=True):
-            assert layer.opt.tolist() == opt
-            assert layer.choice.tolist() == choice
-            assert not (total == 0 and layer.choice.any())
+        assert rows({s: (layer.opt, None, layer.choice)
+                     for s, layer in enumerate(got)}) \
+            == {s: want[s] for s in range(top + 1)}
+        assert not (total == 0 and any(layer.choice.any() for layer in got))
 
 
 def plan_bytes(n):
@@ -308,43 +325,23 @@ def test_a_solve_keeps_no_memory():
         assert plan_bytes(n) < current < bound, (n, current)
 
 
-def matrix_summing_to(n, total, seed):
-    """A random n x n matrix with a zero diagonal that sums to total (to 0
-    when n < 2, which has no off-diagonal entry)."""
-    c = np.random.default_rng(seed).integers(0, 1000, size=(n, n))
-    np.fill_diagonal(c, 0)
-    if n < 2:
-        return c
-    c = c * (total // c.sum())
-    c[0, 1] += total - c.sum()
-    return c
-
-
 @pytest.mark.parametrize("total,dtype", [
     (0, "int16"), (2 ** 15 - 1, "int16"), (10 ** 6, "int32"),
     (2 ** 31 - 1, "int32"), (2 ** 31 + 7, "int64")])
 @pytest.mark.parametrize("n", range(13))
 def test_planned_layers_match_the_kernel(n, total, dtype):
     """Up to n = 12 every column of every layer comes from the plan (no
-    top has _SLICED rests); the layers equal the reference kernel's in
-    optima, choices and dtypes at tops 0, n // 2, qdp's table threshold
-    and n, with keys of both widths (2^31 - 1 makes them int64 from s =
-    2), and on the all-zero matrix every choice is position 0."""
+    top has _SLICED rests); the layers equal the bitmask enumeration's in
+    optima and choices at tops 0, n // 2, qdp's table threshold and n,
+    with keys of both widths (2^31 - 1 makes them int64 from s = 2), take
+    the narrowest value dtype that holds c.sum() and int8 choices, and on
+    the all-zero matrix every choice is position 0."""
     assert all(dp._first(n, s) == n for s in range(2, n + 1))
     c = matrix_summing_to(n, total, n + total)
     if n >= 2:
         assert c.sum() == total
-    for top in {0, n // 2, qdp.table_threshold(n, qdp.QdpConfig().alpha), n}:
-        planned = list(dp.subset_layers(c, n, top))
-        kernel = list(reference_layers_by_kernel(c, n, top))
-        assert len(planned) == top + 1
-        for got, want in zip(planned, kernel, strict=True):
-            assert got.opt.dtype == want.opt.dtype
-            assert got.opt.dtype.name == (dtype if n >= 2 else "int16")
-            assert got.choice.dtype == want.choice.dtype == np.int8
-            assert got.opt.tolist() == want.opt.tolist()
-            assert got.choice.tolist() == want.choice.tolist()
-            assert not (c.sum() == 0 and got.choice.any())
+    assert_layers_match_the_enumeration(c, n, reference_tops(n) | {0},
+                                        dtype if n >= 2 else "int16")
 
 
 @pytest.mark.parametrize("n", [10, 12])
@@ -423,153 +420,6 @@ def test_half_tables_sum_every_column(n):
     assert np.array_equal(got, want)
 
 
-# The layer kernel that the half-mask kernel replaced, kept verbatim as the
-# reference with its own piece sizes: a structured (row, col) pair array,
-# s stored rank rows and one piece per top and slice of its rests.
-_PIECE = 1 << 16
-_SLICED = 1 << 9
-_WIDE = 1 << 8
-
-
-class _Rows(NamedTuple):
-    """A table layer's (s, ·) arrays over its first columns, column =
-    rank: members[j] is the j-th smallest member, ranks[j] the rank of the
-    subset without it and sums[j] its column sum sum_{v in S} c[v][x_j]."""
-
-    members: np.ndarray
-    ranks: np.ndarray
-    sums: np.ndarray
-
-
-
-@lru_cache(maxsize=64)
-def _gathered(n, s):
-    """Index arrays for the columns _grow gathers at once: the s-subsets
-    of range(n) whose top member x has fewer than _SLICED rests (C(x, s - 1)
-    subsets one size down), which come first in rank order. Returns
-    (first, top, rest, C(top, s - 1), top * n): the first top past them,
-    then per column its top, its rest's rank and the top's terms. For n up
-    to 23 that is at most 1820 columns for one size and 11210 for all.
-    """
-    first = next((x for x in range(s - 1, n) if comb(x, s - 1) >= _SLICED), n)
-    top, rest, offset = _columns(n, s, first)
-    arrays = (top.astype(np.int8), rest, offset, top * n)
-    for array in arrays:
-        array.setflags(write=False)
-    return (first, *arrays)
-
-
-
-def _grow(pair, n, s, below, rows, keep, positions):
-    """Layer s from layer s - 1 and its rows, and the rows of layer s that
-    layer s + 1 reads (None unless keep). positions is the key term j in
-    the key dtype (module docstring).
-
-    The s-subsets with top member x take ranks C(x, s) on, in the order of
-    their rests, the first C(x, s - 1) subsets of the layer below. Adding x
-    adds C(x, s - 1) to the rank of the subset without each earlier member
-    x_j and c[x][x_j] to x_j's column sum; x's own row is the rest's rank
-    and sum_j c[x_j][x]. pair[x, v] holds (c[x][v], c[v][x]).
-
-    Each piece of columns is reduced as soon as it is built, by its packed
-    keys when it is at least _WIDE columns wide. Layer s + 1 reads only the
-    first C(n - 1, s) columns (top below n - 1), so only those rows are
-    stored, and none when not keep; later pieces are built in one scratch
-    piece. A layer built as one gathered piece is stored whole.
-    """
-    count = comb(n, s)
-    dtype = below.opt.dtype
-    layer = _Layer(np.empty(count, dtype), np.empty(count, np.int8))
-    first, *gathered = _gathered(n, s)
-    stored = count if first == n else comb(n - 1, s) if keep else 0
-    grown = _Rows(*(np.empty((s, stored), a.dtype) for a in rows))
-    step = max(1, _PIECE // s)
-    scratch = None
-
-    def pieces():
-        """(columns, top, rest ranks, rank offsets, rests, pair terms): the
-        gathered tops at once, then each later top, whose rests are a
-        prefix of the layer below, as slices."""
-        top, rest, offset, base = gathered
-        rests = _Rows(*(a.take(rest, axis=1) for a in rows))
-        yield (slice(0, len(rest)), top, rest, offset, rests,
-               pair.take(base + rests.members))
-        for x in range(first, n):
-            lo, size = comb(x, s), comb(x, s - 1)
-            for start in range(0, size, step):
-                stop = min(start + step, size)
-                rests = _Rows(*(a[:, start:stop] for a in rows))
-                yield (slice(lo + start, lo + stop), x, np.arange(start, stop),
-                       size, rests, pair[x].take(rests.members))
-
-    for at, top, rest, offset, rests, terms in pieces():
-        if at.stop > stored:  # top n - 1, or a layer that is not kept
-            if scratch is None:  # the gathered piece may be the widest
-                width = max(step, at.stop - at.start)
-                scratch = _Rows(*(np.empty((s, width), a.dtype) for a in rows))
-            piece = _Rows(*(a[:, :at.stop - at.start] for a in scratch))
-        elif at == slice(0, stored):  # one gathered piece: no views
-            piece = grown
-        else:
-            piece = _Rows(*(a[:, at] for a in grown))
-        piece.members[:-1] = rests.members
-        piece.members[-1] = top
-        np.add(rests.ranks, offset, out=piece.ranks[:-1])
-        piece.ranks[-1] = rest
-        np.add(rests.sums, terms["row"], out=piece.sums[:-1])
-        terms["col"].sum(axis=0, out=piece.sums[-1])
-        vals = below.opt.take(piece.ranks)
-        if at.stop - at.start < _WIDE:
-            vals += piece.sums
-            layer.choice[at] = vals.argmin(axis=0)
-            layer.opt[at] = vals.min(axis=0)
-        else:
-            key = np.add(vals, piece.sums, dtype=positions.dtype)
-            key *= s
-            key += positions
-            np.divmod(key.min(axis=0), s, out=(layer.opt[at], layer.choice[at]))
-    return layer, grown if keep else None
-
-
-
-def reference_layers_by_kernel(c, n, top):
-    """subset_layers' kernel branch as the reference kernel ran it: the
-    layers of sizes 0..top past the planned sizes."""
-    total = int(c.sum())
-    dtype = (np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31
-             else np.int64)
-    yield _Layer(np.zeros(1, dtype), np.zeros(1, np.int8))
-    # a singleton costs 0; to the kernel its rest is the empty set, rank 0
-    layer = _Layer(np.zeros(n, dtype), np.zeros(n, np.int8))
-    if top:
-        yield layer
-    if top < 2:
-        return
-    pair = np.empty((n, n), [("row", dtype), ("col", dtype)])
-    pair["row"], pair["col"] = c, c.T
-    ranks = np.int32 if comb(n, n // 2) < 2 ** 31 else np.int64
-    rows = _Rows(np.arange(n, dtype=np.int8)[None], np.zeros((1, n), ranks),
-                 np.zeros((1, n), dtype))
-    for s in range(2, top + 1):
-        layer, rows = _grow(pair, n, s, layer, rows, s < top,
-                            _positions(s, _key_dtype(total, s)))
-        yield layer
-
-
-def assert_layers_match_the_reference_kernel(c, n):
-    """Every layer's optima, choices and dtypes, at tops n, n // 2 and
-    qdp's table threshold."""
-    for top in {n, n // 2, qdp.table_threshold(n, qdp.QdpConfig().alpha)}:
-        got = list(dp.subset_layers(c, n, top))
-        want = list(reference_layers_by_kernel(c, n, top))
-        assert len(got) == len(want) == top + 1
-        for s, (layer, ref) in enumerate(zip(got, want)):
-            assert layer.opt.dtype == ref.opt.dtype, (top, s)
-            assert layer.choice.dtype == ref.choice.dtype == np.int8, (top, s)
-            assert np.array_equal(layer.opt, ref.opt), (top, s)
-            assert np.array_equal(layer.choice, ref.choice), (top, s)
-
-
 def kind_matrix(kind, n):
     """A random matrix, the edgeless one (every candidate ties) or a
     complete bipartite graph's (every pair crosses alike)."""
@@ -581,16 +431,28 @@ def kind_matrix(kind, n):
     return c
 
 
+@pytest.mark.parametrize("kind", ["random", "edgeless", "complete"])
+@pytest.mark.parametrize("n", range(11))
+def test_the_shared_references_agree(n, kind):
+    """The plain loop and the bitmask enumeration that dp's and qdp's layer
+    tests compare against agree on every table layer, so that a fault in
+    either shows up by itself."""
+    c = kind_matrix(kind, n)
+    assert rows(enumerated_layers(c, n, n)) == reference_layers(c.tolist(), n, n)
+
+
 @pytest.mark.parametrize("n,kind", [
     *((n, "random") for n in range(13, 22)),
     *((n, kind) for n in range(13, 20) for kind in ("edgeless", "complete"))])
 def test_layers_match_the_reference_kernel(n, kind):
-    """Past the planned sizes the kernel's layers equal, bit for bit and
-    in dtype, those of the kernel it replaced, at odd and even n (whose
-    two mask halves differ in width); every candidate of an edgeless or
-    complete matrix ties, so each keeps the first."""
+    """Past the planned sizes the kernel's layers equal the bitmask
+    enumeration's at tops n, n // 2 and qdp's table threshold, at odd and
+    even n (whose two mask halves differ in width), in the narrowest value
+    dtype; every candidate of an edgeless or complete matrix ties, so
+    each keeps the first."""
     c = kind_matrix(kind, n)
-    assert_layers_match_the_reference_kernel(c, n)
+    assert_layers_match_the_enumeration(c, n, reference_tops(n),
+                                        value_dtype(int(c.sum())))
     if kind != "random":
         layers = dp.subset_layers(c, n, n)
         assert not any(layer.choice.any() for layer in layers)
@@ -606,7 +468,9 @@ def test_layers_match_the_reference_kernel(n, kind):
 def test_reference_kernel_at_the_value_dtype_bounds(monkeypatch, n, pieces,
                                                     total):
     """At the int16/int32/int64 value-total bounds, and with int32 or
-    int64 keys, the layers equal the reference kernel's; with small pieces
+    int64 keys, the layers equal the bitmask enumeration's at tops n,
+    n // 2 and qdp's table threshold, in the value dtype of the total;
+    with small pieces
     the sliced tops start at s = 3, chunks are narrower than most tops'
     prefixes and pieces on both sides of _WIDE take both reductions.
     The kernel reads the piece sizes when it runs."""
@@ -617,7 +481,8 @@ def test_reference_kernel_at_the_value_dtype_bounds(monkeypatch, n, pieces,
         assert dp._plan(n)[1].first < n
     c = matrix_summing_to(n, total, n + total)
     assert c.sum() == total
-    assert_layers_match_the_reference_kernel(c, n)
+    assert_layers_match_the_enumeration(c, n, reference_tops(n),
+                                        value_dtype(total))
 
 
 def test_masks_fit_int32_at_every_accepted_n(monkeypatch):

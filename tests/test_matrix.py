@@ -6,6 +6,7 @@ import pytest
 from oscmlab import (BipartiteInstance, build_crossing_matrix, count_crossings,
                      count_restricted_crossings, count_same_color_crossings,
                      gamma, ordering_cost)
+from oscmlab import bigraph, oracle
 
 from instances import random_instance
 
@@ -106,31 +107,11 @@ def test_gamma_equals_restricted_crossing_difference(seed):
         assert both - first - second == gamma(c, v1, v2)
 
 
-def loop_matrix(inst):
-    """The crossing matrix built by a Python loop over the edges, one
-    incidence matrix per color class: the reference the scatter replaced."""
-    n_v, n_u = inst.n_v, inst.n_u
-    c = np.zeros((n_v, n_v), dtype=np.int64)
-    for color in range(inst.n_colors):
-        a = np.zeros((n_v, n_u), dtype=np.int64)
-        touched = False
-        for (u, v), col in zip(inst.edges, inst.colors):
-            if col == color:
-                a[v, u] = 1
-                touched = True
-        if not touched:
-            continue
-        left = np.zeros_like(a)
-        left[:, 1:] = np.cumsum(a, axis=1)[:, :-1]
-        c += a @ left.T
-    np.fill_diagonal(c, 0)
-    return c
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matrix_equals_the_per_edge_loop(seed):
     """Colored and plain instances, empty layers and classes included:
-    same entries, read-only int64."""
+    the entries equal the oracle's per-pair weights over same-color edge
+    pairs, read-only int64."""
     rng = random.Random(seed)
     for _ in range(40):
         inst = random_instance(rng, rng.randint(0, 7), rng.randint(0, 9),
@@ -139,4 +120,6 @@ def test_matrix_equals_the_per_edge_loop(seed):
         c = build_crossing_matrix(inst)
         assert c.dtype == np.int64 and not c.flags.writeable
         assert c.shape == (inst.n_v, inst.n_v)
-        assert np.array_equal(c, loop_matrix(inst))
+        pairs = bigraph._edge_pairs(inst, same_color=True)
+        want = oracle._pair_weights(inst.n_v, pairs, range(inst.n_u))
+        assert c.tolist() == want

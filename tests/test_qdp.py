@@ -15,6 +15,7 @@ from oscmlab import dp, qdp
 from oscmlab.matrix import exact_floats
 
 from instances import random_instance
+from layer_references import enumerated_layers, reference_layers, rows
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 
@@ -242,38 +243,6 @@ def test_outputs_at_wide_values(spec, ordering, crossings, counts):
             ledger.oracle_calls) == counts
 
 
-def reference_layers(c, n, t, plan):
-    """{s: [(opt, sym, choice)] in colex order} for every table size s <= t
-    and every search size of plan, by plain Python over
-    itertools.combinations. A table subset's choice is the position of its
-    best last vertex, a search subset's the index of its best split among
-    the lexicographic k-combinations of member positions; ties keep the
-    first. sym is None for a table size that no search reads as its W
-    side."""
-    opt, sym, layers = {}, {}, {}
-    for s in [*range(t + 1), *sorted(plan)]:
-        layer = []
-        for members in sorted(combinations(range(n), s), key=lambda m: m[::-1]):
-            rho = [sum(c[v][u] for u in members) for v in members]
-            if s in plan:
-                vals = []
-                for picks in combinations(range(s), plan[s]):
-                    w = tuple(members[i] for i in picks)
-                    rest = tuple(v for v in members if v not in w)
-                    vals.append(opt[w] + opt[rest] - sym[w]
-                                + sum(rho[i] for i in picks))
-            else:
-                vals = [opt[members[:j] + members[j + 1:]]
-                        + sum(c[v][w] for v in members)
-                        for j, w in enumerate(members)] or [0]
-            opt[members], sym[members] = min(vals), sum(rho)
-            read = s in plan or s in plan.values()
-            layer.append((min(vals), sum(rho) if read else None,
-                          vals.index(min(vals))))
-        layers[s] = layer
-    return layers
-
-
 def search_arrays(c, n, t, plan):
     """The layers and Sym arrays solve_qdp evaluates for the crossing
     matrix c, as {s: (opt, sym, choice)}; sym is None where qdp computes
@@ -292,56 +261,7 @@ def search_arrays(c, n, t, plan):
 def search_layers(c, n, t, plan):
     """search_arrays as {s: [(opt, sym, choice)]}, sym None where qdp
     computes none."""
-    return {s: list(zip(opt.tolist(),
-                        [None] * len(opt) if sym is None else sym.tolist(),
-                        choice.tolist()))
-            for s, (opt, sym, choice) in search_arrays(c, n, t, plan).items()}
-
-
-def enumerated_layers(c, n, t, plan):
-    """{s: [(opt, sym, choice)] in colex order}, as reference_layers gives
-    them, from arrays over the 2^n bitmasks of range(n), whose ascending
-    order is colex order. A table subset takes each member in turn as its
-    last vertex; a search subset walks its k-splits in lexicographic order
-    of member positions, each worth OPT(W) + OPT(rest) + gamma(W, rest)
-    with gamma(W, R) = sum_{v in W, u in R} c[v][u]. Each keeps its first
-    least candidate."""
-    c = np.asarray(c, np.int64)
-    masks = np.arange(1 << n)
-    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    size = bits.sum(axis=1)
-    # out_of[v, M] = sum_{u in M} c[v][u] and into[v, M] = sum_{u in M} c[u][v]
-    out_of, into = np.zeros((2, n, 1 << n), np.int64)
-    for b in range(n):
-        out_of[:, 1 << b:2 << b] = out_of[:, :1 << b] + c[:, b:b + 1]
-        into[:, 1 << b:2 << b] = into[:, :1 << b] + c[b:b + 1].T
-    opt = np.zeros(1 << n, np.int64)
-    layers = {}
-    for s in [*range(t + 1), *sorted(plan)]:
-        at = masks[size == s]
-        members = np.nonzero(bits[at])[1].reshape(len(at), s)
-        sym = out_of[members, at[:, None]].sum(axis=1)
-        if s in plan:
-            picks = np.array(list(combinations(range(s), plan[s])))
-            best = []
-            cut = max(1, (1 << 16) // len(picks))
-            for lo in range(0, len(at), cut):
-                w_members = members[lo:lo + cut, picks]
-                w = (1 << w_members).sum(axis=2)
-                rest = at[lo:lo + cut, None] - w
-                best.append(opt[w] + opt[rest]
-                            + out_of[w_members, rest[..., None]].sum(axis=2))
-            values = np.concatenate(best)
-        elif s:
-            values = opt[at[:, None] - (1 << members)] + into[members, at[:, None]]
-        else:
-            values = np.zeros((1, 1), np.int64)
-        opt[at] = values.min(axis=1)
-        read = s in plan or s in plan.values()
-        layers[s] = list(zip(opt[at].tolist(),
-                             sym.tolist() if read else [None] * len(at),
-                             values.argmin(axis=1).tolist()))
-    return layers
+    return rows(search_arrays(c, n, t, plan))
 
 
 def complete(n_u, n_v):
@@ -355,7 +275,8 @@ def complete(n_u, n_v):
 def test_search_layers_match_a_plain_loop(n, alpha, kind):
     """Every table and search layer, subset by subset: optimum and first
     best split, and Sym for every search size and every table size a
-    search reads as its W side. Edgeless and complete bipartite instances
+    search reads as its W side, against the plain loop, which the bitmask
+    enumeration matches first. Edgeless and complete bipartite instances
     tie every split of a subset, so each keeps split 0."""
     inst = {"random": lambda: random_instance(random.Random(n), 5, n, 0.5),
             "edgeless": lambda: BipartiteInstance(3, n),
@@ -364,8 +285,10 @@ def test_search_layers_match_a_plain_loop(n, alpha, kind):
     t = table_threshold(n, alpha)
     plan = qdp._search_plan(n, t, ceil(alpha * n / 4.0))
     assert (ceil(n / 4) > t) == (alpha == 0.4 and n > 8)  # level 3 live
+    want = reference_layers(c.tolist(), n, t, plan)
+    assert rows(enumerated_layers(c, n, t, plan)) == want
     got = search_layers(c, n, t, plan)
-    assert got == reference_layers(c.tolist(), n, t, plan)
+    assert got == want
     if kind != "random":
         assert all(choice == 0 for s in plan for _, _, choice in got[s])
 
@@ -405,7 +328,7 @@ def test_search_layers_match_the_reference_kernel(n, alpha, kind):
             "complete": lambda: complete(3, n)}[kind]()
     c = build_crossing_matrix(inst)
     t, plan = plan_for(n, alpha)
-    assert search_layers(c, n, t, plan) == enumerated_layers(c, n, t, plan)
+    assert search_layers(c, n, t, plan) == rows(enumerated_layers(c, n, t, plan))
 
 
 def test_float64_products_past_two_to_the_24():
@@ -418,7 +341,7 @@ def test_float64_products_past_two_to_the_24():
         t, plan = plan_for(8, alpha)
         got = search_layers(c, 8, t, plan)
         assert got == reference_layers(c.tolist(), 8, t, plan)
-        assert got == enumerated_layers(c, 8, t, plan)
+        assert got == rows(enumerated_layers(c, 8, t, plan))
     sol, _ = solve_qdp(inst)
     assert sol.crossings == solve_dp(inst)[0].crossings
 
@@ -446,7 +369,7 @@ def test_both_rank_dtypes_run(monkeypatch):
     assert count_crossings(inst, sol.ordering) == sol.crossings
     c = build_crossing_matrix(inst)
     t, plan = plan_for(18, 0.055362)
-    assert search_layers(c, 18, t, plan) == enumerated_layers(c, 18, t, plan)
+    assert search_layers(c, 18, t, plan) == rows(enumerated_layers(c, 18, t, plan))
 
 
 @pytest.mark.parametrize("chunk", [1 << 10, 1 << 12])
@@ -460,7 +383,7 @@ def test_root_in_split_runs(monkeypatch, chunk):
     c = build_crossing_matrix(inst)
     t, plan = plan_for(15, 0.055362)
     assert comb(15, plan[15]) > chunk
-    assert search_layers(c, 15, t, plan) == enumerated_layers(c, 15, t, plan)
+    assert search_layers(c, 15, t, plan) == rows(enumerated_layers(c, 15, t, plan))
     sol, _ = solve_qdp(inst)
     assert sol.crossings == solve_dp(inst)[0].crossings
     assert count_crossings(inst, sol.ordering) == sol.crossings
