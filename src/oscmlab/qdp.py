@@ -60,7 +60,7 @@ complements of the lexicographic W sides run in reverse order, so an even
 split's rest ranks are its W ranks reversed. A layer in one run keeps its
 rows as intp in a _plan per (n, s, k, chunk step), built on its first
 solve, while they fit _PLAN_BYTES; any other layer builds each chunk's
-ranks as it runs, in int16 while C(n, side) <= 2^15 and in int32 beyond.
+ranks as it runs, in dp's _index_dtype of C(n, side).
 
 - rho of every member is one product of c with the block's (n, m) 0/1
   member map, read back at the members. c is in the floats of
@@ -104,8 +104,8 @@ from math import ceil, comb
 import numpy as np
 
 from .bigraph import BipartiteInstance, Solution
-from .dp import (_Layer, _binomials, _columns, _key_dtype, _peel, _rank,
-                 subset_layers)
+from .dp import (_Layer, _binomials, _columns, _index_dtype, _key_dtype,
+                 _peel, _rank, subset_layers)
 from .dp import _PRACTICAL_MAX_NV as _DP_MAX_NV
 from .errors import SizeLimitError
 from .ledger import CostLedger
@@ -227,12 +227,6 @@ def _pick_map(s, k):
     return pick_map
 
 
-def _rank_dtype(n, side):
-    """int16 while every colex rank of a side-subset of range(n) fits it,
-    int32 beyond."""
-    return np.int16 if comb(n, side) <= 2 ** 15 else np.int32
-
-
 def _sum_rows(tables, positions):
     """sum_i tables[i][positions[i]]: one row per split, one column per
     subset."""
@@ -276,16 +270,17 @@ def _sym(c, s, dtype):
 def _ranks(n, k, block, run, mirrored):
     """Colex ranks of the W sides of the splits in run for every subset of
     an (s, m) member block, and of their rests (None where mirrored), as
-    (splits in run, m) rows in each side's rank dtype: sums of the terms
-    C(member, i + 1), one per member position of _splits' rows."""
+    (splits in run, m) rows in the _index_dtype of each side's rank count:
+    sums of the terms C(member, i + 1), one per member position of _splits'
+    rows."""
     picks, rest = _splits(len(block), k)
     # C(x, i) for x < n and i up to a side's size, which is at most
-    # ceil(n/2), is at most C(n, side), which the side's rank dtype holds
+    # ceil(n/2), is at most C(n, side), whose index dtype holds every rank
     binom = _binomials(n)[1:]
 
     def side(positions):
         width = len(positions)
-        terms = binom[:width].astype(_rank_dtype(n, width))
+        terms = binom[:width].astype(_index_dtype(comb(n, width)))
         return _sum_rows([row.take(block) for row in terms], positions[:, run])
 
     return side(picks), None if mirrored else side(rest)
@@ -384,19 +379,14 @@ def _search_plan(n, t, k3):
     return plan
 
 
-def _cached_bytes(n, plan):
-    """Bytes of the cached tables a search solve of range(n) along plan
-    reads: member layers (one caches every smaller one of its n), split
-    rows, pick maps and row plans. The figure depends on n, the plan and
-    the module constants alone, so it is summed once per those."""
-    return _table_bytes(n, tuple(sorted(plan.items())), _CHUNK, _PLAN_BYTES,
-                        _PICKED)
-
-
 @lru_cache(maxsize=64)
 def _table_bytes(n, plan, chunk, budget, picked):
-    """_cached_bytes of a plan given as sorted (s, k) pairs. budget, the
-    _PLAN_BYTES that _plan reads, is only part of the key."""
+    """Bytes of the cached tables a search solve of range(n) along plan,
+    given as sorted (s, k) pairs, reads: member layers (one caches every
+    smaller one of its n), split rows, pick maps and row plans. The figure
+    depends on n, the plan and the module constants chunk (_CHUNK), budget
+    (_PLAN_BYTES, which _plan reads, so only part of the key) and picked
+    (_PICKED) alone, so it is summed once per those."""
     arrays = [_layer(size, i) for size, i in {(n, n)} | {
         (s, i) for s, k in plan for i in range(max(k, s - k) + 1)}]
     for s, k in plan:
@@ -475,6 +465,7 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
         charge[s] = (cost_model_calls(comb(s, k), cfg.call_constant)
                      * (1 + charge.get(k, 0)))
     ledger.oracle_calls = charge[n]
-    ledger.meta["plan_bytes"] = _cached_bytes(n, plan)
+    ledger.meta["plan_bytes"] = _table_bytes(
+        n, tuple(sorted(plan.items())), _CHUNK, _PLAN_BYTES, _PICKED)
     order = _ordering(list(range(n)), layers, plan)
     return Solution(tuple(order), int(layers[n].opt[0])), ledger

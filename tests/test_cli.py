@@ -9,6 +9,8 @@ from oscmlab import (BipartiteInstance, CostLedger, QmfResult, Solution,
                      format_instance, qdc_cost_model, qdp_cost_model)
 from oscmlab.cli import main
 
+from readme import fenced, section
+
 K22_TEXT = "2 2 4 1\n0 0\n0 1\n1 0\n1 1\n"
 CROSS_TEXT = "2 2 2 1\n0 1\n1 0\n"
 
@@ -41,33 +43,37 @@ def test_solve_prints_ledger_json(tmp_path, capsys):
                        "gamma_evals": 2}
 
 
-README_LEDGERS = [
-    (["--algo", "dp"],
-     '{"algo": "dp", "n_v": 6, "recurrence_evals": 186, "gamma_evals": 186}'),
-    (["--algo", "dc"], '{"algo": "dc", "nodes": 281, "gamma_evals": 140}'),
-    (["--algo", "qdp"],
-     '{"algo": "qdp", "alpha": 0.055362, "classical_evals": 192, '
-     '"oracle_calls": 0, "table_reads": 1}'),
-    (["--algo", "qdc"], '{"algo": "qdc", "oracle_calls": 25, "nodes": 281}'),
-    (["--objective", "tlcm", "--algo", "dp"],
-     '{"algo": "tlcm", "enumerated_side": 3, "inner": "dp", '
-     '"classical_evals": 1116, "oracle_calls": 558}'),
-    (["--objective", "osscm", "--algo", "bruteforce"],
-     '{"algo": "bruteforce", "orderings_scanned": 720, "objective": "osscm"}'),
-]
+# The arguments of each schema's solve, and the instance the README's
+# "Ledger JSON schemas" block shows them on.
+LEDGER_ARGS = {
+    "dp": ["--algo", "dp"],
+    "dc": ["--algo", "dc"],
+    "qdp": ["--algo", "qdp"],
+    "qdc": ["--algo", "qdc"],
+    "tlcm": ["--objective", "tlcm", "--algo", "dp"],
+    "bruteforce": ["--objective", "osscm", "--algo", "bruteforce"],
+}
+LEDGER_GEN = ["gen", "--n-u", "3", "--n-v", "6", "--edge-prob", "0.5",
+              "--seed", "7"]
 
 
-@pytest.mark.parametrize("args,ledger", README_LEDGERS,
-                         ids=["dp", "dc", "qdp", "qdc", "tlcm", "bruteforce"])
-def test_solve_prints_readme_ledger_text(tmp_path, capsys, args, ledger):
+@pytest.mark.parametrize("algo", LEDGER_ARGS)
+def test_solve_prints_readme_ledger_text(tmp_path, capsys, algo):
     """The ledger line is exactly the README's schema text, key order
-    included; a 3 x 6 instance (p=0.5, seed 7) gives the README's counts."""
+    included: the line of its "Ledger JSON schemas" block for the algo,
+    which holds one line per schema, on the 3 x 6 instance (p=0.5, seed 7)
+    whose gen command the section names."""
+    text = section("Ledger JSON schemas")
+    assert f"`oscmlab {' '.join(LEDGER_GEN)}`" in " ".join(text.split())
+    (block,) = fenced(text, "json")
+    ledgers = {json.loads(line)["algo"]: line for line in block}
+    assert len(ledgers) == len(block)
+    assert sorted(ledgers) == sorted(LEDGER_ARGS)
     path = str(tmp_path / "demo.oscm")
-    assert main(["gen", "--n-u", "3", "--n-v", "6", "--edge-prob", "0.5",
-                 "--seed", "7", "--out", path]) == 0
+    assert main(LEDGER_GEN + ["--out", path]) == 0
     capsys.readouterr()
-    assert main(["solve", "--input", path] + args) == 0
-    assert f"ledger: {ledger}" in lines_of(capsys)
+    assert main(["solve", "--input", path] + LEDGER_ARGS[algo]) == 0
+    assert f"ledger: {ledgers[algo]}" in lines_of(capsys)
 
 
 def test_solve_qdp_verify_small(tmp_path, capsys):

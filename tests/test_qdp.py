@@ -347,24 +347,24 @@ def test_float64_products_past_two_to_the_24():
 
 
 def test_both_rank_dtypes_run(monkeypatch):
-    """Ranks are summed in int16 while every rank of a side fits it: at
-    n_v = 18 the levels below the root do, the root's 9-subsets (C(18, 9)
-    = 48620 ranks) take int32, and the solve still matches dp and the
-    enumeration over bitmasks. Plans are cleared first, so every layer's
-    rows are built under the recording rank dtype."""
+    """Ranks are summed in dp's index dtype, int16 while every rank of a
+    side fits it: at n_v = 18 the levels below the root do, the root's
+    9-subsets (C(18, 9) = 48620 ranks) take int32, and the solve still
+    matches dp and the enumeration over bitmasks. Plans are cleared first,
+    so every layer's rows are built under the recording index dtype."""
     seen = set()
-    rank_dtype = qdp._rank_dtype
+    index_dtype = qdp._index_dtype
 
-    def recorded(n, side):
-        seen.add((n, side, rank_dtype(n, side)))
-        return rank_dtype(n, side)
+    def recorded(size):
+        seen.add((size, index_dtype(size)))
+        return index_dtype(size)
 
-    monkeypatch.setattr(qdp, "_rank_dtype", recorded)
+    monkeypatch.setattr(qdp, "_index_dtype", recorded)
     qdp._plan.cache_clear()
     inst = random_instance(random.Random(182), 8, 18, 0.5)
     sol, _ = solve_qdp(inst)
-    assert (18, 9, np.int32) in seen
-    assert (18, 5, np.int16) in seen
+    assert (comb(18, 9), np.int32) in seen
+    assert (comb(18, 5), np.int16) in seen
     assert sol.crossings == solve_dp(inst)[0].crossings
     assert count_crossings(inst, sol.ordering) == sol.crossings
     c = build_crossing_matrix(inst)

@@ -136,8 +136,10 @@ def test_state_vector_values_must_be_integers():
         qmf(4, values_fn([3, 1.5, 2, 0]), QmfConfig(mode="state_vector"))
 
 
-# The state-vector search as it stood before the BBHT schedule was cached:
-# the reference every sampled search must match field for field.
+# The draw protocol of a state-vector search, stated plainly per attempt:
+# each attempt computes its round cap ceil(m) itself, where qmf reads it
+# from the schedule it caches per register size. Every sampled search must
+# match it field for field.
 
 @lru_cache(maxsize=None)
 def _register(n_values):
