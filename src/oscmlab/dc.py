@@ -67,6 +67,7 @@ from math import comb, ceil, factorial
 
 import numpy as np
 
+from . import colex
 from .bigraph import BipartiteInstance, Solution
 from .errors import SizeLimitError, NodeBudgetExceeded
 from .ledger import CostLedger
@@ -339,13 +340,14 @@ class _Halves:
     of candidates.
 
     ``pos`` holds each candidate's W positions, then its rest's, in the
-    frame's sorted members, candidates in lexicographic order of W; each
-    batch derives its gathers from these rows. A batch stacks its
-    candidates' W and rest local matrices and fills their value rows
-    (_TailPlan.fill), both sides through one product when they are of one
-    size, and sums each candidate's gamma as the W rows' totals less W's
-    local matrix. A batch holds at most BATCH_BYTES of float32 value rows,
-    or one candidate's.
+    frame's sorted members, one column per candidate in lexicographic
+    order of W: the split rows that qdp's searches read too
+    (colex.split_rows). Each batch derives its gathers from these rows. A
+    batch stacks its candidates' W and rest local matrices and fills their
+    value rows (_TailPlan.fill), both sides through one product when they
+    are of one size, and sums each candidate's gamma as the W rows' totals
+    less W's local matrix. A batch holds at most BATCH_BYTES of float32
+    value rows, or one candidate's.
     """
 
     def __init__(self, s, base_size):
@@ -354,13 +356,7 @@ class _Halves:
         self.r = _tail_plan(s - self.h, base_size)
         self.n_nodes = dc_node_count(s, base_size)
         self.n_gammas = dc_gamma_count(s, base_size)
-        # The rests of the Ws in lexicographic order are the (s - h)-sets
-        # in reverse lexicographic order.
-        n, h = comb(s, self.h), self.h
-        self.pos = np.concatenate(
-            [np.fromiter(chain.from_iterable(combinations(range(s), k)),
-                         np.int8, n * k).reshape(n, k)[::step]
-             for k, step in ((h, 1), (s - h, -1))], 1)
+        self.pos = colex.split_rows(s, self.h)
         self.rows = max(1, BATCH_BYTES // (_F32.itemsize
                                            * (self.w.size + self.r.size)))
 
@@ -369,7 +365,7 @@ class _Halves:
         candidates from lo, over the frame's local matrix ``sub`` and its
         row totals."""
         h, w, r = self.h, self.w, self.r
-        pos = self.pos[lo:lo + self.rows].astype(np.intp)
+        pos = self.pos[:, lo:lo + self.rows].T.astype(np.intp, order="C")
         if w is r:                      # rows W, rest, W, rest, ...
             both = pos.reshape(-1, h)
             x = sub[both[:, :, None], both[:, None]].reshape(len(both), -1)
@@ -545,7 +541,7 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
             return v_w, v_r, gammas
 
         if search is None:
-            for lo in range(0, len(pair.pos), per_batch):
+            for lo in range(0, pair.pos.shape[1], per_batch):
                 batch(lo)
         else:
             held = None                     # the batch being searched
@@ -566,8 +562,8 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
                 child_charge += r_charge
                 return w_searched + r_searched + gammas[k]
 
-            searched, calls = search(len(pair.pos), value_fn)
-        pos, ordering = pair.pos[at].tolist(), ()
+            searched, calls = search(pair.pos.shape[1], value_fn)
+        pos, ordering = pair.pos[:, at].tolist(), ()
         for plan, part in ((w, pos[:pair.h]), (r, pos[pair.h:])):
             part = [members[p] for p in part]
             ordering += plan.solve(local_matrix(floats, part), part)[2]

@@ -9,17 +9,15 @@ vertex gives
 with OPT of singletons 0: exactly n_v * 2^(n_v - 1) - n_v recurrence
 evaluations (every (S, w) pair with |S| >= 2).
 
-The table is kept one subset-size layer at a time. A layer holds every
-subset of one size by its rank in the combinatorial number system (colex
-order): the subset x_0 < x_1 < ... has rank sum_i C(x_i, i + 1), so reading
-a smaller subset's optimum is an array gather. The subsets whose top
-member is x are x added to each subset R of range(x) one size down, a
-prefix of the layer below in order. A candidate's column sum sum_{v in S}
-c[v][x_j], over the mask m of S \\ x_j, is low[m & (2^h - 1), x_j] +
-high[m >> h, x_j], from two (2^h, n_v) and (2^(n_v - h), n_v) tables that
-each solve builds by doublings in the value dtype (_half_sums): h = n_v,
-with no high table, while no top is sliced (n_v <= 12), else ceil(n_v /
-2), 180 KB at n_v = 22 with int16 values.
+The table is kept one subset-size layer at a time, in the colex format
+of oscmlab.colex: reading a smaller subset's optimum is an array gather,
+and the subsets whose top member is x are x added to a prefix of the
+layer below. A candidate's column sum sum_{v in S} c[v][x_j], over the
+mask m of S \\ x_j, is low[m & (2^h - 1), x_j] + high[m >> h, x_j], from
+two (2^h, n_v) and (2^(n_v - h), n_v) tables that each solve builds by
+doublings in the value dtype (_half_sums): h = n_v, with no high table,
+while no top is sliced (n_v <= 12), else ceil(n_v / 2), 180 KB at n_v =
+22 with int16 values.
 
 Every layer is built by one loop (_grow). The columns whose top member
 has fewer than _SLICED rests, the s-subsets of range(first) and every
@@ -74,6 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import colex
 from .bigraph import BipartiteInstance, Solution
 from .errors import SizeLimitError
 from .ledger import CostLedger
@@ -91,39 +90,12 @@ _SLICED = 1 << 9  # rests from which a top's columns are copied as slices
 _WIDE = 1 << 8  # columns from which packed keys beat argmin + min (measured)
 
 
-@lru_cache(maxsize=16)
-def _binomials(n):
-    """C(x, i) at [i, x] for 0 <= i <= n + 1 and 0 <= x < n."""
-    return np.array([[comb(x, i) for x in range(n)] for i in range(n + 2)],
-                    dtype=np.int64)
-
-
-def _rank(members) -> int:
-    """Colex rank of a subset given by its ascending members."""
-    return sum(comb(x, i + 1) for i, x in enumerate(members))
-
-
-def _key_dtype(bound, width):
-    """Dtype of the keys value * width + j for values in 0..bound and j in
-    0..width - 1: int32 while (bound + 1) * width < 2^31, int64 beyond."""
-    return np.int32 if (bound + 1) * width < 2 ** 31 else np.int64
-
-
 @lru_cache(maxsize=128)
 def _positions(s, keys):
     """The key term j of a layer's candidate positions: an (s, 1) column."""
     column = np.arange(s, dtype=keys)[:, None]
     column.setflags(write=False)
     return column
-
-
-class _Layer(NamedTuple):
-    """Optimum and winning candidate of every subset of one size, by rank.
-    The candidate is the position of the last vertex in a table layer and
-    the index of the split in one of qdp's search layers."""
-
-    opt: np.ndarray
-    choice: np.ndarray
 
 
 class _Rows(NamedTuple):
@@ -155,17 +127,6 @@ class _Gathered(NamedTuple):
     masks: np.ndarray | None
 
 
-def _columns(n, s, first):
-    """Per column of the s-subsets of range(n) whose top member x is below
-    first, a prefix of the layer in rank order: x, the rank of the subset
-    without x in the layer below, and C(x, s - 1), which adding x adds to
-    the rank of the subset without each earlier member."""
-    binom = _binomials(n)
-    top = np.repeat(np.arange(first), binom[s - 1, :first])
-    rest = np.arange(len(top)) - binom[s].take(top)
-    return top, rest, binom[s - 1].take(top)
-
-
 def _first(n, s):
     """The first top member of layer s of range(n) with at least _SLICED
     rests (C(x, s - 1) subsets one size down), n where there is none."""
@@ -179,17 +140,13 @@ def _half_bits(n):
     return n if comb(n - 1, (n - 1) // 2) < _SLICED else (n + 1) // 2
 
 
-def _index_dtype(size):
-    """The dtype of index rows into size entries: int16 where all fit."""
-    return np.int16 if size <= 2 ** 15 else np.int32
-
-
 @lru_cache(maxsize=_PRACTICAL_MAX_NV + 1)
 def _plan(n):
     """A _Gathered per layer s = 2..n of range(n). A layer's gathered
     columns take their rests from the gathered columns of the layer below
     (first grows by at most one a layer), so each layer's arrays grow
-    from the last one's along _columns, with subset masks beside them."""
+    from the last one's along colex.columns, with subset masks beside
+    them."""
     h = _half_bits(n)
     members = np.arange(n, dtype=np.int8)[None]
     ranks = np.zeros((1, n), np.int64)
@@ -197,7 +154,7 @@ def _plan(n):
     plan = []
     for s in range(2, n + 1):
         first = _first(n, s)
-        top, rest, offset = _columns(n, s, first)
+        top, rest, offset = colex.columns(n, s, first)
         members = np.vstack((members.take(rest, axis=1), top.astype(np.int8)))
         ranks = np.vstack((ranks.take(rest, axis=1) + offset, rest))
         masks = masks.take(rest) + np.left_shift(1, top, dtype=np.int32)
@@ -206,9 +163,10 @@ def _plan(n):
         high = (without >> h) * n + members if h < n else None
         read = min(len(top), comb(n - 1, s)) if _first(n, s + 1) < n else 0
         arrays = _Gathered(
-            first, ranks.astype(_index_dtype(comb(n, s - 1))),
-            low.astype(_index_dtype(n << h)),
-            None if high is None else high.astype(_index_dtype(n << n - h)),
+            first, ranks.astype(colex.index_dtype(comb(n, s - 1))),
+            low.astype(colex.index_dtype(n << h)),
+            None if high is None
+            else high.astype(colex.index_dtype(n << n - h)),
             members[:, :read].astype(np.int8) if read else None,
             masks[:read].astype(np.int32) if read else None)
         for array in arrays[1:]:
@@ -235,20 +193,21 @@ def _half_sums(c, n, h):
 
 def _reduce(vals, sums, total, out=None):
     """Each column's least candidate value vals + sums and its first
-    position among the least, as a _Layer (into out's arrays if given): by
-    packed keys (module docstring) from _WIDE columns on, else by argmin
-    and min. vals is overwritten."""
+    position among the least, as a colex.Layer (into out's arrays if
+    given): by packed keys (module docstring) from _WIDE columns on, else
+    by argmin and min. vals is overwritten."""
     s, width = vals.shape
     vals += sums
     if width < _WIDE:
         if out is None:
-            return _Layer(vals.min(axis=0), vals.argmin(axis=0).astype(np.int8))
+            return colex.Layer(vals.min(axis=0),
+                               vals.argmin(axis=0).astype(np.int8))
         vals.min(axis=0, out=out.opt)
         out.choice[:] = vals.argmin(axis=0)
         return out
     if out is None:
-        out = _Layer(np.empty(width, vals.dtype), np.empty(width, np.int8))
-    positions = _positions(s, _key_dtype(total, s))
+        out = colex.Layer(np.empty(width, vals.dtype), np.empty(width, np.int8))
+    positions = _positions(s, colex.key_dtype(total, s))
     key = vals.astype(positions.dtype)  # a casting add is ~2.5x slower
     key *= s
     key += positions
@@ -300,11 +259,12 @@ def _grow(c, halves, gathered, n, s, below, rows, keep, total):
     if gathered.first == n:
         return _reduce(vals, sums, total), grown
     dtype, count = below.opt.dtype, comb(n, s)
-    layer = _Layer(np.empty(count, dtype), np.empty(count, np.int8))
-    _reduce(vals, sums, total, _Layer(layer.opt[:width], layer.choice[:width]))
+    layer = colex.Layer(np.empty(count, dtype), np.empty(count, np.int8))
+    _reduce(vals, sums, total,
+            colex.Layer(layer.opt[:width], layer.choice[:width]))
 
     h = _half_bits(n)
-    binom = _binomials(n)
+    binom = colex.binomials(n)
     sizes, starts = binom[s - 1].tolist(), binom[s].tolist()
     step = max(1, _PIECE // s)
     for a in range(0, sizes[n - 1], step):
@@ -343,7 +303,8 @@ def _grow(c, halves, gathered, n, s, below, rows, keep, total):
                    out=sums[:-1])
             low[x:].take(lows[:width], out=sums[-1], mode="clip")
             sums[-1] += high[x:].take(highs[:width])  # x's column sum
-            _reduce(vals, sums, total, _Layer(layer.opt[at], layer.choice[at]))
+            _reduce(vals, sums, total,
+                    colex.Layer(layer.opt[at], layer.choice[at]))
     return layer, grown
 
 
@@ -356,9 +317,9 @@ def subset_layers(c, n, top):
     total = int(c.sum())
     dtype = (np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31
              else np.int64)
-    yield _Layer(np.zeros(1, dtype), np.zeros(1, np.int8))
+    yield colex.Layer(np.zeros(1, dtype), np.zeros(1, np.int8))
     # a singleton costs 0; to the kernel its rest is the empty set, rank 0
-    layer = _Layer(np.zeros(n, dtype), np.zeros(n, np.int8))
+    layer = colex.Layer(np.zeros(n, dtype), np.zeros(n, np.int8))
     if top:
         yield layer
     if top < 2:
@@ -372,16 +333,6 @@ def subset_layers(c, n, top):
         layer, rows = _grow(c, halves, gathered, n, s, layer, rows, keep,
                             total)
         yield layer
-
-
-def _peel(choice, members):
-    """Optimal order of a table subset, popped from the list of its
-    ascending members; choice[s][rank] is the position of an s-subset's
-    last vertex."""
-    out = []
-    while members:
-        out.append(members.pop(choice[len(members)][_rank(members)]))
-    return out[::-1]
 
 
 @dataclass
@@ -407,11 +358,11 @@ class DpTable:
 
     def opt_of(self, members) -> int:
         members = self._members(members)
-        return int(self.opt[len(members)][_rank(members)])
+        return int(self.opt[len(members)][colex.rank(members)])
 
     def order_of(self, members) -> tuple:
         """Optimal ordering of the subset, rebuilt from last-vertex choices."""
-        return tuple(_peel(self.choice, self._members(members)))
+        return tuple(colex.peel(self.choice, self._members(members)))
 
 
 def dp_recurrence_count(n_v: int) -> int:
@@ -480,7 +431,7 @@ def solve_dp(inst: BipartiteInstance, keep_table: bool = False):
             ledger.recurrence_evals += len(layer.opt) * s
             ledger.gamma_evals += len(layer.opt) * s
 
-    solution = Solution(tuple(_peel(table.choice, list(range(n)))),
+    solution = Solution(tuple(colex.peel(table.choice, list(range(n)))),
                         int(layer.opt[0]))
     ledger.meta["peak_state_bytes"] = dp_peak_state_bytes(n,
                                                           layer.opt.itemsize)

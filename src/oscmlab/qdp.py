@@ -22,12 +22,11 @@ Below min_quantum_n, or when t >= n, the solver silently degenerates to the
 plain DP (full table, zero oracle calls).
 
 The simulation evaluates both phases one subset-size layer at a time in
-NumPy, on dp's table format: a layer holds every subset of one size by its
-combinatorial-number-system (colex) rank, so reading a smaller subset's
-optimum is an array gather. Phase 1 is dp's table layers
-(dp.subset_layers, which builds every layer along its cached plan) run
-up to size t, keeping for each subset its optimum and its chosen last
-vertex (ties keep the smallest vertex). Phase 2 rests on the searches
+NumPy, in the colex format of oscmlab.colex that dp's table layers use, so
+reading a smaller subset's optimum is an array gather. Phase 1 is dp's
+table layers (dp.subset_layers, which builds every layer along its cached
+plan) run up to size t, keeping for each subset its optimum and its chosen
+last vertex (ties keep the smallest vertex). Phase 2 rests on the searches
 reaching every subset of each search size: level 1 enumerates all
 ceil(n/2)-subsets and their complements, and so on down. So each search
 size is one layer too, evaluated bottom-up after the sizes it splits into.
@@ -48,19 +47,19 @@ layers that ran. The ordering is rebuilt at the end by concatenating the
 winning splits' orders down to table leaves.
 
 Chunks. A search layer is laid out position-major, as dp's kernel is: the
-members of every s-subset are one cached (s, C(n, s)) int8 array, one
-column per subset in rank order. A chunk is an (s, m) block of it against
-a run of its splits, at most _CHUNK split values in all: m = _CHUNK //
-C(s, k) subsets against every split, or one subset against runs of
-_CHUNK splits where there are more (the root from n = 18 on). A chunk's
-index rows depend on n alone: its members' flat offsets member * m +
-column in its member map, and the colex ranks of each split's W side and
-rest, sums of the terms C(x, i + 1) over _splits' position rows. The
-complements of the lexicographic W sides run in reverse order, so an even
-split's rest ranks are its W ranks reversed. A layer in one run keeps its
-rows as intp in a _plan per (n, s, k, chunk step), built on its first
-solve, while they fit _PLAN_BYTES; any other layer builds each chunk's
-ranks as it runs, in dp's _index_dtype of C(n, side).
+members of every s-subset are one cached (s, C(n, s)) int8 array
+(colex.members), one column per subset in rank order. A chunk is an (s, m)
+block of it against a run of its splits, at most _CHUNK split values in
+all: m = _CHUNK // C(s, k) subsets against every split, or one subset
+against runs of _CHUNK splits where there are more (the root from n = 18
+on). A chunk's index rows depend on n alone: its members' flat offsets
+member * m + column in its member map, and the colex ranks of each split's
+W side and rest over colex.split_rows' position rows; by colex's reverse
+order of the rests, an even split's rest ranks are its W ranks reversed. A
+layer in one run keeps its rows as intp in a _plan per (n, s, k, chunk
+step), built on its first solve, while they fit _PLAN_BYTES; any other
+layer builds each chunk's ranks as it runs, in colex.index_dtype of C(n,
+side).
 
 - rho of every member is one product of c with the block's (n, m) 0/1
   member map, read back at the members. c is in the floats of
@@ -103,10 +102,9 @@ from math import ceil, comb
 
 import numpy as np
 
+from . import colex
 from .bigraph import BipartiteInstance, Solution
-from .dp import (_Layer, _binomials, _columns, _index_dtype, _key_dtype,
-                 _peel, _rank, subset_layers)
-from .dp import _PRACTICAL_MAX_NV as _DP_MAX_NV
+from .dp import _PRACTICAL_MAX_NV as _DP_MAX_NV, subset_layers
 from .errors import SizeLimitError
 from .ledger import CostLedger
 from .matrix import build_crossing_matrix, exact_floats
@@ -180,47 +178,10 @@ def qdp_cost_model(n_v: int, cfg: QdpConfig = None):
 
 
 @lru_cache(maxsize=64)
-def _layer(n, s):
-    """Every s-subset of range(n) as a column of ascending members, column =
-    rank: an (s, C(n, s)) int8 array.
-
-    The subsets with top member x take columns C(x, s) on; the rest of each
-    is one of the first C(x, s - 1) columns of the layer below, in order.
-    Sizes 0 and n have one subset each, so the top search of range(n)
-    builds no layer above ceil(n/2).
-    """
-    if s in (0, n):
-        members = np.arange(s, dtype=np.int8)[:, None]
-        members.setflags(write=False)
-        return members
-    top, rest = _columns(n, s, n)[:2]  # the rank offsets go at once
-    top = top.astype(np.int8)
-    members = np.vstack((_layer(n, s - 1).take(rest, axis=1), top))
-    members.setflags(write=False)
-    return members
-
-
-@lru_cache(maxsize=64)
-def _splits(s, k):
-    """Member positions of W and of the rest for every split of an s-subset,
-    W running over the k-combinations of range(s) in lexicographic order
-    (their complements then run in reverse lexicographic order): a (k,
-    C(s, k)) and an (s - k, C(s, k)) int8 array whose row i holds the
-    position of the i-th member of that side, one column per split.
-    Mapping x to s - 1 - x turns colex order with ascending members into
-    reverse lexicographic order with descending members."""
-    picks = np.ascontiguousarray((s - 1 - _layer(s, k))[::-1, ::-1])
-    rest = np.ascontiguousarray((s - 1 - _layer(s, s - k))[::-1])
-    picks.setflags(write=False)
-    rest.setflags(write=False)
-    return picks, rest
-
-
-@lru_cache(maxsize=64)
 def _pick_map(s, k):
-    """_splits' W positions as a (C(s, k), s) float32 0/1 map, one row per
-    split."""
-    picks = _splits(s, k)[0]
+    """colex.split_rows' W positions as a (C(s, k), s) float32 0/1 map, one
+    row per split."""
+    picks = colex.split_rows(s, k)[:k]
     pick_map = np.zeros((picks.shape[1], s), np.float32)
     np.put_along_axis(pick_map, picks.T, 1, axis=1)
     pick_map.setflags(write=False)
@@ -258,7 +219,7 @@ def _rho(c, at):
 def _sym(c, s, dtype):
     """Sym(S) = sum_{v in S} rho_S(v) of every s-subset, by rank, in dtype,
     from chunks of at most _CHUNK member map entries."""
-    members = _layer(len(c), s)
+    members = colex.members(len(c), s)
     sym = np.empty(members.shape[1], dtype)
     step = max(1, _CHUNK // len(c))
     for lo in range(0, len(sym), step):
@@ -270,20 +231,20 @@ def _sym(c, s, dtype):
 def _ranks(n, k, block, run, mirrored):
     """Colex ranks of the W sides of the splits in run for every subset of
     an (s, m) member block, and of their rests (None where mirrored), as
-    (splits in run, m) rows in the _index_dtype of each side's rank count:
-    sums of the terms C(member, i + 1), one per member position of _splits'
-    rows."""
-    picks, rest = _splits(len(block), k)
+    (splits in run, m) rows in the colex.index_dtype of each side's rank
+    count: sums of the terms C(member, i + 1), one per member position of
+    colex.split_rows' rows."""
+    rows = colex.split_rows(len(block), k)
     # C(x, i) for x < n and i up to a side's size, which is at most
     # ceil(n/2), is at most C(n, side), whose index dtype holds every rank
-    binom = _binomials(n)[1:]
+    binom = colex.binomials(n)[1:]
 
     def side(positions):
         width = len(positions)
-        terms = binom[:width].astype(_index_dtype(comb(n, width)))
+        terms = binom[:width].astype(colex.index_dtype(comb(n, width)))
         return _sum_rows([row.take(block) for row in terms], positions[:, run])
 
-    return side(picks), None if mirrored else side(rest)
+    return side(rows[:k]), None if mirrored else side(rows[k:])
 
 
 @lru_cache(maxsize=16)
@@ -297,7 +258,7 @@ def _plan(n, s, k, step):
     mirrored = 2 * k == s
     if not step or (s + splits * (2 - mirrored)) * count * 8 > _PLAN_BYTES:
         return None
-    members = _layer(n, s)
+    members = colex.members(n, s)
     chunks = []
     for lo in range(0, count, step):
         block = members[:, lo:lo + step]
@@ -314,21 +275,21 @@ def _search_layer(c, s, k, w_value, rest_opt):
     the k-subsets and rest_opt OPT of the (s - k)-subsets, both in the
     value dtype (module docstring, Chunks)."""
     n = len(c)
-    picks = _splits(s, k)[0]
-    splits = picks.shape[1]
-    keys = _key_dtype(int(c.sum(dtype=np.float64)), splits)
+    rows = colex.split_rows(s, k)
+    splits = rows.shape[1]
+    keys = colex.key_dtype(int(c.sum(dtype=np.float64)), splits)
     pick_map = _pick_map(s, k) if splits <= _PICKED else None
     step = max(1, _CHUNK // splits)
     runs = [slice(j, min(j + _CHUNK, splits)) for j in range(0, splits, _CHUNK)]
     # over all splits, an even split's rest ranks are its W ranks reversed
     mirrored = 2 * k == s and len(runs) == 1
     plan = _plan(n, s, k, _CHUNK // splits)
-    members = _layer(n, s)
+    members = colex.members(n, s)
 
     def least(rho, w_ranks, rest_ranks, run):
         """Each subset's least key over one run of splits of a chunk."""
         if pick_map is None:
-            key = _sum_rows([rho] * k, picks[:, run])
+            key = _sum_rows([rho] * k, rows[:k, run])
         else:
             key = (pick_map[run] @ rho).astype(keys)
         if rest_ranks is None:
@@ -341,7 +302,8 @@ def _search_layer(c, s, k, w_value, rest_opt):
         return key.min(axis=0)
 
     count = members.shape[1]
-    layer = _Layer(np.empty(count, rest_opt.dtype), np.empty(count, np.int32))
+    layer = colex.Layer(np.empty(count, rest_opt.dtype),
+                        np.empty(count, np.int32))
     sym = np.empty(count, rest_opt.dtype)
     for lo in range(0, count, step):
         at = slice(lo, lo + step)
@@ -387,10 +349,10 @@ def _table_bytes(n, plan, chunk, budget, picked):
     depends on n, the plan and the module constants chunk (_CHUNK), budget
     (_PLAN_BYTES, which _plan reads, so only part of the key) and picked
     (_PICKED) alone, so it is summed once per those."""
-    arrays = [_layer(size, i) for size, i in {(n, n)} | {
+    arrays = [colex.members(size, i) for size, i in {(n, n)} | {
         (s, i) for s, k in plan for i in range(max(k, s - k) + 1)}]
     for s, k in plan:
-        arrays += _splits(s, k)
+        arrays.append(colex.split_rows(s, k))
         if comb(s, k) <= picked:
             arrays.append(_pick_map(s, k))
         arrays += [row for rows in _plan(n, s, k, chunk // comb(s, k)) or ()
@@ -405,12 +367,12 @@ def _ordering(members, layers, plan):
     closure cycle keeps the layers alive after a solve."""
     s = len(members)
     if s not in plan:
-        return _peel({size: layer.choice for size, layer in layers.items()},
-                     members)
-    picks, rest = _splits(s, plan[s])
-    j = layers[s].choice[_rank(members)]
-    return (_ordering([members[i] for i in picks[:, j]], layers, plan)
-            + _ordering([members[i] for i in rest[:, j]], layers, plan))
+        return colex.peel({size: layer.choice
+                           for size, layer in layers.items()}, members)
+    k, j = plan[s], layers[s].choice[colex.rank(members)]
+    split = [members[i] for i in colex.split_rows(s, k)[:, j]]
+    return (_ordering(split[:k], layers, plan)
+            + _ordering(split[k:], layers, plan))
 
 
 def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):

@@ -12,7 +12,7 @@ import pytest
 from oscmlab import (BipartiteInstance, SizeLimitError, count_crossings,
                      dp_peak_state_bytes, dp_recurrence_count,
                      dp_table_entries, solve_bruteforce, solve_dp)
-from oscmlab import dp, qdp
+from oscmlab import colex, dp, qdp
 from oscmlab.matrix import build_crossing_matrix
 
 from instances import random_instance
@@ -171,7 +171,8 @@ def test_peak_memory_at_twenty():
     int16 values. Keeping every layer's rows whole peaked at 29.4 MB here,
     and the mask-indexed kernel at 112 MB."""
     inst = random_instance(random.Random(200), 6, 20, 0.5)
-    for cached in vars(dp).values():  # a first call builds dp's caches
+    # a first call builds dp's caches and the colex tables it reads
+    for cached in (*vars(dp).values(), *vars(colex).values()):
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
     for call in ("first", "warm"):
@@ -313,7 +314,7 @@ def test_a_solve_keeps_no_memory():
     assert dp._PRACTICAL_MAX_NV == 23
     for n, bound in ((20, 10 ** 6), (23, 1.3 * 10 ** 6)):
         inst = random_instance(random.Random(200), 6, n, 0.5)
-        for cached in vars(dp).values():
+        for cached in (*vars(dp).values(), *vars(colex).values()):
             if hasattr(cached, "cache_clear"):
                 cached.cache_clear()
         tracemalloc.start()
@@ -353,7 +354,7 @@ def test_planned_peak_follows_the_space_model(n):
     of its widest layers), a warm one 0.99-1.03x."""
     inst = random_instance(random.Random(200), 6, n, 0.5)
     assert int(build_crossing_matrix(inst).sum()) < 2 ** 15  # int16 values
-    for cached in vars(dp).values():
+    for cached in (*vars(dp).values(), *vars(colex).values()):
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
     for first in (True, False):

@@ -5,23 +5,16 @@ name it uses that is removed or renamed fails here; every name in
 oscmlab.__all__ must resolve, once.
 """
 
-import re
 from collections import Counter
-from pathlib import Path
 
 import oscmlab
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-
-
-def quick_start_block():
-    text = README.read_text()
-    section = text[text.index("## Library quick start"):]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+from readme import README, fenced, section
 
 
 def test_readme_quick_start_runs():
-    exec(compile(quick_start_block(), str(README), "exec"), {})
+    block = "\n".join(fenced(section("Library quick start"), "python")[0])
+    exec(compile(block, str(README), "exec"), {})
 
 
 def test_every_exported_name_resolves_once():

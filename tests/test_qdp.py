@@ -11,7 +11,7 @@ import pytest
 from oscmlab import (BipartiteInstance, QdpConfig, SizeLimitError,
                      build_crossing_matrix, count_crossings, qdp_cost_model,
                      solve_dp, solve_qdp, table_threshold)
-from oscmlab import dp, qdp
+from oscmlab import colex, dp, qdp
 from oscmlab.matrix import exact_floats
 
 from instances import random_instance
@@ -186,10 +186,10 @@ def test_practical_size_cap(n, min_quantum_n, limit):
     """Past n_v = 22 a search solve raises SizeLimitError, and past dp's n_v
     = 23 so does the dp fallback, before either builds a matrix or a member
     table."""
-    before = qdp._layer.cache_info()
+    before = colex.members.cache_info()
     with pytest.raises(SizeLimitError, match=f"limit {limit}"):
         solve_qdp(BipartiteInstance(1, n), QdpConfig(min_quantum_n=min_quantum_n))
-    assert qdp._layer.cache_info() == before
+    assert colex.members.cache_info() == before
 
 
 def test_fallback_solves_past_the_search_cap():
@@ -347,25 +347,27 @@ def test_float64_products_past_two_to_the_24():
 
 
 def test_both_rank_dtypes_run(monkeypatch):
-    """Ranks are summed in dp's index dtype, int16 while every rank of a
+    """Ranks are summed in colex's index dtype, int16 while every rank of a
     side fits it: at n_v = 18 the levels below the root do, the root's
     9-subsets (C(18, 9) = 48620 ranks) take int32, and the solve still
-    matches dp and the enumeration over bitmasks. Plans are cleared first,
-    so every layer's rows are built under the recording index dtype."""
+    matches dp and the enumeration over bitmasks. dp's plan for n_v = 18
+    is built first and qdp's plans are cleared, so only qdp's rank rows
+    are built under the recording index dtype."""
     seen = set()
-    index_dtype = qdp._index_dtype
+    index_dtype = colex.index_dtype
 
     def recorded(size):
         seen.add((size, index_dtype(size)))
         return index_dtype(size)
 
-    monkeypatch.setattr(qdp, "_index_dtype", recorded)
-    qdp._plan.cache_clear()
     inst = random_instance(random.Random(182), 8, 18, 0.5)
+    want = solve_dp(inst)[0].crossings
+    monkeypatch.setattr(colex, "index_dtype", recorded)
+    qdp._plan.cache_clear()
     sol, _ = solve_qdp(inst)
     assert (comb(18, 9), np.int32) in seen
     assert (comb(18, 5), np.int16) in seen
-    assert sol.crossings == solve_dp(inst)[0].crossings
+    assert sol.crossings == want
     assert count_crossings(inst, sol.ordering) == sol.crossings
     c = build_crossing_matrix(inst)
     t, plan = plan_for(18, 0.055362)
@@ -459,9 +461,9 @@ def test_both_routes_to_the_rank_rows(monkeypatch, fresh_plans, n, chunk,
 
 
 def cleared_solve(inst, cfg=None):
-    """A solve after clearing qdp's caches: (ledger, bytes it leaves
+    """A solve after clearing the caches qdp reads: (ledger, bytes it leaves
     allocated)."""
-    for cache in (qdp._layer, qdp._splits, qdp._pick_map, qdp._plan):
+    for cache in (colex.members, colex.split_rows, qdp._pick_map, qdp._plan):
         cache.cache_clear()
     tracemalloc.start()
     try:

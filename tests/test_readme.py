@@ -27,7 +27,7 @@ from oscmlab import (GROVER_BASE, CostLedger, GenSpec, QmfConfig, Solution,
                      alpha_balance_residual, balanced_alpha, binary_entropy,
                      cost_model_calls, dc_peak_state_bytes, dp_peak_state_bytes,
                      fit_exponent_base, qmf, random_instance, solve_qdp)
-from oscmlab import cli, dc, dp, oracle, qdp
+from oscmlab import cli, colex, dc, dp, oracle, qdp
 from oscmlab.qmf import MAX_STATEVECTOR_DOMAIN, _register
 
 from readme import FENCED, README, fenced
@@ -102,9 +102,8 @@ def figures():
                for n in (12, 20, 23)}
     count_map = max(dc._tail_plan(s, base).counts[np.dtype(np.float32)].nbytes
                     for s in range(2, dc.TAIL + 1) for base in range(1, s))
-    position_rows = max(dc._halves(s, base).pos.nbytes
-                        for s in range(dc.TAIL + 1, 2 * dc.TAIL + 1)
-                        for base in range(1, s // 2))
+    split_rows = max(colex.split_rows(s, ceil(s / 2)).nbytes
+                     for s in range(dc.TAIL + 1, 2 * dc.TAIL + 1))
     plan_bytes = {n: solve_qdp(random_instance(GenSpec(3, n, 0.5)))[1]
                   .meta["plan_bytes"] for n in (12, 15, 16)}
     gen = next(line.split()[2:] for line in TEXT.splitlines()
@@ -129,10 +128,9 @@ def figures():
         f"{mb(dp_plan[23], 2)} at n = 23",
         f"{dc_peak_state_bytes(64, 2)} B at n = 64 with base size 2",
         f"Frames of at most {dc.TAIL} vertices share a 0/1 count map per "
-        f"size ({kb(count_map)} at most), frames of {dc.TAIL + 1} to "
-        f"{2 * dc.TAIL} vertices position rows per size "
-        f"({kb(position_rows)} at most) and one {kb(dc.BATCH_BYTES)} row "
-        "batch",
+        f"size ({kb(count_map)} at most), and frames of {dc.TAIL + 1} to "
+        f"{2 * dc.TAIL} vertices share qdp's split rows per size "
+        f"({kb(split_rows)} at most) and one {kb(dc.BATCH_BYTES)} row batch",
         f"{mb(plan_bytes[12], 2)} at n = 12, {mb(plan_bytes[15])} at n = 15 "
         f"and {mb(plan_bytes[16])} at n = 16",
         "charges `max(1, ceil(c·√N))` oracle calls",
