@@ -19,6 +19,43 @@ order with ascending members into reverse lexicographic order with
 descending members. So both sides' rows are member tables read backwards
 (split_rows).
 
+The split kernel (search_layer) evaluates one layer of splits: the best
+split of every s-subset of range(n) into a k-subset W and the rest. It
+serves qdp's search layers and dc's bounded frames. A split (W, S\\W) of
+a subset S costs
+
+    OPT(W) + OPT(S\\W) + sum_{v in W} rho_S(v) - Sym(W),
+
+with rho_S(v) = sum_{u in S} c[v][u] and Sym(W) = sum_{v,u in W} c[v][u];
+with k = s - 1 and the rest one vertex, that is the peel of a table
+layer. Splits are enumerated lexicographically over the ascending member
+positions, and a subset keeps its first strictly-best split. A layer is
+laid out position-major: the members of every s-subset are one cached
+(s, C(n, s)) int8 array (members), one column per subset in rank order.
+A chunk is an (s, m) block of it against a run of its splits, at most
+``chunk`` split values in all: m = chunk // C(s, k) subsets against every
+split, or one subset against runs of ``chunk`` splits where there are
+more. A chunk's index rows depend on n alone: its members' flat offsets
+member * m + column in its member map (offsets), and the colex ranks of
+each split's W side and rest over split_rows' position rows
+(split_ranks); by the reverse order of the rests, an even split's rest
+ranks are its W ranks reversed. A caller may pass them built, one tuple
+per chunk (qdp's row plans); otherwise each chunk builds its ranks as it
+runs, in index_dtype of C(n, side).
+
+- rho of every member is one product of c with the block's (n, m) 0/1
+  member map, read back at the members (rho). c is in the floats of
+  matrix.exact_floats: float32 while c.sum() < 2^24 and float64 beyond,
+  where every sum is exact.
+- The W side's rho sums are one product of a cached (C(s, k), s) 0/1 pick
+  map with rho where C(s, k) <= ``picked``, else k row takes, cast
+  straight into packed keys value * C(s, k) + j, j the split's index in
+  the layer, after one gather per side. A subset's least key over its
+  runs is its first best split, split back with one divmod. Values are
+  never negative and at most c.sum(), so keys are int32 while (c.sum() +
+  1) * C(s, k) < 2^31 and int64 beyond. Choices are int32, which holds
+  C(22, 11).
+
 Tables are built and cached on first use; nothing is built at import.
 """
 
@@ -116,3 +153,135 @@ def split_rows(s, k):
                       (s - 1 - members(s, s - k))[::-1]))
     rows.setflags(write=False)
     return rows
+
+
+# The W-side rho sums of a layer with at most PICKED splits are one
+# product with its pick map, which beat k row takes at every split count
+# measured (6 to 12870); the cap keeps each cached map under 48 KB.
+PICKED = 1 << 10
+
+
+@lru_cache(maxsize=64)
+def pick_map(s, k):
+    """split_rows' W positions as a (C(s, k), s) float32 0/1 map, one row
+    per split."""
+    picks = split_rows(s, k)[:k]
+    table = np.zeros((picks.shape[1], s), np.float32)
+    np.put_along_axis(table, picks.T, 1, axis=1)
+    table.setflags(write=False)
+    return table
+
+
+def sum_rows(tables, positions):
+    """sum_i tables[i][positions[i]]: one row per split, one column per
+    subset."""
+    total = tables[0].take(positions[0], axis=0)
+    for table, at in zip(tables[1:], positions[1:]):
+        total += table.take(at, axis=0)
+    return total
+
+
+def offsets(block):
+    """The flat offsets member * m + column of an (s, m) member block's
+    entries in its (n, m) member map, as intp."""
+    m = block.shape[1]
+    at = block * np.intp(m)
+    at += np.arange(m)
+    return at
+
+
+def rho(c, at):
+    """rho_S(v) = sum_{u in S} c[v][u] for each member v of each subset of
+    an (s, m) block given by its offsets, in c's float dtype: one product
+    of c with the block's (n, m) 0/1 member map, read back at the members."""
+    m = at.shape[1]
+    member_map = np.zeros(len(c) * m, c.dtype)
+    member_map[at] = 1
+    return (c @ member_map.reshape(-1, m)).take(at)
+
+
+def sym(c, s, dtype, chunk):
+    """Sym(S) = sum_{v in S} rho_S(v) of every s-subset, by rank, in dtype,
+    from chunks of at most ``chunk`` member map entries."""
+    table = members(len(c), s)
+    out = np.empty(table.shape[1], dtype)
+    step = max(1, chunk // len(c))
+    for lo in range(0, len(out), step):
+        at = slice(lo, lo + step)
+        out[at] = rho(c, offsets(table[:, at])).sum(axis=0)
+    return out
+
+
+def split_ranks(n, k, block, run, mirrored):
+    """Colex ranks of the W sides of the splits in run for every subset of
+    an (s, m) member block, and of their rests (None where mirrored), as
+    (splits in run, m) rows in the index_dtype of each side's rank count:
+    sums of the terms C(member, i + 1), one per member position of
+    split_rows' rows."""
+    rows = split_rows(len(block), k)
+    # C(x, i) for x < n and i up to a side's size, which is at most
+    # ceil(n/2), is at most C(n, side), whose index dtype holds every rank
+    binom = binomials(n)[1:]
+
+    def side(positions):
+        width = len(positions)
+        terms = binom[:width].astype(index_dtype(comb(n, width)))
+        return sum_rows([row.take(block) for row in terms], positions[:, run])
+
+    return side(rows[:k]), None if mirrored else side(rows[k:])
+
+
+def search_layer(c, s, k, w_value, rest_opt, chunk, plan=None, picked=PICKED):
+    """Best split of every s-subset into a k-subset W and the rest, and
+    the Sym of every s-subset; ties keep the first split. c is the crossing
+    matrix in a float dtype whose sums are exact; w_value is OPT - Sym of
+    the k-subsets and rest_opt OPT of the (s - k)-subsets, both in the
+    value dtype. A chunk holds at most ``chunk`` split values; ``plan``,
+    when given, holds each chunk's offsets, W ranks and rest ranks (None
+    for an even split) as intp; a layer of at most ``picked`` splits sums
+    its W sides through its pick map (module docstring)."""
+    n = len(c)
+    rows = split_rows(s, k)
+    splits = rows.shape[1]
+    keys = key_dtype(int(c.sum(dtype=np.float64)), splits)
+    picks = pick_map(s, k) if splits <= picked else None
+    step = max(1, chunk // splits)
+    runs = [slice(j, min(j + chunk, splits)) for j in range(0, splits, chunk)]
+    # over all splits, an even split's rest ranks are its W ranks reversed
+    mirrored = 2 * k == s and len(runs) == 1
+    table = members(n, s)
+
+    def least(values, w_ranks, rest_ranks, run):
+        """Each subset's least key over one run of splits of a chunk."""
+        if picks is None:
+            key = sum_rows([values] * k, rows[:k, run])
+        else:
+            key = (picks[run] @ values).astype(keys)
+        if rest_ranks is None:
+            key += rest_opt.take(w_ranks)[::-1]
+        else:
+            key += rest_opt.take(rest_ranks)
+        key += w_value.take(w_ranks)
+        key *= splits
+        key += np.arange(run.start, run.stop, dtype=keys)[:, None]
+        return key.min(axis=0)
+
+    count = table.shape[1]
+    layer = Layer(np.empty(count, rest_opt.dtype), np.empty(count, np.int32))
+    sums = np.empty(count, rest_opt.dtype)
+    for lo in range(0, count, step):
+        at = slice(lo, lo + step)
+        block = table[:, at]
+        flat, *ranks = plan[lo // step] if plan else (
+            offsets(block), *split_ranks(n, k, block, runs[0], mirrored))
+        values = rho(c, flat)
+        sums[at] = values.sum(axis=0)
+        if picks is None:
+            values = values.astype(keys)
+        best = least(values, *ranks, runs[0])
+        for run in runs[1:]:
+            np.minimum(best, least(values, *split_ranks(n, k, block, run,
+                                                        mirrored), run),
+                       out=best)
+        layer.opt[at], layer.choice[at] = np.divmod(best, splits)
+    return layer, sums

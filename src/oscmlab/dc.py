@@ -2,8 +2,8 @@
 
 Each subset S is split into every W of size ceil(|S|/2) (the complement
 keeps the floor); the best split value is OPT(W) + OPT(S\\W) + gamma(W, S\\W)
-and nothing is memoized, so memory stays polynomial while the recursion
-tree has
+and nothing is memoized above frames of 2 * TAIL members, so memory stays
+polynomial while the recursion tree has
 
     nodes(k) = 1 + C(k, ceil(k/2)) * (nodes(floor(k/2)) + nodes(ceil(k/2)))
 
@@ -25,36 +25,54 @@ ordering is rebuilt once along those splits. dc reads the exact value and
 enters no tail node; qdc walks the internal nodes only, to run their
 searches.
 
-A frame whose W and rest are both tails (more than TAIL members) is
-counted whole in the same way when its subtree fits. Its candidates' W
-and rest local matrices are stacked in row batches of at most BATCH_BYTES
-of float32 values, so one product per side size and the same steps along
-the batch axis solve every tail of a batch. A candidate's exact value is
-W's root value + the rest's + its gamma; the first least one is kept, and
-only that candidate's two tails are solved again, for their orderings. dc
-enters no candidate; qdc runs the frame's search over the batches,
-walking each candidate's two tails from its rows.
+In dc (no search), a frame of more than TAIL and at most 2 * TAIL
+members is evaluated whole as subset layers when its subtree fits: the
+ceil-half recursion inside it reaches every subset of each spine size, so
+its node values are search layers of its local matrix in the colex format
+(oscmlab.colex), one per spine size, which colex's split kernel
+evaluates, each subset keeping its first best split in the order that
+frame-by-frame recursion searches. Base case sizes are value layers: a
+pair takes min(c[a][b], c[b][a]), a larger base case peels its last
+vertex through the same kernel. The ordering follows the first best splits
+down to base cases, which take base_case's, and the ledger adds the
+nodes and gammas that pushing occurrences down the frame's widths counts
+(frame_counts), which equal dc_node_count's and dc_gamma_count's. A
+frame holds its layers, C(s, ceil(s/2)) entries at most per size, and one
+kernel chunk at a time; colex caches the member tables and split rows it
+reads. In qdc, a frame whose W and rest are both tails is counted whole in
+the same way when its subtree fits. Its candidates' W and rest local
+matrices are stacked in row batches of at most BATCH_BYTES of float32
+values, so one product per side size and the same steps along the batch
+axis solve every tail of a batch. A candidate's exact value is W's root
+value + the rest's + its gamma; the first least one is kept, and only
+that candidate's two tails are solved again, for their orderings. qdc
+runs the frame's search over the batches, walking each candidate's two
+tails from its rows.
 
 A frame that the budget would run out inside runs frame by frame, the
 path that TAIL = 0 runs everywhere, so it raises where that path raises.
 Values are summed in the floats of matrix.exact_floats: float32 while
 the crossing matrix sums below 2^24, else float64, so every sum is
-exact. TAIL is set by measurement: raising it from 6 to 8 made the roots
-of n_v = 7 and 8 tails and their dc + qdc solves 3.5x faster, and a
-count map stays under 500 KB at any base size up to 8, while a 9-member
-tail with base size 5 would enumerate 120 orderings per base case (a 10
-MB map). BATCH_BYTES is set by measurement too: at n_v = 10, 4 KB (3
-candidates a batch) keeps the traced peak of a sampled qdc solve at
-~18.6 KB, where solving one tail at a time read 17.5-22.5 KB, while 8 KB
-(7 candidates) raises it to ~27 KB.
+exact. Both solvers read TAIL; only qdc reads BATCH_BYTES. TAIL is set by
+measurement: raising it from 6 to 8 made the roots of n_v = 7 and 8
+tails and their dc + qdc solves 3.5x faster, and a count map stays under
+500 KB at any base size up to 8, while a 9-member tail with base size 5
+would enumerate 120 orderings per base case (a 10 MB map). dc's frames of
+at most TAIL members stay tails: at n_v 3 to 8 a tail solves in 0.05-0.07
+ms, where layers took 0.15-0.65 ms. BATCH_BYTES is set by measurement
+too: at n_v = 10, 4 KB (3 candidates a batch) keeps the traced peak of a
+sampled qdc solve at ~18.6 KB, where solving one tail at a time read
+17.5-22.5 KB, while 8 KB (7 candidates) raises it to ~27 KB.
 
 Live state is modelled, not measured: dc_peak_state_bytes(n_v,
 base_size) is the peak of a fixed byte model along the ceil-half spine,
 dc_max_depth frames deep, and split_min writes both to ledger.meta. The
 figures depend on n_v and base_size alone. They witness that no
-exponential structure is ever live; they do not profile the allocator,
-and tests/test_dc.py holds tracemalloc's peak between 1 and 100 times
-the model. An optional node budget stops runs at sizes too big to
+exponential structure is ever live: a tail's count map and a layered
+frame's layers are bounded by the frame's at most 2 * TAIL members, and
+the model leaves them out. They do not profile the allocator, and
+tests/test_dc.py holds tracemalloc's peak between 1 and 100 times the
+model. An optional node budget stops runs at sizes too big to
 finish; its exception carries the same modelled pair.
 """
 
@@ -64,6 +82,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, groupby, permutations
 from math import comb, ceil, factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -335,7 +354,7 @@ _tail_plan = lru_cache(maxsize=None)(_TailPlan)   # <= 28 (s, base_size) keys
 
 
 class _Halves:
-    """A frame of s members whose W and rest sides are both tails (s >
+    """A qdc frame of s members whose W and rest sides are both tails (s >
     TAIL, ceil(s/2) <= TAIL, floor(s/2) > base_size), solved in batches
     of candidates.
 
@@ -382,6 +401,137 @@ class _Halves:
 _halves = lru_cache(maxsize=None)(_Halves)   # <= 8 sizes s per base_size
 
 
+def frame_counts(f, widths):
+    """Nodes and gamma evaluations of a frame of f members whose subsets
+    of size s split at W size widths[s] (a size absent from widths is a
+    base case): occurrences are pushed down the sizes from a root of 1,
+    each of a size's splits adding the size's occurrences to its W's size
+    and to its rest's."""
+    occurs = [0] * (f + 1)
+    occurs[f] = 1
+    nodes = gammas = 0
+    for s in range(f, 0, -1):
+        nodes += occurs[s]
+        if s in widths:
+            calls = occurs[s] * comb(s, widths[s])
+            gammas += calls
+            occurs[widths[s]] += calls
+            occurs[s - widths[s]] += calls
+    return nodes, gammas
+
+
+class _Layers(NamedTuple):
+    """The plan of a frame of f members evaluated as subset layers.
+
+    ``widths`` maps each size of the frame's ceil-half spine above
+    base_size to its W size ceil(s/2), and ``top`` is the spine's largest
+    base case size. ``steps`` lists the kernel's layers in the order they
+    run: each base case size s from 3 to top, peeled at width s - 1, then
+    each spine size, smallest first. A step is (s, k, chunk, keep, dead):
+    keep says whether a later step reads the size's Sym, and dead names
+    the sizes whose values the step reads for the last time. n_nodes and
+    n_gammas are counted from widths (frame_counts)."""
+
+    widths: dict
+    top: int
+    steps: tuple
+    n_nodes: int
+    n_gammas: int
+
+
+@lru_cache(maxsize=None)                # <= 8 sizes f per base_size
+def _layer_plan(f, base_size):
+    """The _Layers plan of a frame of f members at base_size."""
+    widths, sizes = {}, [f]
+    for s in sizes:
+        if s > base_size and s not in widths:
+            widths[s] = ceil(s / 2)
+            sizes += [ceil(s / 2), s // 2]
+    top = max(s for s in sizes if s <= base_size)
+    pairs = [(s, s - 1) for s in range(3, top + 1)] + sorted(widths.items())
+    last = {}
+    for i, (s, k) in enumerate(pairs):
+        last[k] = last[s - k] = i
+    w_sizes = {k for _, k in pairs}
+    steps = tuple((s, k, _chunk(f, s, k), s in w_sizes,
+                   tuple([size for size, at in last.items() if at == i]))
+                  for i, (s, k) in enumerate(pairs))
+    return _Layers(widths, top, steps, *frame_counts(f, widths))
+
+
+def _chunk(f, s, k):
+    """The chunk of the kernel's layer of s-subsets of a frame of f members
+    split at k. A chunk of m subsets holds about m(f + C(s, k)) values at
+    once, the member map's and one key per split, and at most C(2h, h), h
+    = ceil(f/2): the root's splits at an even f, twice them at an odd f,
+    whose root is half the next frame's while its other layers are nearly
+    as large."""
+    splits, h = comb(s, k), ceil(f / 2)
+    return splits * max(1, comb(2 * h, h) // (f + splits))
+
+
+def _solve_layers(floats, rows, members, plan):
+    """The exact value and first best ordering of a frame over the sorted
+    ``members``, as subset layers of its local matrix (a _Layers plan).
+
+    Base layers first, values only: a singleton is worth 0, a pair {a, b}
+    min(c[a][b], c[b][a]) with Sym c[a][b] + c[b][a], and each larger base
+    case size up to plan.top peels its last vertex through the split
+    kernel at width s - 1. Then one search layer per spine size, smallest
+    first, keeps each subset's first best split (colex.search_layer).
+    A size's values are dropped once read for the last time. Values are
+    in the narrowest of int16/int32/int64 that holds the local matrix's
+    sum; a choice, below C(16, 8) = 12870, is kept in int16. The kernel
+    reads no row plan and no pick map: a frame's own tables are what a
+    budgeted solve's traced peak counts."""
+    sub = local_matrix(floats, members)
+    f = len(members)
+    total = int(sub.sum(dtype=np.float64))
+    values = (np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31
+              else np.int64)
+    opt = {1: np.zeros(f, values)}
+    sym = {1: opt[1]}                   # the local diagonal is 0
+    if plan.top >= 2:
+        a, b = colex.members(f, 2)
+        ab, ba = sub[a, b], sub[b, a]
+        opt[2] = np.minimum(ab, ba).astype(values)
+        sym[2] = (ab + ba).astype(values)
+        del ab, ba
+    choice = {}
+    for s, k, chunk, keep, dead in plan.steps:
+        w_value, rest_opt = opt[k] - sym[k], opt[s - k]
+        for size in dead:
+            del opt[size]
+            sym.pop(size, None)
+        layer, sums = colex.search_layer(sub, s, k, w_value, rest_opt, chunk,
+                                         picked=0)
+        del w_value, rest_opt
+        opt[s] = layer.opt
+        if keep:
+            sym[s] = sums
+        if s in plan.widths:
+            choice[s] = layer.choice.astype(np.int16)
+        del layer, sums
+    ordering = _layer_order(rows, members, tuple(range(f)), choice,
+                            plan.widths)
+    return int(opt[f][0]), ordering
+
+
+def _layer_order(rows, members, positions, choice, widths):
+    """The first best ordering of the frame subset at ``positions`` of the
+    frame's sorted ``members``, down the layers' choices; a base case takes
+    base_case's. Module level, so no closure cycle keeps the layers alive
+    after a solve."""
+    s = len(positions)
+    if s not in widths:
+        return base_case(rows, [members[p] for p in positions])[1]
+    k = widths[s]
+    j = choice[s][colex.rank(positions)]
+    split = [positions[i] for i in colex.split_rows(s, k)[:, j]]
+    return (_layer_order(rows, members, split[:k], choice, widths)
+            + _layer_order(rows, members, split[k:], choice, widths))
+
+
 def _scalar_splits(rows, members):
     """(W, rest, gamma(W, rest)) for every split W of ``members`` into
     ceil(|S|/2) and the rest, W in lexicographic order."""
@@ -407,23 +557,28 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     ``search`` None, each node takes the exact minimum and charges 0 (dc).
 
     A frame of more than base_size and at most TAIL members is a tail
-    (_TailPlan), and so can be both sides of a larger frame's candidates
-    (_Halves). When such a frame's dc_node_count nodes fit in the node
-    budget, it is counted whole: the ledger adds its node and gamma
-    counts. One product over a tail's flattened local crossing submatrix,
-    or over a row batch of the candidates' W and rest submatrices, then
-    gives every tail node's exact value; a tail's ordering follows its
-    first best splits, and a frame of two tails takes its first least
-    candidate and solves only that one's tails again, for their
-    orderings. With ``search`` None that is all;
-    otherwise a frame of two tails searches its candidates over the
-    batches' rows, and every tail's internal nodes are walked in the
-    frame-by-frame pre-order, each node's search reading base-case values
-    and searching internal sides, so every search sees the values, and
-    returns the calls, that it sees and returns frame by frame. A frame
-    whose nodes do not fit runs frame by frame, as TAIL = 0 runs every
-    frame, so every output, ledger field and raise point equals that
-    recursion's.
+    (_TailPlan), and so can be both sides of a larger frame's candidates.
+    A larger frame of at most 2 * TAIL members is, with ``search`` None,
+    a layered frame (_Layers), and otherwise, when both its sides are
+    tails, a two-tail frame (_Halves). When such a frame's nodes fit in
+    the node budget, it is counted whole: a tail and a two-tail frame add
+    dc_node_count nodes and dc_gamma_count gammas, a layered frame the
+    counts of its plan (frame_counts), the figure its budget check reads.
+    One product over a tail's flattened local crossing submatrix, or over
+    a row batch of the candidates' W and rest submatrices, then gives
+    every tail node's exact value; a tail's ordering follows its first
+    best splits, and a two-tail frame takes its first least candidate and
+    solves only that one's tails again, for their orderings. A layered
+    frame evaluates one subset layer per spine size of its local matrix
+    (colex.search_layer) and follows the first best splits down to
+    base_case's orderings. With ``search`` None that is all; otherwise a
+    two-tail frame searches its candidates over the batches' rows, and
+    every tail's internal nodes are walked in the frame-by-frame
+    pre-order, each node's search reading base-case values and searching
+    internal sides, so every search sees the values, and returns the
+    calls, that it sees and returns frame by frame. A frame whose nodes
+    do not fit runs frame by frame, as TAIL = 0 runs every frame, so every
+    output, ledger field and raise point equals that recursion's.
 
     Every frame returns (searched value, exact value, oracle charge,
     ordering). The frame keeps only its first strictly best candidate by
@@ -439,8 +594,8 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     this rule gives.
 
     ``c`` holds nonnegative crossing counts, so no partial sum of a tail
-    exceeds the sum of all of c, which picks float32 or float64
-    (matrix.exact_floats).
+    or a layered frame exceeds the sum of all of c, which picks float32
+    or float64 (matrix.exact_floats).
 
     Writes the modelled peak state and depth, dc_peak_state_bytes and
     dc_max_depth of (n, base size), to ledger.meta on entry. Returns the
@@ -522,60 +677,54 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
         return searched, exact, charge, order
 
     def halves(pair, members):
-        """Solve and search a frame whose halves are tails, in row batches,
-        without entering frames. The first candidate of least exact value
+        """Solve and search a two-tail frame in row batches, without
+        entering frames. The first candidate of least exact value
         is kept, and only its two tails are solved again, for their
         orderings."""
         w, r, per_batch = pair.w, pair.r, pair.rows
         sub = local_matrix(floats, members)
         totals = sub.sum(1)
         best, at = None, 0                  # least exact value, its candidate
+        held = None                         # the batch being searched
+        child_charge = 0                    # both sides', last candidate
 
-        def batch(lo):
-            nonlocal best, at
-            v_w, v_r, gammas = pair.batch(sub, totals, lo)
-            exact = v_w[:, w.exact] + v_r[:, r.exact] + gammas
-            k = int(exact.argmin())
-            if best is None or exact[k] < best:
-                best, at = exact[k], lo + k
-            return v_w, v_r, gammas
+        def value_fn(i):
+            nonlocal best, at, held, child_charge
+            k = i % per_batch
+            if not k:
+                held = None                 # frees the last batch first
+                v_w, v_r, gammas = pair.batch(sub, totals, i)
+                exact = v_w[:, w.exact] + v_r[:, r.exact] + gammas
+                j = int(exact.argmin())
+                if best is None or exact[j] < best:
+                    best, at = exact[j], i + j
+                held = v_w, v_r, gammas.astype(np.int64).tolist()
+            v_w, v_r, gammas = held
+            w_searched, child_charge = walk(
+                w, v_w[k, w.head].astype(np.int64).tolist(), w.root)
+            r_searched, r_charge = walk(
+                r, v_r[k, r.head].astype(np.int64).tolist(), r.root)
+            child_charge += r_charge
+            return w_searched + r_searched + gammas[k]
 
-        if search is None:
-            for lo in range(0, pair.pos.shape[1], per_batch):
-                batch(lo)
-        else:
-            held = None                     # the batch being searched
-            child_charge = 0                # both sides', last candidate
-
-            def value_fn(i):
-                nonlocal held, child_charge
-                k = i % per_batch
-                if not k:
-                    held = None             # frees the last batch first
-                    v_w, v_r, gammas = batch(i)
-                    held = v_w, v_r, gammas.astype(np.int64).tolist()
-                v_w, v_r, gammas = held
-                w_searched, child_charge = walk(
-                    w, v_w[k, w.head].astype(np.int64).tolist(), w.root)
-                r_searched, r_charge = walk(
-                    r, v_r[k, r.head].astype(np.int64).tolist(), r.root)
-                child_charge += r_charge
-                return w_searched + r_searched + gammas[k]
-
-            searched, calls = search(pair.pos.shape[1], value_fn)
+        searched, calls = search(pair.pos.shape[1], value_fn)
         pos, ordering = pair.pos[:, at].tolist(), ()
         for plan, part in ((w, pos[:pair.h]), (r, pos[pair.h:])):
             part = [members[p] for p in part]
             ordering += plan.solve(local_matrix(floats, part), part)[2]
-        exact = int(best)
-        if search is None:
-            return exact, exact, 0, ordering
-        return searched, exact, calls * (child_charge + 1), ordering
+        return searched, int(best), calls * (child_charge + 1), ordering
+
+    def layered(plan, members):
+        """Solve a frame as subset layers, without entering frames."""
+        exact, ordering = _solve_layers(floats, rows, members, plan)
+        return exact, exact, 0, ordering
 
     def frame(members):
         s = len(members)
         if base_size < s <= tails:
             whole, solve = _tail_plan(s, base_size), tail
+        elif tails < s <= 2 * tails and base_size < s and search is None:
+            whole, solve = _layer_plan(s, base_size), layered
         elif tails < s <= 2 * tails and s // 2 > base_size:
             whole, solve = _halves(s, base_size), halves
         else:

@@ -1,21 +1,30 @@
+import json
 import random
 import tracemalloc
 from math import ceil, comb
+from pathlib import Path
 
 import pytest
 
 from oscmlab import (BipartiteInstance, DcConfig, NodeBudgetExceeded,
-                     QdcConfig, QmfConfig, count_crossings, dc_max_depth,
-                     dc_node_count, dc_peak_state_bytes, solve_bruteforce,
-                     solve_dc, solve_dp, solve_qdc)
+                     QdcConfig, QmfConfig, build_crossing_matrix,
+                     count_crossings, dc_max_depth, dc_node_count,
+                     dc_peak_state_bytes, solve_bruteforce, solve_dc, solve_dp,
+                     solve_qdc)
 import oscmlab.dc
-from oscmlab.dc import dc_gamma_count
+from oscmlab.dc import dc_gamma_count, frame_counts
 
 from instances import random_instance
 
 K22 = BipartiteInstance(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 SEEDS = [5, 16, 28, 39, 52, 66, 85, 99]
+
+# Outputs past n_v = 12 at base sizes 1-3, and one wide-valued instance
+# whose crossing matrix sums past 2^24, recorded from the frames whose
+# halves are both tails (row batches of two tails per candidate), before
+# frames of 9 to 16 members ran as subset layers.
+GOLDEN = json.loads(Path(__file__).with_name("dc_golden.json").read_text())
 
 
 def node_recurrence(k, base):
@@ -98,6 +107,58 @@ def test_base_size_never_changes_the_optimum(base):
     ref, _ = solve_dp(inst)
     sol, _ = solve_dc(inst, DcConfig(base_size=base))
     assert sol.crossings == ref.crossings
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=lambda case: f"n{case['n_v']}-b{case['base_size']}"
+                                     f"-u{case['n_u']}")
+def test_outputs_match_the_recorded_frames(case):
+    inst = random_instance(random.Random(case["seed"]), case["n_u"],
+                           case["n_v"], case["p"])
+    sol, ledger = solve_dc(inst, DcConfig(base_size=case["base_size"]))
+    assert sol.crossings == case["crossings"]
+    assert list(sol.ordering) == case["ordering"]
+    assert (ledger.nodes, ledger.gamma_evals) == (case["nodes"],
+                                                  case["gamma_evals"])
+    if case["n_u"] > 100:
+        assert build_crossing_matrix(inst).sum() >= 2 ** 24
+
+
+@pytest.mark.parametrize("base", [1, 2, 3])
+@pytest.mark.parametrize("f", range(oscmlab.dc.TAIL + 1, 2 * oscmlab.dc.TAIL + 1))
+def test_layer_plans_count_the_closed_forms(f, base):
+    """A layered frame's nodes and gammas, pushed down its plan's widths
+    from a root of 1, are the closed forms that frame-by-frame recursion
+    counts."""
+    plan = oscmlab.dc._layer_plan(f, base)
+    assert frame_counts(f, plan.widths) == (dc_node_count(f, base),
+                                            dc_gamma_count(f, base))
+    assert (plan.n_nodes, plan.n_gammas) == frame_counts(f, plan.widths)
+
+
+@pytest.mark.parametrize("base", [1, 2, 3])
+@pytest.mark.parametrize("f", range(oscmlab.dc.TAIL + 1, 2 * oscmlab.dc.TAIL + 1))
+def test_a_changed_width_counts_differently(f, base):
+    """The counts come from the widths: the root split at ceil(f/2) + 1
+    (every other width as planned) counts other totals."""
+    widths = dict(oscmlab.dc._layer_plan(f, base).widths)
+    widths[f] += 1
+    nodes, gammas = frame_counts(f, widths)
+    assert nodes != dc_node_count(f, base)
+    assert gammas != dc_gamma_count(f, base)
+
+
+def test_dc_frames_build_no_two_tail_plans():
+    """dc solves its frames of 9 to 16 members as subset layers and builds
+    no two-tail plan, which qdc's searches still read."""
+    oscmlab.dc._halves.cache_clear()
+    for n_v in range(oscmlab.dc.TAIL + 1, 2 * oscmlab.dc.TAIL + 1):
+        inst = random_instance(random.Random(900 + n_v), 5, n_v, 0.5)
+        for base in (1, 2, 3):
+            solve_dc(inst, DcConfig(base_size=base, count_only=True))
+    assert oscmlab.dc._halves.cache_info().currsize == 0
+    solve_qdc(random_instance(random.Random(910), 5, 10, 0.5))
+    assert oscmlab.dc._halves.cache_info().currsize == 1
 
 
 def test_count_only_skips_reconstruction_not_counting():

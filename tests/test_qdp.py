@@ -243,25 +243,35 @@ def test_outputs_at_wide_values(spec, ordering, crossings, counts):
             ledger.oracle_calls) == counts
 
 
-def search_arrays(c, n, t, plan):
+def search_arrays(c, n, t, plan, chunk=None):
     """The layers and Sym arrays solve_qdp evaluates for the crossing
     matrix c, as {s: (opt, sym, choice)}; sym is None where qdp computes
-    none."""
+    none. The kernel runs as qdp runs it, with qdp's chunk and row plans,
+    or, given a chunk, with that chunk and no row plan, as dc's frames run
+    it."""
     layers = dict(enumerate(dp.subset_layers(c, n, t)))
     values = layers[0].opt.dtype
     floats = exact_floats(c)
-    sym = {k: qdp._sym(floats, k, values) for k in set(plan.values()) if k <= t}
+    step = qdp._CHUNK if chunk is None else chunk
+    sym = {k: colex.sym(floats, k, values, step)
+           for k in set(plan.values()) if k <= t}
     for s in sorted(plan):
         k = plan[s]
-        layers[s], sym[s] = qdp._search_layer(floats, s, k, layers[k].opt - sym[k],
-                                              layers[s - k].opt)
+        layers[s], sym[s] = colex.search_layer(
+            floats, s, k, layers[k].opt - sym[k], layers[s - k].opt, step,
+            None if chunk else layer_plan(n, s, k))
     return {s: (layer.opt, sym.get(s), layer.choice) for s, layer in layers.items()}
 
 
-def search_layers(c, n, t, plan):
+def search_layers(c, n, t, plan, chunk=None):
     """search_arrays as {s: [(opt, sym, choice)]}, sym None where qdp
     computes none."""
-    return rows(search_arrays(c, n, t, plan))
+    return rows(search_arrays(c, n, t, plan, chunk))
+
+
+# The kernel tests check each case as qdp runs the kernel and again with
+# a small chunk and no row plan, as dc's frames run it.
+SMALL_CHUNK = 64
 
 
 def complete(n_u, n_v):
@@ -289,6 +299,7 @@ def test_search_layers_match_a_plain_loop(n, alpha, kind):
     assert rows(enumerated_layers(c, n, t, plan)) == want
     got = search_layers(c, n, t, plan)
     assert got == want
+    assert search_layers(c, n, t, plan, SMALL_CHUNK) == want
     if kind != "random":
         assert all(choice == 0 for s in plan for _, _, choice in got[s])
 
@@ -305,6 +316,7 @@ def test_search_keys_at_the_int32_bound(weight, row):
     got = search_layers(c, 2, 1, {2: 1})
     assert got == reference_layers(c.tolist(), 2, 1, {2: 1})
     assert got[2] == [(0, weight, 1 - row)]
+    assert search_layers(c, 2, 1, {2: 1}, SMALL_CHUNK) == got
 
 
 def plan_for(n, alpha):
@@ -322,13 +334,17 @@ def layer_plan(n, s, k):
 @pytest.mark.parametrize("n", range(8, 18))
 def test_search_layers_match_the_reference_kernel(n, alpha, kind):
     """Every layer's optima, choices and Sym, bit for bit, against the
-    enumeration of every subset's splits over bitmasks."""
+    enumeration of every subset's splits over bitmasks. The small chunk
+    runs up to n = 12: past it its runs of splits take seconds a case."""
     inst = {"random": lambda: random_instance(random.Random(n), 8, n, 0.5),
             "edgeless": lambda: BipartiteInstance(3, n),
             "complete": lambda: complete(3, n)}[kind]()
     c = build_crossing_matrix(inst)
     t, plan = plan_for(n, alpha)
-    assert search_layers(c, n, t, plan) == rows(enumerated_layers(c, n, t, plan))
+    want = rows(enumerated_layers(c, n, t, plan))
+    assert search_layers(c, n, t, plan) == want
+    if n <= 12:
+        assert search_layers(c, n, t, plan, SMALL_CHUNK) == want
 
 
 def test_float64_products_past_two_to_the_24():
@@ -341,6 +357,7 @@ def test_float64_products_past_two_to_the_24():
         t, plan = plan_for(8, alpha)
         got = search_layers(c, 8, t, plan)
         assert got == reference_layers(c.tolist(), 8, t, plan)
+        assert search_layers(c, 8, t, plan, SMALL_CHUNK) == got
         assert got == rows(enumerated_layers(c, 8, t, plan))
     sol, _ = solve_qdp(inst)
     assert sol.crossings == solve_dp(inst)[0].crossings
@@ -463,7 +480,7 @@ def test_both_routes_to_the_rank_rows(monkeypatch, fresh_plans, n, chunk,
 def cleared_solve(inst, cfg=None):
     """A solve after clearing the caches qdp reads: (ledger, bytes it leaves
     allocated)."""
-    for cache in (colex.members, colex.split_rows, qdp._pick_map, qdp._plan):
+    for cache in (colex.members, colex.split_rows, colex.pick_map, qdp._plan):
         cache.cache_clear()
     tracemalloc.start()
     try:

@@ -15,7 +15,7 @@ from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from io import StringIO
-from math import ceil, log2, sqrt
+from math import ceil, comb, log2, sqrt
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from unittest import mock
@@ -102,8 +102,19 @@ def figures():
                for n in (12, 20, 23)}
     count_map = max(dc._tail_plan(s, base).counts[np.dtype(np.float32)].nbytes
                     for s in range(2, dc.TAIL + 1) for base in range(1, s))
-    split_rows = max(colex.split_rows(s, ceil(s / 2)).nbytes
-                     for s in range(dc.TAIL + 1, 2 * dc.TAIL + 1))
+    frames = range(dc.TAIL + 1, 2 * dc.TAIL + 1)
+    split_rows = max(colex.split_rows(s, ceil(s / 2)).nbytes for s in frames)
+    plans = [dc._layer_plan(f, base) for f in frames for base in (1, 2, 3)]
+    entries = max(comb(f, ceil(f / 2)) for f in frames)
+    chunk = max(step[2] for plan in plans for step in plan.steps)
+
+    def tables(sizes):
+        """Bytes of colex's member tables of range(s), sizes 0..ceil(s/2),
+        over the spine sizes of frames of the given sizes."""
+        spine = {s for f in sizes for s in dc._layer_plan(f, 1).widths}
+        return sum(colex.members(s, i).nbytes for s in spine
+                   for i in range(ceil(s / 2) + 1))
+
     plan_bytes = {n: solve_qdp(random_instance(GenSpec(3, n, 0.5)))[1]
                   .meta["plan_bytes"] for n in (12, 15, 16)}
     gen = next(line.split()[2:] for line in TEXT.splitlines()
@@ -128,9 +139,16 @@ def figures():
         f"{mb(dp_plan[23], 2)} at n = 23",
         f"{dc_peak_state_bytes(64, 2)} B at n = 64 with base size 2",
         f"Frames of at most {dc.TAIL} vertices share a 0/1 count map per "
-        f"size ({kb(count_map)} at most), and frames of {dc.TAIL + 1} to "
-        f"{2 * dc.TAIL} vertices share qdp's split rows per size "
-        f"({kb(split_rows)} at most) and one {kb(dc.BATCH_BYTES)} row batch",
+        f"size ({kb(count_map)} at most). dc solves a frame of "
+        f"{frames[0]} to {frames[-1]} vertices as subset layers: it holds at "
+        f"most {entries} entries per size of its spine and one kernel chunk "
+        f"of at most {chunk} split values, and caches colex's member tables "
+        f"of range(s) up to size ⌈s/2⌉ for each spine size s "
+        f"({kb(tables([frames[-1]]))} at f = {frames[-1]}, "
+        f"{kb(tables(frames))} over f = {frames[0]} to {frames[-1]}) and "
+        f"split rows per size ({kb(split_rows)} at most). qdc's frames of "
+        f"{frames[0]} to {frames[-1]} vertices share those split rows and "
+        f"one {kb(dc.BATCH_BYTES)} row batch",
         f"{mb(plan_bytes[12], 2)} at n = 12, {mb(plan_bytes[15])} at n = 15 "
         f"and {mb(plan_bytes[16])} at n = 16",
         "charges `max(1, ceil(c·√N))` oracle calls",

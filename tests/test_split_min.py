@@ -7,10 +7,11 @@ those of the BBHT schedule in qmf. The peak test measures real allocation
 at criterion 7's configuration, and the agreement test checks the engine
 against dp where brute force no longer reaches. The golden test also
 checks qdc's miss flag. The tail test checks that tail frames, solved from
-one product, and frames whose halves are tails, solved in row batches,
-report what frame-by-frame recursion (TAIL = 0) reports, and the search
-test that their searches see what those frames' searches see; the float
-test that sums too large for float32 are taken in float64. The last tests
+one product, qdc's frames whose halves are tails, solved in row batches,
+and dc's frames of 9 to 16 members, solved as subset layers, report what
+frame-by-frame recursion (TAIL = 0) reports, and the search test that
+their searches see what those frames' searches see; the float test that
+sums too large for float32 are taken in float64. The last tests
 cover what else the shared solve adds around the recursion: the recount
 of the kept ordering and one gamma count per candidate.
 """
