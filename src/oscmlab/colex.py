@@ -53,8 +53,18 @@ runs, in index_dtype of C(n, side).
   the layer, after one gather per side. A subset's least key over its
   runs is its first best split, split back with one divmod. Values are
   never negative and at most c.sum(), so keys are int32 while (c.sum() +
-  1) * C(s, k) < 2^31 and int64 beyond. Choices are int32, which holds
-  C(22, 11).
+  1) * C(s, k) < 2^31 and int64 beyond. Choices are int8 where C(s, k)
+  <= 2^7, else in its index_dtype.
+
+A chain of such layers, smallest size first, is one split_layers call:
+qdp's searches and dc's bounded frames. Each layer reads the optima of
+its W and rest sizes and the Sym of its W size from two dicts by size.
+Each size's optimum and Sym are dropped after the last layer that reads
+them, and a layer's Sym is kept only where a later layer reads its size
+as a W side, so a chain holds the layers still to be read, the choices,
+and one chunk. split_order rebuilds an order from the choices: down the
+first best splits, W's order first, to the leaves, which the caller
+orders (qdp peels its table, dc enumerates base cases).
 
 Tables are built and cached on first use; nothing is built at import.
 """
@@ -267,7 +277,8 @@ def search_layer(c, s, k, w_value, rest_opt, chunk, plan=None, picked=PICKED):
         return key.min(axis=0)
 
     count = table.shape[1]
-    layer = Layer(np.empty(count, rest_opt.dtype), np.empty(count, np.int32))
+    layer = Layer(np.empty(count, rest_opt.dtype), np.empty(
+        count, np.int8 if splits <= 2 ** 7 else index_dtype(splits)))
     sums = np.empty(count, rest_opt.dtype)
     for lo in range(0, count, step):
         at = slice(lo, lo + step)
@@ -285,3 +296,42 @@ def search_layer(c, s, k, w_value, rest_opt, chunk, plan=None, picked=PICKED):
                        out=best)
         layer.opt[at], layer.choice[at] = np.divmod(best, splits)
     return layer, sums
+
+
+def split_layers(c, steps, opt, sym, picked=PICKED):
+    """Run search layers, smallest size first, and return each one's
+    choices by size. A step (s, k, chunk, row plan) is search_layer's s,
+    k, chunk and plan; opt and sym map sizes to the optima and Sym that
+    the steps read, and are updated in place (module docstring): what is
+    left is the last step's optimum and the arrays no step reads."""
+    choices = {}
+    for s, k, chunk, plan in steps:
+        w_value, rest_opt = opt[k] - sym[k], opt[s - k]
+        for size in {k, s - k}:
+            if all(size not in (w, r - w) for r, w, *_ in steps if r > s):
+                del opt[size]
+                sym.pop(size, None)
+        layer, sums = search_layer(c, s, k, w_value, rest_opt, chunk, plan,
+                                   picked)
+        del w_value, rest_opt
+        opt[s] = layer.opt
+        if any(w == s for _, w, *_ in steps):
+            sym[s] = sums
+        choices[s] = layer.choice
+        del layer, sums
+    return choices
+
+
+def split_order(members, choice, widths, leaf):
+    """Optimal order of the subset given by its ascending members, down the
+    first best splits: a size in widths splits at W size widths[s] by its
+    choice (split_layers), W's order first, and any other size is a leaf,
+    ordered by leaf(members). Module level, so no closure cycle keeps the
+    layers alive after a solve."""
+    s = len(members)
+    if s not in widths:
+        return leaf(members)
+    k = widths[s]
+    split = [members[i] for i in split_rows(s, k)[:, choice[s][rank(members)]]]
+    return (split_order(split[:k], choice, widths, leaf)
+            + split_order(split[k:], choice, widths, leaf))

@@ -16,8 +16,9 @@ before it is returned, and the ledger equals dc_node_count on every run.
 
 Frames of more than base_size and at most TAIL members are tails. A tail
 whose whole subtree fits in the node budget is counted whole: the ledger
-adds its dc_node_count nodes and dc_gamma_count gammas in one step. One
-product of its flattened local crossing submatrix with a 0/1 count map
+adds, in one step, the nodes and gammas that pushing occurrences down its
+own split graph counts, which equal dc_node_count's and dc_gamma_count's.
+One product of its flattened local crossing submatrix with a 0/1 count map
 cached per (size, base size) gives every base-case ordering's crossings
 and every split's gamma; a few whole-array steps per node size then give
 every node's exact value and first best split, bottom-up, and the tail's
@@ -26,28 +27,28 @@ enters no tail node; qdc walks the internal nodes only, to run their
 searches.
 
 In dc (no search), a frame of more than TAIL and at most 2 * TAIL
-members is evaluated whole as subset layers when its subtree fits: the
+members is a layered frame, evaluated whole when its subtree fits: the
 ceil-half recursion inside it reaches every subset of each spine size, so
-its node values are search layers of its local matrix in the colex format
-(oscmlab.colex), one per spine size, which colex's split kernel
-evaluates, each subset keeping its first best split in the order that
-frame-by-frame recursion searches. Base case sizes are value layers: a
-pair takes min(c[a][b], c[b][a]), a larger base case peels its last
-vertex through the same kernel. The ordering follows the first best splits
-down to base cases, which take base_case's, and the ledger adds the
-nodes and gammas that pushing occurrences down the frame's widths counts
-(frame_counts), which equal dc_node_count's and dc_gamma_count's. A
-frame holds its layers, C(s, ceil(s/2)) entries at most per size, and one
-kernel chunk at a time; colex caches the member tables and split rows it
-reads. In qdc, a frame whose W and rest are both tails is counted whole in
-the same way when its subtree fits. Its candidates' W and rest local
-matrices are stacked in row batches of at most BATCH_BYTES of float32
-values, so one product per side size and the same steps along the batch
-axis solve every tail of a batch. A candidate's exact value is W's root
-value + the rest's + its gamma; the first least one is kept, and only
-that candidate's two tails are solved again, for their orderings. qdc
-runs the frame's search over the batches, walking each candidate's two
-tails from its rows.
+its node values are one chain of colex's search layers over its local
+matrix (colex.split_layers), one per spine size, each subset keeping its
+first best split in the order that frame-by-frame recursion searches. Its
+ordering follows those splits down to base cases, which take base_case's
+(colex.split_order). Base case sizes are value layers: a singleton is
+worth 0, a pair min(c[a][b], c[b][a]), and a larger base case peels its
+last vertex in the chain's first steps. The ledger adds the nodes and
+gammas that pushing occurrences down the frame's widths counts
+(frame_counts). A frame holds its layers, C(s, ceil(s/2)) entries at most
+per size, and one kernel chunk at a time; colex caches the member tables
+and split rows it reads. In qdc, a frame whose W and rest are both tails
+is a two-tail frame, counted whole when its subtree fits: its candidate
+count times its two tails' counts, plus its own node. Its candidates' W
+and rest local matrices are stacked in row batches of at most BATCH_BYTES
+of float32 values, so one product per side size and the same steps along
+the batch axis solve every tail of a batch. A candidate's exact value is
+W's root value + the rest's + its gamma; the first least one is kept, and
+only that candidate's two tails are solved again, for their orderings.
+qdc runs the frame's search over the batches, walking each candidate's
+two tails from its rows.
 
 A frame that the budget would run out inside runs frame by frame, the
 path that TAIL = 0 runs everywhere, so it raises where that path raises.
@@ -228,9 +229,6 @@ class _TailPlan:
     """
 
     def __init__(self, s, base_size):
-        self.n_nodes = dc_node_count(s, base_size)
-        self.n_gammas = dc_gamma_count(s, base_size)
-
         def halves(pos):            # as _scalar_splits enumerates them
             return [(w, tuple([v for v in pos if v not in w]))
                     for w in combinations(pos, ceil(len(pos) / 2))]
@@ -257,6 +255,16 @@ class _TailPlan:
                                tuple([number[r] for _, r in parts])))
             splits += parts
         g, n_base = len(splits), len(base)
+        # Occurrences pushed down the graph, parents first: the root counts
+        # 1, and each split adds its node's to its W and to its rest.
+        occurs = [0] * self.root + [1]
+        self.n_gammas = 0
+        for x in range(self.root, n_base - 1, -1):
+            m, _, w_ids, r_ids = self.inner[x - n_base]
+            self.n_gammas += occurs[x] * m
+            for y in w_ids + r_ids:
+                occurs[y] += occurs[x]
+        self.n_nodes = sum(occurs)
 
         def sides(ids):             # a node's Ws or rests: kind, offsets
             if ids[0] < n_base:
@@ -373,9 +381,10 @@ class _Halves:
         self.h = ceil(s / 2)
         self.w = _tail_plan(self.h, base_size)
         self.r = _tail_plan(s - self.h, base_size)
-        self.n_nodes = dc_node_count(s, base_size)
-        self.n_gammas = dc_gamma_count(s, base_size)
         self.pos = colex.split_rows(s, self.h)
+        count = self.pos.shape[1]
+        self.n_nodes = 1 + count * (self.w.n_nodes + self.r.n_nodes)
+        self.n_gammas = count * (1 + self.w.n_gammas + self.r.n_gammas)
         self.rows = max(1, BATCH_BYTES // (_F32.itemsize
                                            * (self.w.size + self.r.size)))
 
@@ -427,10 +436,9 @@ class _Layers(NamedTuple):
     base_size to its W size ceil(s/2), and ``top`` is the spine's largest
     base case size. ``steps`` lists the kernel's layers in the order they
     run: each base case size s from 3 to top, peeled at width s - 1, then
-    each spine size, smallest first. A step is (s, k, chunk, keep, dead):
-    keep says whether a later step reads the size's Sym, and dead names
-    the sizes whose values the step reads for the last time. n_nodes and
-    n_gammas are counted from widths (frame_counts)."""
+    each spine size, smallest first, as colex.split_layers' (s, k, chunk,
+    row plan) with no row plan. n_nodes and n_gammas are counted from
+    widths (frame_counts)."""
 
     widths: dict
     top: int
@@ -449,13 +457,7 @@ def _layer_plan(f, base_size):
             sizes += [ceil(s / 2), s // 2]
     top = max(s for s in sizes if s <= base_size)
     pairs = [(s, s - 1) for s in range(3, top + 1)] + sorted(widths.items())
-    last = {}
-    for i, (s, k) in enumerate(pairs):
-        last[k] = last[s - k] = i
-    w_sizes = {k for _, k in pairs}
-    steps = tuple((s, k, _chunk(f, s, k), s in w_sizes,
-                   tuple([size for size, at in last.items() if at == i]))
-                  for i, (s, k) in enumerate(pairs))
+    steps = tuple((s, k, _chunk(f, s, k), None) for s, k in pairs)
     return _Layers(widths, top, steps, *frame_counts(f, widths))
 
 
@@ -471,19 +473,12 @@ def _chunk(f, s, k):
 
 
 def _solve_layers(floats, rows, members, plan):
-    """The exact value and first best ordering of a frame over the sorted
-    ``members``, as subset layers of its local matrix (a _Layers plan).
-
-    Base layers first, values only: a singleton is worth 0, a pair {a, b}
-    min(c[a][b], c[b][a]) with Sym c[a][b] + c[b][a], and each larger base
-    case size up to plan.top peels its last vertex through the split
-    kernel at width s - 1. Then one search layer per spine size, smallest
-    first, keeps each subset's first best split (colex.search_layer).
-    A size's values are dropped once read for the last time. Values are
-    in the narrowest of int16/int32/int64 that holds the local matrix's
-    sum; a choice, below C(16, 8) = 12870, is kept in int16. The kernel
-    reads no row plan and no pick map: a frame's own tables are what a
-    budgeted solve's traced peak counts."""
+    """The exact value and first best ordering of a layered frame over the
+    sorted ``members`` (a _Layers plan; module docstring). A pair {a, b}
+    has Sym c[a][b] + c[b][a]. Values are in the narrowest of
+    int16/int32/int64 that holds the local matrix's sum. The kernel reads
+    no row plan and no pick map: a frame's own tables are what a budgeted
+    solve's traced peak counts."""
     sub = local_matrix(floats, members)
     f = len(members)
     total = int(sub.sum(dtype=np.float64))
@@ -496,40 +491,12 @@ def _solve_layers(floats, rows, members, plan):
         ab, ba = sub[a, b], sub[b, a]
         opt[2] = np.minimum(ab, ba).astype(values)
         sym[2] = (ab + ba).astype(values)
-        del ab, ba
-    choice = {}
-    for s, k, chunk, keep, dead in plan.steps:
-        w_value, rest_opt = opt[k] - sym[k], opt[s - k]
-        for size in dead:
-            del opt[size]
-            sym.pop(size, None)
-        layer, sums = colex.search_layer(sub, s, k, w_value, rest_opt, chunk,
-                                         picked=0)
-        del w_value, rest_opt
-        opt[s] = layer.opt
-        if keep:
-            sym[s] = sums
-        if s in plan.widths:
-            choice[s] = layer.choice.astype(np.int16)
-        del layer, sums
-    ordering = _layer_order(rows, members, tuple(range(f)), choice,
-                            plan.widths)
+        del a, b, ab, ba
+    choice = colex.split_layers(sub, plan.steps, opt, sym, picked=0)
+    ordering = colex.split_order(
+        list(range(f)), choice, plan.widths,
+        lambda at: base_case(rows, [members[p] for p in at])[1])
     return int(opt[f][0]), ordering
-
-
-def _layer_order(rows, members, positions, choice, widths):
-    """The first best ordering of the frame subset at ``positions`` of the
-    frame's sorted ``members``, down the layers' choices; a base case takes
-    base_case's. Module level, so no closure cycle keeps the layers alive
-    after a solve."""
-    s = len(positions)
-    if s not in widths:
-        return base_case(rows, [members[p] for p in positions])[1]
-    k = widths[s]
-    j = choice[s][colex.rank(positions)]
-    split = [positions[i] for i in colex.split_rows(s, k)[:, j]]
-    return (_layer_order(rows, members, split[:k], choice, widths)
-            + _layer_order(rows, members, split[k:], choice, widths))
 
 
 def _scalar_splits(rows, members):
@@ -560,19 +527,11 @@ def split_min(c: np.ndarray, cfg: DcConfig, search, ledger: CostLedger):
     (_TailPlan), and so can be both sides of a larger frame's candidates.
     A larger frame of at most 2 * TAIL members is, with ``search`` None,
     a layered frame (_Layers), and otherwise, when both its sides are
-    tails, a two-tail frame (_Halves). When such a frame's nodes fit in
-    the node budget, it is counted whole: a tail and a two-tail frame add
-    dc_node_count nodes and dc_gamma_count gammas, a layered frame the
-    counts of its plan (frame_counts), the figure its budget check reads.
-    One product over a tail's flattened local crossing submatrix, or over
-    a row batch of the candidates' W and rest submatrices, then gives
-    every tail node's exact value; a tail's ordering follows its first
-    best splits, and a two-tail frame takes its first least candidate and
-    solves only that one's tails again, for their orderings. A layered
-    frame evaluates one subset layer per spine size of its local matrix
-    (colex.search_layer) and follows the first best splits down to
-    base_case's orderings. With ``search`` None that is all; otherwise a
-    two-tail frame searches its candidates over the batches' rows, and
+    tails, a two-tail frame (_Halves); the module docstring says how each
+    is solved. When such a frame's nodes fit in the node budget, it is
+    counted whole: the ledger adds the nodes and gammas its plan counts,
+    the figure its budget check reads. With ``search`` None that is all;
+    otherwise a two-tail frame searches its candidates over the batches' rows, and
     every tail's internal nodes are walked in the frame-by-frame
     pre-order, each node's search reading base-case values and searching
     internal sides, so every search sees the values, and returns the

@@ -29,17 +29,17 @@ plan) run up to size t, keeping for each subset its optimum and its chosen
 last vertex (ties keep the smallest vertex). Phase 2 rests on the searches
 reaching every subset of each search size: level 1 enumerates all
 ceil(n/2)-subsets and their complements, and so on down. So each search
-size is one layer too, evaluated bottom-up after the sizes it splits into
-by colex's split kernel (colex.search_layer), which keeps each subset's
-first strictly-best split in the order of dc.split_min. A search layer
-keeps Sym per subset beside its optimum; the Sym of a table size that a
-search reads as its W side is summed before the searches run, from the
-same product as a search layer's rho (dp's table layers carry none). The
-optimum of a subset does not depend on which search reached it, so one
-value per subset stands for all of them; charges are the analytic counts
-above, taken from the chain of search layers that ran. The ordering is
-rebuilt at the end by concatenating the winning splits' orders down to
-table leaves.
+size is one layer too, and the search sizes are one chain of colex's
+split kernel, smallest first (colex.split_layers), each subset keeping
+its first strictly-best split in the order of dc.split_min. A search
+layer keeps Sym per subset beside its optimum; the Sym of a table size
+that a search reads as its W side is summed before the searches run,
+from the same product as a search layer's rho (dp's table layers carry
+none). The optimum of a subset does not depend on which search reached
+it, so one value per subset stands for all of them; charges are the
+analytic counts above, composed along the plan of search sizes. The
+ordering is rebuilt at the end down the winning splits to table leaves,
+which peel their last vertices (colex.split_order, colex.peel).
 
 Chunks. A search layer's chunks hold at most _CHUNK split values: m =
 _CHUNK // C(s, k) subsets against every split, or one subset against
@@ -50,20 +50,23 @@ first solve, while they fit _PLAN_BYTES; any other layer builds each
 chunk's ranks as it runs. A layer of at most colex.PICKED splits sums its
 W sides through its cached pick map.
 
-Space: sum_{i<=t} C(n, i) table entries plus C(n, s) per search size s
-(optimum and Sym in the value dtype, choice in int32), and one chunk at a
-time. A planned chunk with int32 keys holds ~8 bytes per split value at
-once, the key and the product it is cast from, where the unplanned kernel
-held ~14 (an intp copy of the ranks per take), so _CHUNK is 2^14 * 14 / 8
-= 28672. The member map, its product and rho add 8n + 20s bytes per
-subset. Warm tracemalloc peaks of n = 15 and 16 solves (random_instance,
-n_u 8, p 0.5) read 366 and 369 KB (426 and 429 KB unplanned). The plans
-hold 0.20, 8.08 and 8.13 MB at n = 12, 15 and 16, and all of qdp's caches
-(members, splits, pick maps and plans) 0.27, 8.3 and 8.6 MB, which
-ledger.meta["plan_bytes"] reports. _PLAN_BYTES holds n = 16's (8, 4)
-layer; n = 17's (8, 4) and (9, 5) layers (15 and 51 MB) and every larger
-one build their ranks per chunk. Sym of a table size is summed in chunks
-of at most _CHUNK member map entries.
+Space: sum_{i<=t} C(n, i) table entries, a choice per subset of each
+search size s (C(n, s) of them, in int8, int16 or int32 by C(s, k), as
+colex says), and one chunk at a time. The optimum and Sym of a size, in
+the value dtype, are dropped after the last search that reads them, and
+a search size keeps its Sym only where a larger search reads it as a W
+side (colex.split_layers). A planned chunk with int32 keys holds ~8
+bytes per split value at once, the key and the product it is cast from,
+where the unplanned kernel held ~14 (an intp copy of the ranks per
+take), so _CHUNK is 2^14 * 14 / 8 = 28672. The member map, its product
+and rho add 8n + 20s bytes per subset. Warm tracemalloc peaks of n = 15
+and 16 solves (random_instance, n_u 8, p 0.5) read 311 and 333 KB. The
+plans hold 0.20, 8.08 and 8.13 MB at n = 12, 15 and 16, and all of qdp's
+caches (members, splits, pick maps and plans) 0.27, 8.3 and 8.6 MB,
+which ledger.meta["plan_bytes"] reports. _PLAN_BYTES holds n = 16's
+(8, 4) layer; n = 17's (8, 4) and (9, 5) layers (15 and 51 MB) and every
+larger one build their ranks per chunk. Sym of a table size is summed in
+chunks of at most _CHUNK member map entries.
 
 Alpha is capped at 0.5: with alpha <= 1 - alpha the third level's split
 size ceil(alpha*n/4) and its complement both fit the table (ceilings are
@@ -210,21 +213,6 @@ def _table_bytes(n, plan, chunk, budget, picked):
     return sum(array.nbytes for array in arrays)
 
 
-def _ordering(members, layers, plan):
-    """Optimal order of a subset given by its ascending members, from the
-    layers' winning candidates: a search subset concatenates its split's
-    two orders, a table subset peels its last vertices. Module level, so no
-    closure cycle keeps the layers alive after a solve."""
-    s = len(members)
-    if s not in plan:
-        return colex.peel({size: layer.choice
-                           for size, layer in layers.items()}, members)
-    k, j = plan[s], layers[s].choice[colex.rank(members)]
-    split = [members[i] for i in colex.split_rows(s, k)[:, j]]
-    return (_ordering(split[:k], layers, plan)
-            + _ordering(split[k:], layers, plan))
-
-
 def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
     """Solve one instance exactly; returns (Solution, CostLedger)."""
     cfg = cfg or QdpConfig()
@@ -249,37 +237,36 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
 
     # Phase 1: dp's table layers over all subsets of size <= t (all of
     # them on the fallback path).
-    layers = dict(enumerate(subset_layers(c, n, n if fallback else t)))
-    ledger.recurrence_evals += sum(len(layer.opt) * s
-                                   for s, layer in layers.items())
-    ledger.meta["qram_entries"] = sum(len(layer.opt) for layer in layers.values())
+    opt, choice = {}, {}
+    for s, layer in enumerate(subset_layers(c, n, n if fallback else t)):
+        opt[s], choice[s] = layer
+        ledger.recurrence_evals += len(opt[s]) * s
+        ledger.meta["qram_entries"] += len(opt[s])
 
     if fallback:
         ledger.table_reads += 1
-        order = _ordering(list(range(n)), layers, {})
-        return Solution(tuple(order), int(layers[n].opt[0])), ledger
+        order = colex.peel(choice, list(range(n)))
+        return Solution(tuple(order), int(opt[n][0])), ledger
 
     # Phase 2: the nested searches, one layer per search size, smallest
     # first so that both sides of every split are already evaluated.
     # Each charged query at a level carries one search on its W side, whose
     # charge the smaller size has already composed.
-    plan = _search_plan(n, t, ceil(cfg.alpha * n / 4.0))
-    values = layers[0].opt.dtype
+    plan = sorted(_search_plan(n, t, ceil(cfg.alpha * n / 4.0)).items())
     floats = exact_floats(c)
-    sym = {k: colex.sym(floats, k, values, _CHUNK)
-           for k in set(plan.values()) if k <= t}
+    sym = {k: colex.sym(floats, k, opt[0].dtype, _CHUNK)
+           for _, k in plan if k <= t}
+    choice.update(colex.split_layers(floats, [
+        (s, k, _CHUNK, _plan(n, s, k, _CHUNK // comb(s, k)))
+        for s, k in plan], opt, sym))
     charge = {}
-    for s in sorted(plan):
-        k = plan[s]
-        layers[s], sym[s] = colex.search_layer(
-            floats, s, k, layers[k].opt - sym[k], layers[s - k].opt, _CHUNK,
-            _plan(n, s, k, _CHUNK // comb(s, k)))
-        ledger.table_reads += (len(layers[s].opt) * comb(s, k)
-                               * ((k <= t) + (s - k <= t)))
+    for s, k in plan:
+        ledger.table_reads += comb(n, s) * comb(s, k) * ((k <= t) + (s - k <= t))
         charge[s] = (cost_model_calls(comb(s, k), cfg.call_constant)
                      * (1 + charge.get(k, 0)))
     ledger.oracle_calls = charge[n]
-    ledger.meta["plan_bytes"] = _table_bytes(
-        n, tuple(sorted(plan.items())), _CHUNK, _PLAN_BYTES, colex.PICKED)
-    order = _ordering(list(range(n)), layers, plan)
-    return Solution(tuple(order), int(layers[n].opt[0])), ledger
+    ledger.meta["plan_bytes"] = _table_bytes(n, tuple(plan), _CHUNK,
+                                             _PLAN_BYTES, colex.PICKED)
+    order = colex.split_order(list(range(n)), choice, dict(plan),
+                              lambda members: colex.peel(choice, members))
+    return Solution(tuple(order), int(opt[n][0])), ledger

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from itertools import combinations
 from math import ceil, comb
 from pathlib import Path
 
@@ -124,28 +125,71 @@ def test_outputs_match_the_recorded_frames(case):
         assert build_crossing_matrix(inst).sum() >= 2 ** 24
 
 
-@pytest.mark.parametrize("base", [1, 2, 3])
-@pytest.mark.parametrize("f", range(oscmlab.dc.TAIL + 1, 2 * oscmlab.dc.TAIL + 1))
+# Frames counted whole: tails up to TAIL members, and the layered (dc) and
+# two-tail (qdc) frames above them.
+FRAMES = [(f, base) for base in (1, 2, 3)
+          for f in range(base + 1, 2 * oscmlab.dc.TAIL + 1)]
+
+
+def whole_plans(f, base):
+    """The plans that count a frame of f members whole."""
+    if f <= oscmlab.dc.TAIL:
+        return [oscmlab.dc._tail_plan(f, base)]
+    return [oscmlab.dc._layer_plan(f, base), oscmlab.dc._halves(f, base)]
+
+
+@pytest.mark.parametrize("f,base", FRAMES, ids=[f"{f}-{b}" for f, b in FRAMES])
 def test_layer_plans_count_the_closed_forms(f, base):
-    """A layered frame's nodes and gammas, pushed down its plan's widths
-    from a root of 1, are the closed forms that frame-by-frame recursion
-    counts."""
-    plan = oscmlab.dc._layer_plan(f, base)
-    assert frame_counts(f, plan.widths) == (dc_node_count(f, base),
-                                            dc_gamma_count(f, base))
-    assert (plan.n_nodes, plan.n_gammas) == frame_counts(f, plan.widths)
+    """Each plan that counts a frame whole counts, from its own graph, the
+    closed forms that frame-by-frame recursion counts: a layered frame's
+    occurrences pushed down its widths from a root of 1 (frame_counts), a
+    tail's down its split graph, and a two-tail frame's candidates times
+    its two tails' counts."""
+    want = (dc_node_count(f, base), dc_gamma_count(f, base))
+    for plan in whole_plans(f, base):
+        assert (plan.n_nodes, plan.n_gammas) == want
+    if f > oscmlab.dc.TAIL:
+        assert frame_counts(f, oscmlab.dc._layer_plan(f, base).widths) == want
 
 
-@pytest.mark.parametrize("base", [1, 2, 3])
-@pytest.mark.parametrize("f", range(oscmlab.dc.TAIL + 1, 2 * oscmlab.dc.TAIL + 1))
-def test_a_changed_width_counts_differently(f, base):
-    """The counts come from the widths: the root split at ceil(f/2) + 1
-    (every other width as planned) counts other totals."""
+def short_tail_plan(s, base, monkeypatch):
+    """A tail plan of s members whose root lacks its last split."""
+    def fewer(pos, k):
+        splits = list(combinations(pos, k))
+        return splits[:-1] if len(pos) == s else splits
+    with monkeypatch.context() as patch:
+        patch.setattr(oscmlab.dc, "combinations", fewer)
+        return oscmlab.dc._TailPlan(s, base)
+
+
+@pytest.mark.parametrize("f,base", FRAMES, ids=[f"{f}-{b}" for f, b in FRAMES])
+def test_a_changed_width_counts_differently(f, base, monkeypatch):
+    """The counts come from the plans' graphs. A tail plan whose root
+    lacks its last split counts other totals, and at TAIL members changes
+    dc's ledger; a layered frame whose root splits at ceil(f/2) + 1 (every
+    other width as planned) counts other totals, and so does a two-tail
+    frame whose W tail's root lacks a split."""
+    want = (dc_node_count(f, base), dc_gamma_count(f, base))
+    if f <= oscmlab.dc.TAIL:
+        short = short_tail_plan(f, base, monkeypatch)
+        assert short.n_nodes != want[0] and short.n_gammas != want[1]
+        if f == oscmlab.dc.TAIL:
+            monkeypatch.setattr(oscmlab.dc, "_tail_plan", lambda s, b: short)
+            inst = random_instance(random.Random(f), 4, f, 0.5)
+            _, ledger = solve_dc(inst, DcConfig(base_size=base))
+            assert ledger.nodes == short.n_nodes
+        return
     widths = dict(oscmlab.dc._layer_plan(f, base).widths)
     widths[f] += 1
     nodes, gammas = frame_counts(f, widths)
-    assert nodes != dc_node_count(f, base)
-    assert gammas != dc_gamma_count(f, base)
+    assert nodes != want[0] and gammas != want[1]
+    h = ceil(f / 2)
+    short = short_tail_plan(h, base, monkeypatch)
+    monkeypatch.setattr(oscmlab.dc, "_tail_plan",
+                        lambda s, b: short if s == h else
+                        oscmlab.dc._TailPlan(s, b))
+    pair = oscmlab.dc._Halves(f, base)
+    assert pair.n_nodes != want[0] and pair.n_gammas != want[1]
 
 
 def test_dc_frames_build_no_two_tail_plans():

@@ -11,7 +11,7 @@ import pytest
 from oscmlab import (BipartiteInstance, QdpConfig, SizeLimitError,
                      build_crossing_matrix, count_crossings, qdp_cost_model,
                      solve_dp, solve_qdp, table_threshold)
-from oscmlab import colex, dp, qdp
+from oscmlab import colex, dc, dp, qdp
 from oscmlab.matrix import exact_floats
 
 from instances import random_instance
@@ -246,9 +246,10 @@ def test_outputs_at_wide_values(spec, ordering, crossings, counts):
 def search_arrays(c, n, t, plan, chunk=None):
     """The layers and Sym arrays solve_qdp evaluates for the crossing
     matrix c, as {s: (opt, sym, choice)}; sym is None where qdp computes
-    none. The kernel runs as qdp runs it, with qdp's chunk and row plans,
-    or, given a chunk, with that chunk and no row plan, as dc's frames run
-    it."""
+    none. The kernel runs layer by layer in the order of qdp's chain, with
+    qdp's chunk and row plans, or, given a chunk, with that chunk and no
+    row plan, as dc's frames run it; every layer is kept, where
+    colex.split_layers drops each after the last step that reads it."""
     layers = dict(enumerate(dp.subset_layers(c, n, t)))
     values = layers[0].opt.dtype
     floats = exact_floats(c)
@@ -475,6 +476,63 @@ def test_both_routes_to_the_rank_rows(monkeypatch, fresh_plans, n, chunk,
             if want is not None:
                 assert want.dtype == got.dtype
                 assert np.array_equal(want, got)
+
+
+# split_layers' inputs: dc's layered frames of 9-16 members at base sizes
+# 1-3 (singleton and pair layers given, the rest peeled in the chain), and
+# qdp's searches at n 8-22 (the table given), as each caller builds them.
+CHAINS = ([("dc", f, base) for f in range(dc.TAIL + 1, 2 * dc.TAIL + 1)
+           for base in (1, 2, 3)]
+          + [("qdp", n, alpha) for n in list(range(8, 21)) + [22]
+             for alpha in (0.055362, 0.4)])
+
+
+def chain(kind, n, arg):
+    """(steps, sizes of the given optima, sizes of the given Sym)."""
+    if kind == "dc":
+        plan = dc._layer_plan(n, arg)
+        given = range(1, min(plan.top, 2) + 1)
+        return plan.steps, set(given), set(given)
+    t, plan = plan_for(n, arg)
+    steps = [(s, k, qdp._CHUNK, None) for s, k in sorted(plan.items())]
+    return steps, set(range(t + 1)), {k for k in plan.values() if k <= t}
+
+
+@pytest.mark.parametrize("kind,n,arg", CHAINS,
+                         ids=[f"{kind}-{n}-{arg}" for kind, n, arg in CHAINS])
+def test_split_layers_drop_what_no_later_step_reads(kind, n, arg, monkeypatch):
+    """At each step, before the kernel runs, opt and sym hold only sizes
+    that this step or a later one still reads, or that no step reads; a
+    size keeps its Sym only where a later step reads it as a W side. What
+    is left is the root's optimum and the arrays no step reads. A stand-in
+    kernel returns zero layers, so the rule is checked at n 22 too."""
+    steps, given_opt, given_sym = chain(kind, n, arg)
+    last = {}
+    for i, (s, k, *_) in enumerate(steps):
+        last[k] = last[s - k] = i
+    w_sizes = {k for _, k, *_ in steps}
+    opt = {x: np.zeros(comb(n, x), np.int16) for x in given_opt}
+    sym = {x: np.zeros(comb(n, x), np.int16) for x in given_sym}
+    made = []
+
+    def kernel(c, s, k, w_value, rest_opt, chunk, plan=None, picked=None):
+        i = len(made)
+        assert (s, k, chunk, plan) == tuple(steps[i])
+        assert (len(w_value), len(rest_opt)) == (comb(n, k), comb(n, s - k))
+        live = {x for x in given_opt | set(made) if last.get(x, i + 1) > i}
+        assert set(opt) == live
+        assert set(sym) == {x for x in given_sym | (set(made) & w_sizes)
+                            if last.get(x, i + 1) > i}
+        made.append(s)
+        count = comb(n, s)
+        return (colex.Layer(np.zeros(count, np.int16), np.zeros(count, np.int8)),
+                np.zeros(count, np.int16))
+
+    monkeypatch.setattr(colex, "search_layer", kernel)
+    choices = colex.split_layers(np.zeros((n, n), np.float32), steps, opt, sym)
+    assert made == [s for s, *_ in steps] == list(choices)
+    assert set(opt) == {steps[-1][0]} | (given_opt - set(last))
+    assert set(sym) == given_sym - set(last)
 
 
 def cleared_solve(inst, cfg=None):
