@@ -101,6 +101,12 @@ def index_dtype(size):
     return np.int16 if size <= 2 ** 15 else np.int32
 
 
+def value_dtype(total):
+    """The narrowest of int16/int32/int64 that holds values in 0..total."""
+    return (np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31
+            else np.int64)
+
+
 class Layer(NamedTuple):
     """Optimum and winning candidate of every subset of one size, by rank.
     The candidate is the position of the last vertex in a table layer and

@@ -28,18 +28,22 @@ searches.
 
 In dc (no search), a frame of more than TAIL and at most 2 * TAIL
 members is a layered frame, evaluated whole when its subtree fits: the
-ceil-half recursion inside it reaches every subset of each spine size, so
-its node values are one chain of colex's search layers over its local
-matrix (colex.split_layers), one per spine size, each subset keeping its
-first best split in the order that frame-by-frame recursion searches. Its
-ordering follows those splits down to base cases, which take base_case's
-(colex.split_order). Base case sizes are value layers: a singleton is
-worth 0, a pair min(c[a][b], c[b][a]), and a larger base case peels its
-last vertex in the chain's first steps. The ledger adds the nodes and
-gammas that pushing occurrences down the frame's widths counts
-(frame_counts). A frame holds its layers, C(s, ceil(s/2)) entries at most
-per size, and one kernel chunk at a time; colex caches the member tables
-and split rows it reads. In qdc, a frame whose W and rest are both tails
+ceil-half recursion inside it reaches every subset of each size it
+reaches, so its node values are one chain of colex's search layers over
+its local matrix (colex.split_layers). The chain depends on the frame's
+size alone: singletons (worth 0) and pairs (min(c[a][b], c[b][a])) are
+seeded, and every reached size s >= 3 is one layer split at ceil(s/2),
+each subset keeping its first best split in the order that
+frame-by-frame recursion searches. Any split width gives exact optima,
+so base case sizes come out exact too. base_size chooses only where the
+ordering walk down those splits hands members to base_case
+(colex.split_order; a pair stops there at every base size, since
+base_case orders it as its first best split does) and which sizes the
+ledger counts as splits: it adds the nodes and gammas that pushing
+occurrences down the widths above base_size counts (frame_counts). A
+frame holds its layers, C(s, ceil(s/2)) entries at most per size, and one
+kernel chunk at a time; colex caches the member tables and split rows it
+reads. In qdc, a frame whose W and rest are both tails
 is a two-tail frame, counted whole when its subtree fits: its candidate
 count times its two tails' counts, plus its own node. Its candidates' W
 and rest local matrices are stacked in row batches of at most BATCH_BYTES
@@ -432,16 +436,14 @@ def frame_counts(f, widths):
 class _Layers(NamedTuple):
     """The plan of a frame of f members evaluated as subset layers.
 
-    ``widths`` maps each size of the frame's ceil-half spine above
-    base_size to its W size ceil(s/2), and ``top`` is the spine's largest
-    base case size. ``steps`` lists the kernel's layers in the order they
-    run: each base case size s from 3 to top, peeled at width s - 1, then
-    each spine size, smallest first, as colex.split_layers' (s, k, chunk,
-    row plan) with no row plan. n_nodes and n_gammas are counted from
-    widths (frame_counts)."""
+    ``steps`` depend on f alone: one layer per size s >= 3 that the
+    ceil-half recursion of f reaches, split at ceil(s/2), smallest first,
+    as colex.split_layers' (s, k, chunk, row plan) with no row plan.
+    base_size picks only ``widths``, which maps each reached size above it
+    to ceil(s/2): n_nodes and n_gammas are counted from them
+    (frame_counts), and the ordering walk splits those above 2 too."""
 
     widths: dict
-    top: int
     steps: tuple
     n_nodes: int
     n_gammas: int
@@ -452,13 +454,13 @@ def _layer_plan(f, base_size):
     """The _Layers plan of a frame of f members at base_size."""
     widths, sizes = {}, [f]
     for s in sizes:
-        if s > base_size and s not in widths:
+        if s > 1 and s not in widths:
             widths[s] = ceil(s / 2)
             sizes += [ceil(s / 2), s // 2]
-    top = max(s for s in sizes if s <= base_size)
-    pairs = [(s, s - 1) for s in range(3, top + 1)] + sorted(widths.items())
-    steps = tuple((s, k, _chunk(f, s, k), None) for s, k in pairs)
-    return _Layers(widths, top, steps, *frame_counts(f, widths))
+    steps = tuple((s, k, _chunk(f, s, k), None)
+                  for s, k in sorted(widths.items()) if s > 2)
+    widths = {s: k for s, k in widths.items() if s > base_size}
+    return _Layers(widths, steps, *frame_counts(f, widths))
 
 
 def _chunk(f, s, k):
@@ -474,27 +476,25 @@ def _chunk(f, s, k):
 
 def _solve_layers(floats, rows, members, plan):
     """The exact value and first best ordering of a layered frame over the
-    sorted ``members`` (a _Layers plan; module docstring). A pair {a, b}
-    has Sym c[a][b] + c[b][a]. Values are in the narrowest of
-    int16/int32/int64 that holds the local matrix's sum. The kernel reads
-    no row plan and no pick map: a frame's own tables are what a budgeted
-    solve's traced peak counts."""
+    sorted ``members`` (a _Layers plan; module docstring). Singletons and
+    pairs are seeded: a pair {a, b} is worth min(c[a][b], c[b][a]) and has
+    Sym c[a][b] + c[b][a]. Values are in colex.value_dtype of the local
+    matrix's sum. The kernel reads no row plan and no pick map: a frame's
+    own tables are what a budgeted solve's traced peak counts."""
     sub = local_matrix(floats, members)
     f = len(members)
-    total = int(sub.sum(dtype=np.float64))
-    values = (np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31
-              else np.int64)
-    opt = {1: np.zeros(f, values)}
-    sym = {1: opt[1]}                   # the local diagonal is 0
-    if plan.top >= 2:
-        a, b = colex.members(f, 2)
-        ab, ba = sub[a, b], sub[b, a]
-        opt[2] = np.minimum(ab, ba).astype(values)
-        sym[2] = (ab + ba).astype(values)
-        del a, b, ab, ba
+    values = colex.value_dtype(int(sub.sum(dtype=np.float64)))
+    a, b = colex.members(f, 2)
+    ab, ba = sub[a, b], sub[b, a]
+    opt = {1: np.zeros(f, values), 2: np.minimum(ab, ba).astype(values)}
+    sym = {1: opt[1], 2: (ab + ba).astype(values)}  # the local diagonal is 0
+    del a, b, ab, ba
     choice = colex.split_layers(sub, plan.steps, opt, sym, picked=0)
+    # pairs have no choices: base_case orders a pair as its first best
+    # split would, a before b unless c[b][a] < c[a][b]
+    walk = {s: k for s, k in plan.widths.items() if s > 2}
     ordering = colex.split_order(
-        list(range(f)), choice, plan.widths,
+        list(range(f)), choice, walk,
         lambda at: base_case(rows, [members[p] for p in at])[1])
     return int(opt[f][0]), ordering
 

@@ -312,11 +312,10 @@ def subset_layers(c, n, top):
     """Yield the table layers of sizes 0..top for the n x n crossing matrix
     c: OPT(S) = min_w OPT(S \\ w) + sum_{v in S} c[v][w] for every s-subset
     S, the choice being w's position among the members (ties keep the
-    smallest w). Values are in the narrowest of int16/int32/int64 that
-    holds c.sum(), a bound on every value computed; layers hold no Sym."""
+    smallest w). Values are in colex.value_dtype of c.sum(), a bound on
+    every value computed; layers hold no Sym."""
     total = int(c.sum())
-    dtype = (np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31
-             else np.int64)
+    dtype = colex.value_dtype(total)
     yield colex.Layer(np.zeros(1, dtype), np.zeros(1, np.int8))
     # a singleton costs 0; to the kernel its rest is the empty set, rank 0
     layer = colex.Layer(np.zeros(n, dtype), np.zeros(n, np.int8))

@@ -16,9 +16,10 @@ build_crossing_matrix returns the matrix itself: a read-only n_v x n_v
 int64 array. Subsets are sequences of members. cross_sum (gamma) and
 order_sum (the cost of an ordering) are the scalar pair sums; they read
 the matrix as nested lists (c.tolist()), which Python loops index far
-faster than NumPy elements. dc's tail frames sum the same pairs in bulk
-from index tables over a local submatrix (dc._TailPlan), and the brute-
-force oracle keeps its own route (bigraph._edge_pairs).
+faster than NumPy elements. dc's tail frames sum the same pairs in bulk,
+one product of a local submatrix with a 0/1 count map (dc._TailPlan),
+its layered frames sum them through colex's split kernel, and the
+brute-force oracle keeps its own route (bigraph._edge_pairs).
 """
 
 from __future__ import annotations

@@ -35,9 +35,10 @@ up to 256 values.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import lru_cache
 from math import asin, ceil, cos, log2, sin, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +62,12 @@ class QmfConfig:
             raise ValueError("call_constant must be positive")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class QmfResult:
+class QmfResult(NamedTuple):
+    """What one search returns. A plain record, because every search
+    builds one (qdc runs one per recursion node) and a NamedTuple builds
+    faster than a frozen dataclass; assignment raises as a frozen
+    dataclass's does."""
+
     argmin_index: int
     min_value: int
     oracle_calls: int
@@ -70,21 +75,8 @@ class QmfResult:
     norm_drift: float = 0.0
     thresholds: tuple = ()
 
-    def __init__(self, argmin_index, min_value, oracle_calls, success_flag,
-                 norm_drift=0.0, thresholds=()):
-        # Slot setters, where a generated frozen __init__ would call
-        # object.__setattr__ per field at twice the cost: a search builds
-        # one result, and qdc runs one search per recursion node.
-        put = _RESULT_SLOTS
-        put[0](self, argmin_index)
-        put[1](self, min_value)
-        put[2](self, oracle_calls)
-        put[3](self, success_flag)
-        put[4](self, norm_drift)
-        put[5](self, thresholds)
-
-
-_RESULT_SLOTS = tuple(getattr(QmfResult, f.name).__set__ for f in fields(QmfResult))
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 @lru_cache(maxsize=1024)

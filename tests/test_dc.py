@@ -205,6 +205,41 @@ def test_dc_frames_build_no_two_tail_plans():
     assert oscmlab.dc._halves.cache_info().currsize == 1
 
 
+def test_layered_frames_split_every_reached_size_at_its_ceil_half(
+        monkeypatch):
+    """A layered frame's chain depends on its size alone: one layer per
+    size s >= 3 that the ceil-half recursion of f reaches, smallest first,
+    split at ceil(s/2), at every base size; singletons and pairs are
+    seeded, so no solve runs the kernel on them. base_size picks only the
+    sizes the ordering walk splits."""
+    for f in range(oscmlab.dc.TAIL + 1, 2 * oscmlab.dc.TAIL + 1):
+        reached, sizes = set(), [f]
+        for s in sizes:
+            if s not in reached:
+                reached.add(s)
+                sizes += [ceil(s / 2), s // 2]
+        want = [(s, ceil(s / 2)) for s in sorted(reached) if s >= 2]
+        steps = {oscmlab.dc._layer_plan(f, base).steps for base in range(1, 6)}
+        assert len(steps) == 1
+        assert [(s, k, plan) for s, k, _, plan in steps.pop()] == [
+            (s, k, None) for s, k in want if s > 2]
+        for base in range(1, 6):
+            assert oscmlab.dc._layer_plan(f, base).widths == {
+                s: k for s, k in want if s > base}
+    kernel, layers = oscmlab.colex.search_layer, []
+
+    def recording(c, s, k, *args, **kwargs):
+        layers.append((s, k))
+        return kernel(c, s, k, *args, **kwargs)
+
+    monkeypatch.setattr(oscmlab.colex, "search_layer", recording)
+    for n_v in (9, 16):
+        inst = random_instance(random.Random(920 + n_v), 5, n_v, 0.5)
+        for base in (1, 5):
+            solve_dc(inst, DcConfig(base_size=base))
+    assert layers and all(s >= 3 and k == ceil(s / 2) for s, k in layers)
+
+
 def test_count_only_skips_reconstruction_not_counting():
     inst = random_instance(random.Random(8), 4, 6, 0.5)
     full_sol, full_led = solve_dc(inst)

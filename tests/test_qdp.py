@@ -479,8 +479,8 @@ def test_both_routes_to_the_rank_rows(monkeypatch, fresh_plans, n, chunk,
 
 
 # split_layers' inputs: dc's layered frames of 9-16 members at base sizes
-# 1-3 (singleton and pair layers given, the rest peeled in the chain), and
-# qdp's searches at n 8-22 (the table given), as each caller builds them.
+# 1-3 (singleton and pair layers given), and qdp's searches at n 8-22 (the
+# table given), as each caller builds them.
 CHAINS = ([("dc", f, base) for f in range(dc.TAIL + 1, 2 * dc.TAIL + 1)
            for base in (1, 2, 3)]
           + [("qdp", n, alpha) for n in list(range(8, 21)) + [22]
@@ -490,9 +490,7 @@ CHAINS = ([("dc", f, base) for f in range(dc.TAIL + 1, 2 * dc.TAIL + 1)
 def chain(kind, n, arg):
     """(steps, sizes of the given optima, sizes of the given Sym)."""
     if kind == "dc":
-        plan = dc._layer_plan(n, arg)
-        given = range(1, min(plan.top, 2) + 1)
-        return plan.steps, set(given), set(given)
+        return dc._layer_plan(n, arg).steps, {1, 2}, {1, 2}
     t, plan = plan_for(n, arg)
     steps = [(s, k, qdp._CHUNK, None) for s, k in sorted(plan.items())]
     return steps, set(range(t + 1)), {k for k in plan.values() if k <= t}

@@ -125,7 +125,7 @@ def by_size(budgets):
     return sorted(budgets, key=lambda b: b or 0)
 
 
-@pytest.mark.parametrize("base", [1, 2, 3])
+@pytest.mark.parametrize("base", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("solve,config", [(solve_dc, DcConfig),
                                           (solve_qdc, QdcConfig)],
                          ids=["dc", "qdc"])
@@ -134,7 +134,11 @@ def test_tail_frames_report_what_scalar_frames_report(monkeypatch, solve,
     """Budgets of a few nodes, of a third and of all but one of the tree
     stop inside a tail (the whole tree is one up to n_v = TAIL, and at
     n_v = 9 and 10 all but its root is), and at n_v = 11 and 12 budgets
-    stop inside the root, whose halves are tails."""
+    stop inside the root, whose halves are tails (at base 5, n_v = 11's
+    rest is a base case). Unbudgeted, dc solves n_v = 9 to 12 as layered
+    frames, whose layers are the same at every base size; at base sizes 4
+    and 5 their ordering walk must still hand base cases of 4 and 5
+    members to base_case."""
     for n_v in range(1, 13):
         inst = random_instance(random.Random(1000 + n_v), 5, n_v, 0.5)
         total = dc_node_count(n_v, base)
