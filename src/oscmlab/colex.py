@@ -38,23 +38,46 @@ split, or one subset against runs of ``chunk`` splits where there are
 more. A chunk's index rows depend on n alone: its members' flat offsets
 member * m + column in its member map (offsets), and the colex ranks of
 each split's W side and rest over split_rows' position rows
-(split_ranks); by the reverse order of the rests, an even split's rest
-ranks are its W ranks reversed. A caller may pass them built, one tuple
-per chunk (qdp's row plans); otherwise each chunk builds its ranks as it
-runs, in index_dtype of C(n, side).
+(split_ranks), in index_dtype of C(n, side); by the reverse order of the
+rests, an even split's rest ranks are its W ranks reversed.
 
 - rho of every member is one product of c with the block's (n, m) 0/1
   member map, read back at the members (rho). c is in the floats of
   matrix.exact_floats: float32 while c.sum() < 2^24 and float64 beyond,
   where every sum is exact.
-- The W side's rho sums are one product of a cached (C(s, k), s) 0/1 pick
-  map with rho where C(s, k) <= ``picked``, else k row takes, cast
+- The W side's rho sums are one product of a (C(s, k), s) 0/1 pick map
+  with rho where the regime keeps pick maps, else k row takes, cast
   straight into packed keys value * C(s, k) + j, j the split's index in
   the layer, after one gather per side. A subset's least key over its
   runs is its first best split, split back with one divmod. Values are
   never negative and at most c.sum(), so keys are int32 while (c.sum() +
   1) * C(s, k) < 2^31 and int64 beyond. Choices are int8 where C(s, k)
   <= 2^7, else in its index_dtype.
+
+Regimes. The kernel runs in one of the paper's two space regimes, named
+by split_layers' ``cached``; both compute the same optima, choices and
+Sym. The member map, its product and rho add 8n + 20s bytes per subset
+of a chunk in either.
+
+- Cached, qdp's searches beside their O*(1.728^n) table. Chunks hold
+  CHUNK split values. A layer in one run reads its chunks' index rows
+  (offsets, W ranks and rest ranks, as intp) from a row plan kept across
+  solves while they fit PLAN_BYTES (row_plan); any other layer builds
+  each chunk's ranks as it runs. A layer of at most PICKED splits sums
+  its W sides through its pick map, also kept (table_bytes counts both).
+  A planned chunk with int32 keys holds ~8 bytes per split value at
+  once, the key and the product it is cast from, where the unplanned
+  kernel held ~14 (an intp copy of the ranks per take), so CHUNK is
+  2^14 * 14 / 8 = 28672. PLAN_BYTES holds n = 16's (8, 4) layer; n =
+  17's (8, 4) and (9, 5) layers (15 and 51 MB) and every larger one
+  build their ranks per chunk.
+- Uncached, dc's frames in polynomial space. No row plan or pick map is
+  read or kept: each chunk builds its ranks and sums its W sides by row
+  takes. A chunk of m subsets of range(n) holds about m(n + C(s, k))
+  values at once, the member map's and one key per split, and at most
+  C(2h, h), h = ceil(n/2): the root's splits at an even n, twice them at
+  an odd n, whose root is half the next frame's while its other layers
+  are nearly as large (chunk_size).
 
 A chain of such layers, smallest size first, is one split_layers call:
 qdp's searches and dc's bounded frames. Each layer reads the optima of
@@ -72,7 +95,7 @@ Tables are built and cached on first use; nothing is built at import.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import ceil, comb
 from typing import NamedTuple
 
 import numpy as np
@@ -171,10 +194,24 @@ def split_rows(s, k):
     return rows
 
 
-# The W-side rho sums of a layer with at most PICKED splits are one
-# product with its pick map, which beat k row takes at every split count
-# measured (6 to 12870); the cap keeps each cached map under 48 KB.
+# The cached regime's constants (module docstring, Regimes): split values
+# per chunk, and bytes of index rows a layer keeps across solves. Its
+# W-side rho sums of a layer with at most PICKED splits are one product
+# with its pick map, which beat k row takes at every split count measured
+# (6 to 12870); the cap keeps each cached map under 48 KB.
+CHUNK = 28672
+PLAN_BYTES = 1 << 23
 PICKED = 1 << 10
+
+
+def chunk_size(n, s, k, cached):
+    """Split values per chunk of the layer of s-subsets of range(n) split
+    at k: CHUNK when cached, else at most C(2h, h), h = ceil(n/2), in
+    whole subsets (module docstring, Regimes)."""
+    if cached:
+        return CHUNK
+    splits, h = comb(s, k), ceil(n / 2)
+    return splits * max(1, comb(2 * h, h) // (n + splits))
 
 
 @lru_cache(maxsize=64)
@@ -216,12 +253,12 @@ def rho(c, at):
     return (c @ member_map.reshape(-1, m)).take(at)
 
 
-def sym(c, s, dtype, chunk):
+def sym(c, s, dtype):
     """Sym(S) = sum_{v in S} rho_S(v) of every s-subset, by rank, in dtype,
-    from chunks of at most ``chunk`` member map entries."""
+    from chunks of at most CHUNK member map entries."""
     table = members(len(c), s)
     out = np.empty(table.shape[1], dtype)
-    step = max(1, chunk // len(c))
+    step = max(1, CHUNK // len(c))
     for lo in range(0, len(out), step):
         at = slice(lo, lo + step)
         out[at] = rho(c, offsets(table[:, at])).sum(axis=0)
@@ -247,20 +284,56 @@ def split_ranks(n, k, block, run, mirrored):
     return side(rows[:k]), None if mirrored else side(rows[k:])
 
 
-def search_layer(c, s, k, w_value, rest_opt, chunk, plan=None, picked=PICKED):
+@lru_cache(maxsize=16)
+def row_plan(n, s, k, step):
+    """Per chunk of step subsets of the layer of s-subsets of range(n)
+    split at k, its member offsets, W ranks and rest ranks (None for an
+    even split), as intp; None for a layer in runs of splits (step 0) or
+    whose rows would pass PLAN_BYTES. The rows stay writeable: take
+    copies a read-only index array."""
+    count, splits = comb(n, s), comb(s, k)
+    mirrored = 2 * k == s
+    if not step or (s + splits * (2 - mirrored)) * count * 8 > PLAN_BYTES:
+        return None
+    table = members(n, s)
+    chunks = []
+    for lo in range(0, count, step):
+        block = table[:, lo:lo + step]
+        chunks.append((offsets(block), *(
+            None if ranks is None else ranks.astype(np.intp)
+            for ranks in split_ranks(n, k, block, slice(None), mirrored))))
+    return chunks
+
+
+def table_bytes(n, widths):
+    """Bytes of the tables a cached chain over range(n) whose sizes s split
+    at widths[s] leaves cached: member layers (one caches every smaller
+    one of its n), split rows, pick maps and row plans."""
+    arrays = [members(size, i) for size, i in {(n, n)} | {
+        (s, i) for s, k in widths.items() for i in range(max(k, s - k) + 1)}]
+    for s, k in widths.items():
+        arrays.append(split_rows(s, k))
+        if comb(s, k) <= PICKED:
+            arrays.append(pick_map(s, k))
+        arrays += [row for rows in row_plan(n, s, k, CHUNK // comb(s, k)) or ()
+                   for row in rows if row is not None]
+    return sum(array.nbytes for array in arrays)
+
+
+def search_layer(c, s, k, w_value, rest_opt, chunk, cached):
     """Best split of every s-subset into a k-subset W and the rest, and
     the Sym of every s-subset; ties keep the first split. c is the crossing
     matrix in a float dtype whose sums are exact; w_value is OPT - Sym of
     the k-subsets and rest_opt OPT of the (s - k)-subsets, both in the
-    value dtype. A chunk holds at most ``chunk`` split values; ``plan``,
-    when given, holds each chunk's offsets, W ranks and rest ranks (None
-    for an even split) as intp; a layer of at most ``picked`` splits sums
-    its W sides through its pick map (module docstring)."""
+    value dtype. A chunk holds at most ``chunk`` split values; ``cached``
+    names the regime: a cached layer reads its row plan and pick map
+    (module docstring)."""
     n = len(c)
     rows = split_rows(s, k)
     splits = rows.shape[1]
     keys = key_dtype(int(c.sum(dtype=np.float64)), splits)
-    picks = pick_map(s, k) if splits <= picked else None
+    picks = pick_map(s, k) if cached and splits <= PICKED else None
+    plan = row_plan(n, s, k, chunk // splits) if cached else None
     step = max(1, chunk // splits)
     runs = [slice(j, min(j + chunk, splits)) for j in range(0, splits, chunk)]
     # over all splits, an even split's rest ranks are its W ranks reversed
@@ -304,24 +377,24 @@ def search_layer(c, s, k, w_value, rest_opt, chunk, plan=None, picked=PICKED):
     return layer, sums
 
 
-def split_layers(c, steps, opt, sym, picked=PICKED):
+def split_layers(c, steps, opt, sym, cached):
     """Run search layers, smallest size first, and return each one's
-    choices by size. A step (s, k, chunk, row plan) is search_layer's s,
-    k, chunk and plan; opt and sym map sizes to the optima and Sym that
-    the steps read, and are updated in place (module docstring): what is
-    left is the last step's optimum and the arrays no step reads."""
+    choices by size. A step (s, k) splits the s-subsets at W size k, in
+    the regime ``cached`` names; opt and sym map sizes to the optima and
+    Sym that the steps read, and are updated in place (module docstring):
+    what is left is the last step's optimum and the arrays no step reads."""
     choices = {}
-    for s, k, chunk, plan in steps:
+    for s, k in steps:
         w_value, rest_opt = opt[k] - sym[k], opt[s - k]
         for size in {k, s - k}:
-            if all(size not in (w, r - w) for r, w, *_ in steps if r > s):
+            if all(size not in (w, r - w) for r, w in steps if r > s):
                 del opt[size]
                 sym.pop(size, None)
-        layer, sums = search_layer(c, s, k, w_value, rest_opt, chunk, plan,
-                                   picked)
+        layer, sums = search_layer(c, s, k, w_value, rest_opt,
+                                   chunk_size(len(c), s, k, cached), cached)
         del w_value, rest_opt
         opt[s] = layer.opt
-        if any(w == s for _, w, *_ in steps):
+        if any(w == s for _, w in steps):
             sym[s] = sums
         choices[s] = layer.choice
         del layer, sums

@@ -30,20 +30,20 @@ In dc (no search), a frame of more than TAIL and at most 2 * TAIL
 members is a layered frame, evaluated whole when its subtree fits: the
 ceil-half recursion inside it reaches every subset of each size it
 reaches, so its node values are one chain of colex's search layers over
-its local matrix (colex.split_layers). The chain depends on the frame's
-size alone: singletons (worth 0) and pairs (min(c[a][b], c[b][a])) are
-seeded, and every reached size s >= 3 is one layer split at ceil(s/2),
-each subset keeping its first best split in the order that
-frame-by-frame recursion searches. Any split width gives exact optima,
-so base case sizes come out exact too. base_size chooses only where the
-ordering walk down those splits hands members to base_case
-(colex.split_order; a pair stops there at every base size, since
-base_case orders it as its first best split does) and which sizes the
-ledger counts as splits: it adds the nodes and gammas that pushing
-occurrences down the widths above base_size counts (frame_counts). A
-frame holds its layers, C(s, ceil(s/2)) entries at most per size, and one
-kernel chunk at a time; colex caches the member tables and split rows it
-reads. In qdc, a frame whose W and rest are both tails
+its local matrix (colex.split_layers), run in colex's uncached regime.
+The chain depends on the frame's size alone: singletons (worth 0) and
+pairs (min(c[a][b], c[b][a])) are seeded, and every reached size s >= 3
+is one layer split at ceil(s/2), each subset keeping its first best
+split in the order that frame-by-frame recursion searches. Any split
+width gives exact optima, so base case sizes come out exact too.
+base_size chooses only where the ordering walk down those splits hands
+members to base_case (colex.split_order; a pair stops there at every
+base size, since base_case orders it as its first best split does) and
+which sizes the ledger counts as splits: it adds the nodes and gammas
+that pushing occurrences down the widths above base_size counts
+(frame_counts). A frame holds its layers, C(s, ceil(s/2)) entries at
+most per size, and one kernel chunk at a time (colex module docstring,
+Regimes). In qdc, a frame whose W and rest are both tails
 is a two-tail frame, counted whole when its subtree fits: its candidate
 count times its two tails' counts, plus its own node. Its candidates' W
 and rest local matrices are stacked in row batches of at most BATCH_BYTES
@@ -438,7 +438,7 @@ class _Layers(NamedTuple):
 
     ``steps`` depend on f alone: one layer per size s >= 3 that the
     ceil-half recursion of f reaches, split at ceil(s/2), smallest first,
-    as colex.split_layers' (s, k, chunk, row plan) with no row plan.
+    as colex.split_layers' (s, k) steps.
     base_size picks only ``widths``, which maps each reached size above it
     to ceil(s/2): n_nodes and n_gammas are counted from them
     (frame_counts), and the ordering walk splits those above 2 too."""
@@ -457,21 +457,9 @@ def _layer_plan(f, base_size):
         if s > 1 and s not in widths:
             widths[s] = ceil(s / 2)
             sizes += [ceil(s / 2), s // 2]
-    steps = tuple((s, k, _chunk(f, s, k), None)
-                  for s, k in sorted(widths.items()) if s > 2)
+    steps = tuple(step for step in sorted(widths.items()) if step[0] > 2)
     widths = {s: k for s, k in widths.items() if s > base_size}
     return _Layers(widths, steps, *frame_counts(f, widths))
-
-
-def _chunk(f, s, k):
-    """The chunk of the kernel's layer of s-subsets of a frame of f members
-    split at k. A chunk of m subsets holds about m(f + C(s, k)) values at
-    once, the member map's and one key per split, and at most C(2h, h), h
-    = ceil(f/2): the root's splits at an even f, twice them at an odd f,
-    whose root is half the next frame's while its other layers are nearly
-    as large."""
-    splits, h = comb(s, k), ceil(f / 2)
-    return splits * max(1, comb(2 * h, h) // (f + splits))
 
 
 def _solve_layers(floats, rows, members, plan):
@@ -479,8 +467,8 @@ def _solve_layers(floats, rows, members, plan):
     sorted ``members`` (a _Layers plan; module docstring). Singletons and
     pairs are seeded: a pair {a, b} is worth min(c[a][b], c[b][a]) and has
     Sym c[a][b] + c[b][a]. Values are in colex.value_dtype of the local
-    matrix's sum. The kernel reads no row plan and no pick map: a frame's
-    own tables are what a budgeted solve's traced peak counts."""
+    matrix's sum. The chain runs uncached: a frame's own tables are what a
+    budgeted solve's traced peak counts."""
     sub = local_matrix(floats, members)
     f = len(members)
     values = colex.value_dtype(int(sub.sum(dtype=np.float64)))
@@ -489,7 +477,7 @@ def _solve_layers(floats, rows, members, plan):
     opt = {1: np.zeros(f, values), 2: np.minimum(ab, ba).astype(values)}
     sym = {1: opt[1], 2: (ab + ba).astype(values)}  # the local diagonal is 0
     del a, b, ab, ba
-    choice = colex.split_layers(sub, plan.steps, opt, sym, picked=0)
+    choice = colex.split_layers(sub, plan.steps, opt, sym, False)
     # pairs have no choices: base_case orders a pair as its first best
     # split would, a before b unless c[b][a] < c[a][b]
     walk = {s: k for s, k in plan.widths.items() if s > 2}

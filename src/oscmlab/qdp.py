@@ -41,32 +41,19 @@ analytic counts above, composed along the plan of search sizes. The
 ordering is rebuilt at the end down the winning splits to table leaves,
 which peel their last vertices (colex.split_order, colex.peel).
 
-Chunks. A search layer's chunks hold at most _CHUNK split values: m =
-_CHUNK // C(s, k) subsets against every split, or one subset against
-runs of _CHUNK splits where there are more (the root from n = 18 on). A
-layer in one run reads its index rows (member offsets, W ranks and rest
-ranks, as intp) from a _plan per (n, s, k, chunk step), built on its
-first solve, while they fit _PLAN_BYTES; any other layer builds each
-chunk's ranks as it runs. A layer of at most colex.PICKED splits sums its
-W sides through its cached pick map.
+The searches run in colex's cached regime (colex module docstring): their
+chunks, row plans and pick maps are colex's, kept across solves.
 
 Space: sum_{i<=t} C(n, i) table entries, a choice per subset of each
 search size s (C(n, s) of them, in int8, int16 or int32 by C(s, k), as
 colex says), and one chunk at a time. The optimum and Sym of a size, in
 the value dtype, are dropped after the last search that reads them, and
 a search size keeps its Sym only where a larger search reads it as a W
-side (colex.split_layers). A planned chunk with int32 keys holds ~8
-bytes per split value at once, the key and the product it is cast from,
-where the unplanned kernel held ~14 (an intp copy of the ranks per
-take), so _CHUNK is 2^14 * 14 / 8 = 28672. The member map, its product
-and rho add 8n + 20s bytes per subset. Warm tracemalloc peaks of n = 15
-and 16 solves (random_instance, n_u 8, p 0.5) read 311 and 333 KB. The
-plans hold 0.20, 8.08 and 8.13 MB at n = 12, 15 and 16, and all of qdp's
-caches (members, splits, pick maps and plans) 0.27, 8.3 and 8.6 MB,
-which ledger.meta["plan_bytes"] reports. _PLAN_BYTES holds n = 16's
-(8, 4) layer; n = 17's (8, 4) and (9, 5) layers (15 and 51 MB) and every
-larger one build their ranks per chunk. Sym of a table size is summed in
-chunks of at most _CHUNK member map entries.
+side (colex.split_layers). Warm tracemalloc peaks of n = 15 and 16 solves
+(random_instance, n_u 8, p 0.5) read 311 and 333 KB. The row plans hold
+0.20, 8.08 and 8.13 MB at n = 12, 15 and 16, and all the tables the
+chain leaves cached (members, splits, pick maps and plans) 0.27, 8.3 and
+8.6 MB, which ledger.meta["plan_bytes"] reports (colex.table_bytes).
 
 Alpha is capped at 0.5: with alpha <= 1 - alpha the third level's split
 size ceil(alpha*n/4) and its complement both fit the table (ceilings are
@@ -77,10 +64,7 @@ which is what keeps the search depth at three.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import ceil, comb
-
-import numpy as np
 
 from . import colex
 from .bigraph import BipartiteInstance, Solution
@@ -98,10 +82,6 @@ from .qmf import cost_model_calls
 # 4x that. Past the cap a search solve raises SizeLimitError before it
 # allocates anything; the dp fallback path is held to dp's own cap instead.
 _PRACTICAL_MAX_NV = 22
-
-_CHUNK = 28672  # split values per chunk (module docstring, Space)
-# Bytes of index rows a search layer keeps across solves in its _plan.
-_PLAN_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -153,28 +133,6 @@ def qdp_cost_model(n_v: int, cfg: QdpConfig = None):
     return classical, quantum
 
 
-@lru_cache(maxsize=16)
-def _plan(n, s, k, step):
-    """Per chunk of step subsets of the search layer of s-subsets of
-    range(n) split at k, its member offsets, W ranks and rest ranks (None
-    for an even split), as intp; None for a layer in runs of splits (step
-    0) or whose rows would pass _PLAN_BYTES. The rows stay writeable: take
-    copies a read-only index array."""
-    count, splits = comb(n, s), comb(s, k)
-    mirrored = 2 * k == s
-    if not step or (s + splits * (2 - mirrored)) * count * 8 > _PLAN_BYTES:
-        return None
-    members = colex.members(n, s)
-    chunks = []
-    for lo in range(0, count, step):
-        block = members[:, lo:lo + step]
-        chunks.append((colex.offsets(block), *(
-            None if ranks is None else ranks.astype(np.intp)
-            for ranks in colex.split_ranks(n, k, block, slice(None),
-                                             mirrored))))
-    return chunks
-
-
 def _search_plan(n, t, k3):
     """Split width of each search size: ceil(s/2) at levels 1 and 2, k3 at
     level 3. For alpha <= 0.5 a size never recurs at another level with
@@ -192,25 +150,6 @@ def _search_plan(n, t, k3):
     if any(s > t for s in sizes):
         raise AssertionError("split recursion exceeded three search levels")
     return plan
-
-
-@lru_cache(maxsize=64)
-def _table_bytes(n, plan, chunk, budget, picked):
-    """Bytes of the cached tables a search solve of range(n) along plan,
-    given as sorted (s, k) pairs, reads: member layers (one caches every
-    smaller one of its n), split rows, pick maps and row plans. The figure
-    depends on n, the plan and the module constants chunk (_CHUNK), budget
-    (_PLAN_BYTES, which _plan reads, so only part of the key) and picked
-    (colex.PICKED) alone, so it is summed once per those."""
-    arrays = [colex.members(size, i) for size, i in {(n, n)} | {
-        (s, i) for s, k in plan for i in range(max(k, s - k) + 1)}]
-    for s, k in plan:
-        arrays.append(colex.split_rows(s, k))
-        if comb(s, k) <= picked:
-            arrays.append(colex.pick_map(s, k))
-        arrays += [row for rows in _plan(n, s, k, chunk // comb(s, k)) or ()
-                   for row in rows if row is not None]
-    return sum(array.nbytes for array in arrays)
 
 
 def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
@@ -254,19 +193,16 @@ def solve_qdp(inst: BipartiteInstance, cfg: QdpConfig = None):
     # charge the smaller size has already composed.
     plan = sorted(_search_plan(n, t, ceil(cfg.alpha * n / 4.0)).items())
     floats = exact_floats(c)
-    sym = {k: colex.sym(floats, k, opt[0].dtype, _CHUNK)
-           for _, k in plan if k <= t}
-    choice.update(colex.split_layers(floats, [
-        (s, k, _CHUNK, _plan(n, s, k, _CHUNK // comb(s, k)))
-        for s, k in plan], opt, sym))
+    sym = {k: colex.sym(floats, k, opt[0].dtype) for _, k in plan if k <= t}
+    choice.update(colex.split_layers(floats, plan, opt, sym, True))
     charge = {}
     for s, k in plan:
         ledger.table_reads += comb(n, s) * comb(s, k) * ((k <= t) + (s - k <= t))
         charge[s] = (cost_model_calls(comb(s, k), cfg.call_constant)
                      * (1 + charge.get(k, 0)))
     ledger.oracle_calls = charge[n]
-    ledger.meta["plan_bytes"] = _table_bytes(n, tuple(plan), _CHUNK,
-                                             _PLAN_BYTES, colex.PICKED)
-    order = colex.split_order(list(range(n)), choice, dict(plan),
+    widths = dict(plan)
+    ledger.meta["plan_bytes"] = colex.table_bytes(n, widths)
+    order = colex.split_order(list(range(n)), choice, widths,
                               lambda members: colex.peel(choice, members))
     return Solution(tuple(order), int(opt[n][0])), ledger

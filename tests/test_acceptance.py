@@ -134,7 +134,7 @@ def test_criterion_6_bounded_error_minimum_finding():
 def test_criterion_7_space_separation():
     """Divide and conquer allocates under 64 KiB at its peak (tracemalloc)
     at n=20 while the DP table holds 2^20 entries. The frame plans (tail,
-    two-tail and layer plans) and the colex tables they read are cleared
+    two-tail and layer plans) and every table colex caches are cleared
     before each traced solve, so the peak counts their builds whatever ran
     before."""
     inst = random_instance(random.Random(20), 5, 20, 0.4)
@@ -146,7 +146,8 @@ def test_criterion_7_space_separation():
                        (solve_qdc, QdcConfig(count_only=True,
                                              node_budget=100_000))):
         for cache in (dc._tail_plan, dc._halves, dc._layer_plan,
-                      colex.members, colex.split_rows, colex.binomials):
+                      *[f for f in vars(colex).values()
+                        if hasattr(f, "cache_clear")]):
             cache.cache_clear()
         tracemalloc.start()
         try:

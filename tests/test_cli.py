@@ -7,6 +7,7 @@ import pytest
 from oscmlab import (BipartiteInstance, CostLedger, QmfResult, Solution,
                      dc_node_count, dp_recurrence_count, extract_ordering,
                      format_instance, qdc_cost_model, qdp_cost_model)
+from oscmlab import oracle
 from oscmlab.cli import main
 
 from readme import fenced, section
@@ -365,6 +366,27 @@ def test_verify_mismatch_exits_four(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, K22_TEXT)
     assert main(["solve", "--input", path, "--verify"]) == 4
     assert "MISMATCH" in lines_of(capsys)[-1]
+
+
+def test_verify_past_the_oracle_is_skipped(tmp_path, capsys):
+    """Past oracle.MAX_NV, --verify recounts the ordering, skips the
+    brute-force check and exits 0."""
+    path = write(tmp_path, f"2 {oracle.MAX_NV + 1} 2 1\n0 1\n1 0\n")
+    assert main(["solve", "--input", path, "--algo", "dp", "--verify"]) == 0
+    assert lines_of(capsys)[-1] == "verify: skipped (beyond oracle limits)"
+
+
+def test_verify_checks_the_optimum_against_brute_force(tmp_path, capsys,
+                                                       monkeypatch):
+    """An ordering that recounts to the reported crossings but is not
+    optimal fails --verify on brute force's optimum."""
+    def suboptimal(inst, algo, cfg=None):
+        return Solution((0, 1), 1), CostLedger(algo="dp")
+
+    monkeypatch.setattr("oscmlab.cli.solve_osscm", suboptimal)
+    path = write(tmp_path, CROSS_TEXT)
+    assert main(["solve", "--input", path, "--verify"]) == 4
+    assert lines_of(capsys)[-1] == "verify: MISMATCH (solver 1, bruteforce 0)"
 
 
 def test_gen_emits_parseable_instance(tmp_path, capsys):

@@ -10,8 +10,8 @@ import pytest
 from oscmlab import (BipartiteInstance, DcConfig, NodeBudgetExceeded,
                      QdcConfig, QmfConfig, build_crossing_matrix,
                      count_crossings, dc_max_depth, dc_node_count,
-                     dc_peak_state_bytes, solve_bruteforce, solve_dc, solve_dp,
-                     solve_qdc)
+                     dc_peak_state_bytes, SizeLimitError, solve_bruteforce,
+                     solve_dc, solve_dp, solve_qdc)
 import oscmlab.dc
 from oscmlab.dc import dc_gamma_count, frame_counts
 
@@ -221,8 +221,7 @@ def test_layered_frames_split_every_reached_size_at_its_ceil_half(
         want = [(s, ceil(s / 2)) for s in sorted(reached) if s >= 2]
         steps = {oscmlab.dc._layer_plan(f, base).steps for base in range(1, 6)}
         assert len(steps) == 1
-        assert [(s, k, plan) for s, k, _, plan in steps.pop()] == [
-            (s, k, None) for s, k in want if s > 2]
+        assert list(steps.pop()) == [(s, k) for s, k in want if s > 2]
         for base in range(1, 6):
             assert oscmlab.dc._layer_plan(f, base).widths == {
                 s: k for s, k in want if s > base}
@@ -238,6 +237,26 @@ def test_layered_frames_split_every_reached_size_at_its_ceil_half(
         for base in (1, 5):
             solve_dc(inst, DcConfig(base_size=base))
     assert layers and all(s >= 3 and k == ceil(s / 2) for s, k in layers)
+
+
+def test_dc_frames_keep_no_row_plans_or_pick_maps():
+    """dc's layered frames run colex's uncached regime: a cold solve at
+    n_v 10 and 16 leaves colex's pick-map and row-plan caches empty."""
+    for n_v in (10, 16):
+        for f in vars(oscmlab.colex).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+        solve_dc(random_instance(random.Random(930 + n_v), 5, n_v, 0.5))
+        assert oscmlab.colex.members.cache_info().currsize > 0
+        assert oscmlab.colex.pick_map.cache_info().currsize == 0
+        assert oscmlab.colex.row_plan.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("solve", [solve_dc, solve_qdc])
+def test_past_64_vertices_raises(solve):
+    """split_min refuses more than 64 vertices, after the matrix build."""
+    with pytest.raises(SizeLimitError, match="n_v <= 64, got 65"):
+        solve(BipartiteInstance(1, 65))
 
 
 def test_count_only_skips_reconstruction_not_counting():

@@ -10,7 +10,7 @@ import pytest
 
 from oscmlab import (BipartiteInstance, QdpConfig, SizeLimitError,
                      build_crossing_matrix, count_crossings, qdp_cost_model,
-                     solve_dp, solve_qdp, table_threshold)
+                     solve_dc, solve_dp, solve_qdp, table_threshold)
 from oscmlab import colex, dc, dp, qdp
 from oscmlab.matrix import exact_floats
 
@@ -180,6 +180,11 @@ def test_validation():
         solve_qdp(BipartiteInstance(1, 65))
 
 
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_cost_model_of_no_vertices_is_zero(n):
+    assert qdp_cost_model(n) == (0, 0)
+
+
 @pytest.mark.parametrize("n,min_quantum_n,limit", [
     (23, 8, 22), (30, 8, 22), (64, 8, 22), (24, 64, 23), (30, 64, 23), (40, 64, 23)])
 def test_practical_size_cap(n, min_quantum_n, limit):
@@ -246,21 +251,21 @@ def test_outputs_at_wide_values(spec, ordering, crossings, counts):
 def search_arrays(c, n, t, plan, chunk=None):
     """The layers and Sym arrays solve_qdp evaluates for the crossing
     matrix c, as {s: (opt, sym, choice)}; sym is None where qdp computes
-    none. The kernel runs layer by layer in the order of qdp's chain, with
-    qdp's chunk and row plans, or, given a chunk, with that chunk and no
-    row plan, as dc's frames run it; every layer is kept, where
+    none. The kernel runs layer by layer in the order of qdp's chain, in
+    colex's cached regime as qdp runs it, or, given a chunk, uncached with
+    that chunk, as dc's frames run it; every layer is kept, where
     colex.split_layers drops each after the last step that reads it."""
     layers = dict(enumerate(dp.subset_layers(c, n, t)))
     values = layers[0].opt.dtype
     floats = exact_floats(c)
-    step = qdp._CHUNK if chunk is None else chunk
-    sym = {k: colex.sym(floats, k, values, step)
+    sym = {k: colex.sym(floats, k, values)
            for k in set(plan.values()) if k <= t}
     for s in sorted(plan):
         k = plan[s]
         layers[s], sym[s] = colex.search_layer(
-            floats, s, k, layers[k].opt - sym[k], layers[s - k].opt, step,
-            None if chunk else layer_plan(n, s, k))
+            floats, s, k, layers[k].opt - sym[k], layers[s - k].opt,
+            colex.chunk_size(n, s, k, True) if chunk is None else chunk,
+            chunk is None)
     return {s: (layer.opt, sym.get(s), layer.choice) for s, layer in layers.items()}
 
 
@@ -270,8 +275,8 @@ def search_layers(c, n, t, plan, chunk=None):
     return rows(search_arrays(c, n, t, plan, chunk))
 
 
-# The kernel tests check each case as qdp runs the kernel and again with
-# a small chunk and no row plan, as dc's frames run it.
+# The kernel tests check each case as qdp runs the kernel and again
+# uncached with a small chunk, as dc's frames run it.
 SMALL_CHUNK = 64
 
 
@@ -327,7 +332,7 @@ def plan_for(n, alpha):
 
 def layer_plan(n, s, k):
     """The row plan the search layer of s-subsets split at k reads."""
-    return qdp._plan(n, s, k, qdp._CHUNK // comb(s, k))
+    return colex.row_plan(n, s, k, colex.CHUNK // comb(s, k))
 
 
 @pytest.mark.parametrize("kind", ["random", "edgeless", "complete"])
@@ -381,7 +386,7 @@ def test_both_rank_dtypes_run(monkeypatch):
     inst = random_instance(random.Random(182), 8, 18, 0.5)
     want = solve_dp(inst)[0].crossings
     monkeypatch.setattr(colex, "index_dtype", recorded)
-    qdp._plan.cache_clear()
+    colex.row_plan.cache_clear()
     sol, _ = solve_qdp(inst)
     assert (comb(18, 9), np.int32) in seen
     assert (comb(18, 5), np.int16) in seen
@@ -398,7 +403,7 @@ def test_root_in_split_runs(monkeypatch, chunk):
     in runs of splits whose keys carry the global split index, so its first
     best split, and every other layer, match the enumeration over bitmasks
     and dp."""
-    monkeypatch.setattr(qdp, "_CHUNK", chunk)
+    monkeypatch.setattr(colex, "CHUNK", chunk)
     inst = random_instance(random.Random(150), 8, 15, 0.5)
     c = build_crossing_matrix(inst)
     t, plan = plan_for(15, 0.055362)
@@ -414,7 +419,7 @@ def test_root_in_split_runs(monkeypatch, chunk):
 def test_split_runs_of_any_width(monkeypatch, chunk, kind):
     """Chunks narrower than a layer's splits cut every layer into runs,
     whose keys must cover every split once with its global index."""
-    monkeypatch.setattr(qdp, "_CHUNK", chunk)
+    monkeypatch.setattr(colex, "CHUNK", chunk)
     inst = {"random": lambda: random_instance(random.Random(9), 5, 9, 0.5),
             "complete": lambda: complete(3, 9)}[kind]()
     c = build_crossing_matrix(inst)
@@ -442,9 +447,9 @@ def test_warm_peak_stays_within_460_kb(n):
 def fresh_plans():
     """Clear the row plans before and after a test that patches what they
     are built from."""
-    qdp._plan.cache_clear()
+    colex.row_plan.cache_clear()
     yield
-    qdp._plan.cache_clear()
+    colex.row_plan.cache_clear()
 
 
 @pytest.mark.parametrize("kind", ["random", "edgeless", "complete"])
@@ -453,20 +458,20 @@ def fresh_plans():
                          + [(9, 1), (9, 7), (15, 1 << 10), (15, 1 << 12)])
 def test_both_routes_to_the_rank_rows(monkeypatch, fresh_plans, n, chunk,
                                       alpha, kind):
-    """A layer reads its index rows from its plan or, past _PLAN_BYTES,
+    """A layer reads its index rows from its plan or, past PLAN_BYTES,
     builds them per chunk; with the budget at 0 every layer builds them,
     and every layer's optima, choices and Sym match the planned run's, in
     value and dtype."""
     if chunk is not None:
-        monkeypatch.setattr(qdp, "_CHUNK", chunk)
+        monkeypatch.setattr(colex, "CHUNK", chunk)
     inst = {"random": lambda: random_instance(random.Random(n), 8, n, 0.5),
             "edgeless": lambda: BipartiteInstance(3, n),
             "complete": lambda: complete(3, n)}[kind]()
     c = build_crossing_matrix(inst)
     t, plan = plan_for(n, alpha)
     planned = search_arrays(c, n, t, plan)
-    monkeypatch.setattr(qdp, "_PLAN_BYTES", 0)
-    qdp._plan.cache_clear()
+    monkeypatch.setattr(colex, "PLAN_BYTES", 0)
+    colex.row_plan.cache_clear()
     built = search_arrays(c, n, t, plan)
     assert all(layer_plan(n, s, k) is None for s, k in plan.items())
     assert planned.keys() == built.keys()
@@ -476,6 +481,48 @@ def test_both_routes_to_the_rank_rows(monkeypatch, fresh_plans, n, chunk,
             if want is not None:
                 assert want.dtype == got.dtype
                 assert np.array_equal(want, got)
+
+
+REGIMES = ([("dc", f, None) for f in range(dc.TAIL + 1, 2 * dc.TAIL + 1)]
+           + [("qdp", n, alpha) for n in range(8, 17)
+              for alpha in (0.055362, 0.4)])
+
+
+@pytest.mark.parametrize("kind,n,arg", REGIMES,
+                         ids=[f"{kind}-{n}-{arg}" for kind, n, arg in REGIMES])
+@pytest.mark.parametrize("graph", ["random", "complete"])
+def test_both_regimes_compute_the_same_chain(monkeypatch, fresh_plans, graph,
+                                             kind, n, arg):
+    """colex's cached and uncached regimes run a chain through different
+    chunks, index rows and W-side sums. Over dc's layered frames (the root
+    frame of an n_v = f solve) and qdp's searches, a solve run in either
+    regime evaluates the same layers: optima, choices and Sym, in value
+    and dtype."""
+    inst = {"random": lambda: random_instance(random.Random(n), 8, n, 0.5),
+            "complete": lambda: complete(3, n)}[graph]()
+    split_layers, kernel = colex.split_layers, colex.search_layer
+    runs = {}
+    for cached in (True, False):
+        made = runs[cached] = []
+
+        def recording(*args):
+            layer, sums = kernel(*args)
+            made.append((*layer, sums))
+            return layer, sums
+
+        monkeypatch.setattr(colex, "search_layer", recording)
+        monkeypatch.setattr(colex, "split_layers",
+                            lambda c, steps, opt, sym, _, regime=cached:
+                            split_layers(c, steps, opt, sym, regime))
+        if kind == "dc":
+            solve_dc(inst)
+        else:
+            solve_qdp(inst, QdpConfig(alpha=arg))
+    assert len(runs[True]) == len(runs[False]) > 0
+    for want, got in zip(runs[True], runs[False]):
+        for a, b in zip(want, got):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 # split_layers' inputs: dc's layered frames of 9-16 members at base sizes
@@ -492,7 +539,7 @@ def chain(kind, n, arg):
     if kind == "dc":
         return dc._layer_plan(n, arg).steps, {1, 2}, {1, 2}
     t, plan = plan_for(n, arg)
-    steps = [(s, k, qdp._CHUNK, None) for s, k in sorted(plan.items())]
+    steps = sorted(plan.items())
     return steps, set(range(t + 1)), {k for k in plan.values() if k <= t}
 
 
@@ -505,17 +552,19 @@ def test_split_layers_drop_what_no_later_step_reads(kind, n, arg, monkeypatch):
     is left is the root's optimum and the arrays no step reads. A stand-in
     kernel returns zero layers, so the rule is checked at n 22 too."""
     steps, given_opt, given_sym = chain(kind, n, arg)
+    cached = kind == "qdp"
     last = {}
-    for i, (s, k, *_) in enumerate(steps):
+    for i, (s, k) in enumerate(steps):
         last[k] = last[s - k] = i
-    w_sizes = {k for _, k, *_ in steps}
+    w_sizes = {k for _, k in steps}
     opt = {x: np.zeros(comb(n, x), np.int16) for x in given_opt}
     sym = {x: np.zeros(comb(n, x), np.int16) for x in given_sym}
     made = []
 
-    def kernel(c, s, k, w_value, rest_opt, chunk, plan=None, picked=None):
+    def kernel(c, s, k, w_value, rest_opt, chunk, regime):
         i = len(made)
-        assert (s, k, chunk, plan) == tuple(steps[i])
+        assert (s, k) == tuple(steps[i])
+        assert (chunk, regime) == (colex.chunk_size(n, s, k, cached), cached)
         assert (len(w_value), len(rest_opt)) == (comb(n, k), comb(n, s - k))
         live = {x for x in given_opt | set(made) if last.get(x, i + 1) > i}
         assert set(opt) == live
@@ -527,17 +576,19 @@ def test_split_layers_drop_what_no_later_step_reads(kind, n, arg, monkeypatch):
                 np.zeros(count, np.int16))
 
     monkeypatch.setattr(colex, "search_layer", kernel)
-    choices = colex.split_layers(np.zeros((n, n), np.float32), steps, opt, sym)
-    assert made == [s for s, *_ in steps] == list(choices)
+    choices = colex.split_layers(np.zeros((n, n), np.float32), steps, opt, sym,
+                                 cached)
+    assert made == [s for s, _ in steps] == list(choices)
     assert set(opt) == {steps[-1][0]} | (given_opt - set(last))
     assert set(sym) == given_sym - set(last)
 
 
 def cleared_solve(inst, cfg=None):
-    """A solve after clearing the caches qdp reads: (ledger, bytes it leaves
-    allocated)."""
-    for cache in (colex.members, colex.split_rows, colex.pick_map, qdp._plan):
-        cache.cache_clear()
+    """A solve after clearing every table colex caches: (ledger, bytes it
+    leaves allocated)."""
+    for cache in vars(colex).values():
+        if hasattr(cache, "cache_clear"):
+            cache.cache_clear()
     tracemalloc.start()
     try:
         _, ledger = solve_qdp(inst, cfg)
@@ -564,7 +615,7 @@ def test_plan_bytes_are_what_a_cold_solve_leaves(n):
 
 def test_layers_past_the_budget_keep_no_rows():
     """At n_v = 20 the size-10 layer's rows would take far more than
-    _PLAN_BYTES and the root runs its splits in runs, so neither keeps a
+    PLAN_BYTES and the root runs its splits in runs, so neither keeps a
     plan, and plan_bytes, still what the solve leaves allocated, is the
     member, split and pick tables alone."""
     inst = random_instance(random.Random(20), 8, 20, 0.5)

@@ -104,9 +104,9 @@ def figures():
                     for s in range(2, dc.TAIL + 1) for base in range(1, s))
     frames = range(dc.TAIL + 1, 2 * dc.TAIL + 1)
     split_rows = max(colex.split_rows(s, ceil(s / 2)).nbytes for s in frames)
-    plans = [dc._layer_plan(f, base) for f in frames for base in (1, 2, 3)]
     entries = max(comb(f, ceil(f / 2)) for f in frames)
-    chunk = max(step[2] for plan in plans for step in plan.steps)
+    chunk = max(colex.chunk_size(f, s, k, False) for f in frames
+                for s, k in dc._layer_plan(f, 1).steps)
 
     def tables(sizes):
         """Bytes of colex's member tables of range(s), sizes 0..ceil(s/2),
